@@ -32,11 +32,11 @@ def collect_matrices():
     g = liealg.build(posets.hexagon_type_c_poset())
     mats.append(("coboundary d2 hexagon", cohomology.coboundary_matrix(g, 2).matrix))
     rng = random.Random(0)
-    T = indexfrob.commutator_matrix(liealg.build(posets.chain_poset(4), "gl"))
+    g = liealg.build(posets.chain_poset(4), "gl")
     for trial in range(3):
         f = indexfrob.Functional(coords=tuple(
-            Fraction(rng.randint(-10**6, 10**6)) for _ in range(T.n)))
-        mats.append((f"kirillov chain4 trial {trial}", indexfrob.eval_kirillov(T, f)))
+            Fraction(rng.randint(-10**6, 10**6)) for _ in range(g.dim)))
+        mats.append((f"kirillov chain4 trial {trial}", indexfrob.eval_kirillov(g, f)))
     return mats
 
 

@@ -24,6 +24,11 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 
+# Largest --size of ``enumerate``.  The library goes to posets.ENUM_GUARD = 8,
+# but size 8 (328 classes, about 10 s of enumeration before any index
+# certificate) is too slow for a command-line report.
+ENUM_MAX_SIZE = 7
+
 
 class CliInputError(Exception):
     pass
@@ -90,6 +95,8 @@ def cmd_build(args):
 
 def cmd_index(args):
     started = time.monotonic()
+    if args.bound < 1:
+        raise CliInputError(f"--bound must be >= 1, got {args.bound}")
     P, digest = _read_poset(args.file)
     g = liealg.build(P, variant=args.variant)
     cert = indexfrob.index(
@@ -102,9 +109,7 @@ def cmd_index(args):
         )
         sp = indexfrob.spectrum(g, f)
         results["frobenius_functional"] = [_frac_str(c) for c in f.coords]
-        results["principal_element"] = [
-            _frac_str(c) for c in indexfrob.principal_element(g, f)
-        ]
+        results["principal_element"] = [_frac_str(c) for c in sp.principal_element]
         results["spectrum"] = {
             "char_poly": _poly_str(sp.char_poly),
             "multiplicity_of_0": sp.multiplicity_of_0,
@@ -128,7 +133,11 @@ def cmd_cohomology(args):
     rep = cohomology.cohomology_report(g, args.degree, max_dim=args.max_dim)
     results = {"degree": args.degree, "dims": rep}
     if args.dump_complex:
-        with open(args.dump_complex, "w") as fh:
+        try:
+            fh = open(args.dump_complex, "w")
+        except OSError as e:
+            raise CliInputError(f"cannot write {args.dump_complex}: {e}") from e
+        with fh:
             for n in range(min(args.degree + 1, g.dim) + 1):
                 cohomology.dump_complex(cohomology.coboundary_matrix(g, n), fh)
         results["dumped_to"] = args.dump_complex
@@ -184,8 +193,8 @@ def cmd_verify(args):
 
 def cmd_enumerate(args):
     started = time.monotonic()
-    if args.size > 7:
-        raise GuardError("enumerate guard: size <= 7")
+    if args.size > ENUM_MAX_SIZE:
+        raise GuardError(f"enumerate guard: size <= {ENUM_MAX_SIZE}")
     all_posets = posets.enumerate_height_one(args.size)
     cases = []
     kept = 0

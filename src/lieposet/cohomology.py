@@ -7,12 +7,13 @@ d(x)(g1) = [g1, x], which makes H^0 the center -- all other signs then
 follow from the standard alternating-sum formula.
 """
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 
 from . import exactla, liealg, simplicial
-from .exactla import ONE, ZERO, SparseMat
+from .exactla import ZERO, SparseMat
 
 DEGREE_GUARD = 3
 DEFAULT_MAX_DIM = 12
@@ -55,46 +56,55 @@ def coboundary_matrix(g, n):
     combos_n1, pos_n1 = _coords(dim, n + 1)
     ents = {}
 
-    def add(row_tuple, target, val, col):
+    def add(row, val, col):
         if not val:
             return
-        key = (pos_n1[row_tuple] * dim + target, col)
-        s = ents.get(key, ZERO) + val
+        key = (row, col)
+        old = ents.get(key)
+        if old is None:
+            ents[key] = val
+            return
+        s = old + val
         if s:
             ents[key] = s
         else:
             del ents[key]
 
+    adjacency, producers = g.adjacency, g.producers
     for s_pos, S in enumerate(combos_n):
-        in_S = set(S)
+        # Module term: insert a into S at position p; the cochain eats the
+        # rest.  Row offset and sign depend on (S, a) only.
+        inserted = {}
+        for a in range(dim):
+            p = bisect.bisect_left(S, a)
+            if p == len(S) or S[p] != a:
+                inserted[a] = (pos_n1[S[:p] + (a,) + S[p:]] * dim, p % 2 == 0)
+        # Bracket term: replace k in S by a bracketed pair (a, b).  It does
+        # not depend on the target t, so its rows and values are shared.
+        replaced = []
+        for q, k in enumerate(S):
+            R = S[:q] + S[q + 1:]
+            in_R = set(R)
+            for a, b, c in producers[k]:
+                if a in in_R or b in in_R:
+                    continue
+                G = tuple(sorted(R + (a, b)))
+                i, j = G.index(a) + 1, G.index(b) + 1
+                # (-1)^(i + j) from the pair, (-1)^q from removing k.
+                val = c if (i + j + q) % 2 == 0 else -c
+                replaced.append((pos_n1[G] * dim, val))
         for t in range(dim):
             col = s_pos * dim + t
-            # Module term: insert a into S; the cochain eats the rest.
-            for a in range(dim):
-                if a in in_S:
+            for a, vec in adjacency[t].items():
+                if a not in inserted:
                     continue
-                G = tuple(sorted(S + (a,)))
-                sign = ONE if G.index(a) % 2 == 0 else -ONE
-                for m, c in g.structure(a, t).items():
-                    add(G, m, sign * c, col)
-            # Bracket term: replace k in S by a bracketed pair (a, b).
-            for k in S:
-                R = tuple(x for x in S if x != k)
-                in_R = set(R)
-                sign_k = ONE if sum(1 for r in R if r < k) % 2 == 0 else -ONE
-                for a in range(dim):
-                    if a in in_R:
-                        continue
-                    for b in range(a + 1, dim):
-                        if b in in_R:
-                            continue
-                        c_ab = g.structure(a, b).get(k)
-                        if not c_ab:
-                            continue
-                        G = tuple(sorted(R + (a, b)))
-                        i, j = G.index(a) + 1, G.index(b) + 1
-                        sign_ij = ONE if (i + j) % 2 == 0 else -ONE
-                        add(G, t, sign_ij * sign_k * c_ab, col)
+                base, even = inserted[a]
+                # [x_a, x_t] is vec for a < t and -vec for a > t.
+                positive = even == (a < t)
+                for m, c in vec.items():
+                    add(base + m, c if positive else -c, col)
+            for base, val in replaced:
+                add(base + t, val, col)
 
     rows = math.comb(dim, n + 1) * dim
     cols = math.comb(dim, n) * dim

@@ -43,19 +43,6 @@ class Functional:
 
 
 @dataclass(frozen=True)
-class CommutatorTensor:
-    n: int
-    entry: dict  # (i, j), i < j -> sparse dict of [x_i, x_j]
-
-    def get(self, i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return self.entry.get((i, j), {})
-        return {k: -v for k, v in self.entry.get((j, i), {}).items()}
-
-
-@dataclass(frozen=True)
 class IndexCertificate:
     index: int
     witness: Functional
@@ -82,22 +69,17 @@ class IndexCertificate:
         }
 
 
-def commutator_matrix(g):
-    """The structure tensor in evaluation-ready, Cartan-first order."""
-    return CommutatorTensor(n=g.dim, entry={k: dict(v) for k, v in g.brackets.items()})
-
-
-def eval_kirillov(T, f):
+def eval_kirillov(g, f):
     """Skew-symmetric matrix with (i, j) entry f([x_i, x_j])."""
-    if len(f.coords) != T.n:
+    if len(f.coords) != g.dim:
         raise exactla.DimensionError("functional length mismatch")
     ents = {}
-    for (i, j), vec in T.entry.items():
+    for (i, j), vec in g.brackets.items():
         val = sum((f.coords[k] * v for k, v in vec.items()), ZERO)
         if val:
             ents[(i, j)] = val
             ents[(j, i)] = -val
-    return SparseMat(T.n, T.n, ents)
+    return SparseMat(g.dim, g.dim, ents)
 
 
 def _random_functional(dim, entry_bound, seed, trial):
@@ -115,11 +97,10 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
     """
     if trials < 1:
         raise IndexError_("trials must be >= 1")
-    T = commutator_matrix(g)
     best_rank, best_witness = -1, None
     for trial in range(trials):
         f = _random_functional(g.dim, entry_bound, seed, trial)
-        r = exactla.rank(eval_kirillov(T, f))
+        r = exactla.rank(eval_kirillov(g, f))
         if r > best_rank:
             best_rank, best_witness = r, f
         if best_rank == g.dim:
@@ -152,13 +133,12 @@ def frobenius_functional(g, trials=3, entry_bound=10**6, seed=0):
     The structured candidate (sum of root-vector coordinate functionals)
     is tried before random sampling, so Frobenius witnesses stay readable.
     """
-    T = commutator_matrix(g)
     cand = structured_candidate(g)
-    if exactla.rank(eval_kirillov(T, cand)) == g.dim:
+    if exactla.rank(eval_kirillov(g, cand)) == g.dim:
         return cand
     for trial in range(trials):
         f = _random_functional(g.dim, entry_bound, seed, trial)
-        if exactla.rank(eval_kirillov(T, f)) == g.dim:
+        if exactla.rank(eval_kirillov(g, f)) == g.dim:
             return f
     return None
 
@@ -169,7 +149,7 @@ def principal_element(g, f):
     In coordinates this is the solve M_f^T a = f, with M_f the Kirillov
     matrix of f.
     """
-    M = eval_kirillov(commutator_matrix(g), f)
+    M = eval_kirillov(g, f)
     if exactla.rank(M) != g.dim:
         raise NotFrobeniusError("Kirillov matrix is singular at this functional")
     sol = exactla.solve(M.transpose(), list(f.coords))
@@ -179,6 +159,7 @@ def principal_element(g, f):
 
 @dataclass(frozen=True)
 class SpectrumRecord:
+    principal_element: list
     char_poly: list
     multiplicity_of_0: int
     multiplicity_of_1: int
@@ -198,13 +179,15 @@ def ad_matrix(g, v):
 
 
 def spectrum(g, f):
-    """Characteristic polynomial of ad(principal element of f), with the
-    x^a (x-1)^b factorization pulled out; binary means nothing is left.
+    """The principal element of f and the characteristic polynomial of its
+    adjoint, with the x^a (x-1)^b factorization pulled out; binary means
+    nothing is left.
     """
     p_elt = principal_element(g, f)
     cp = exactla.char_poly(ad_matrix(g, p_elt))
     a, b, residual = exactla.factor_binary(cp)
     return SpectrumRecord(
+        principal_element=p_elt,
         char_poly=cp,
         multiplicity_of_0=a,
         multiplicity_of_1=b,

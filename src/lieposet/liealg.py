@@ -11,6 +11,7 @@ generators first, then root vectors.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import exactla
 from .exactla import ONE, ZERO, SparseMat
@@ -61,17 +62,51 @@ class LieAlg:
     def root_indices(self):
         return range(self.cartan_count, self.dim)
 
+    # The sparse structure index: built on first use, once per instance,
+    # from ``brackets`` alone, sharing its dicts (O(nnz), no copies).
+
+    @cached_property
+    def adjacency(self):
+        """adjacency[i] maps j -> brackets[(min(i, j), max(i, j))] for every
+        nonzero pair, keys ascending; [x_i, x_j] is that dict for i < j and
+        its negative for i > j."""
+        adjacency = tuple({} for _ in range(self.dim))
+        for i, j in sorted(self.brackets):
+            vec = self.brackets[(i, j)]
+            if vec:
+                adjacency[i][j] = vec
+                adjacency[j][i] = vec
+        return adjacency
+
+    @cached_property
+    def producers(self):
+        """producers[k] = ((a, b, c), ...) with a < b ascending, where c != 0
+        is the coefficient of x_k in [x_a, x_b]."""
+        producers = tuple([] for _ in range(self.dim))
+        for a, b in sorted(self.brackets):
+            for k, c in self.brackets[(a, b)].items():
+                producers[k].append((a, b, c))
+        return tuple(tuple(p) for p in producers)
+
 
 def bracket(g, x, y):
-    """Bilinear extension of the structure tensor to coordinate vectors."""
+    """Bilinear extension of the structure tensor to coordinate vectors.
+
+    Walks only the support of x and, per i there, the nonzero brackets
+    [x_i, x_j]."""
     if len(x) != g.dim or len(y) != g.dim:
         raise exactla.DimensionError("coordinate vector length mismatch")
     out = [ZERO] * g.dim
-    for (i, j), vec in g.brackets.items():
-        c = x[i] * y[j] - x[j] * y[i]
-        if c:
-            for k, v in vec.items():
-                out[k] += c * v
+    adjacency = g.adjacency
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, vec in adjacency[i].items():
+            yj = y[j]
+            if yj:
+                c = xi * yj if i < j else -xi * yj
+                for k, v in vec.items():
+                    out[k] += c * v
     return out
 
 
@@ -230,6 +265,7 @@ def build(P, variant="gl"):
     else:
         mats, labels, cartan_count = _family_bcd_basis(P)
     dim = len(mats)
+    labels = tuple(labels)
     brackets = {}
     for i in range(dim):
         for j in range(i + 1, dim):
@@ -244,22 +280,13 @@ def build(P, variant="gl"):
             vec = {k: c for k, c in enumerate(coords) if c}
             if vec:
                 brackets[(i, j)] = vec
-    g = LieAlg(
-        dim=dim,
-        basis_labels=tuple(labels),
-        brackets=brackets,
-        cartan_count=cartan_count,
-        realization=tuple(mats),
-        roots=None,
-    )
-    roots = cartan_weyl_extract(g)
     return LieAlg(
         dim=dim,
-        basis_labels=tuple(labels),
+        basis_labels=labels,
         brackets=brackets,
         cartan_count=cartan_count,
         realization=tuple(mats),
-        roots=roots,
+        roots=_root_values(brackets, cartan_count, labels),
     )
 
 
@@ -267,22 +294,24 @@ def cartan_weyl_extract(g):
     """Verify every non-Cartan basis element is a simultaneous ad(h)
     eigenvector and return {t: (alpha_t(h_1), ..., alpha_t(h_cc))}.
     """
-    for k in range(g.cartan_count):
-        for l in range(k + 1, g.cartan_count):
-            if g.structure(k, l):
+    return _root_values(g.brackets, g.cartan_count, g.basis_labels)
+
+
+def _root_values(brackets, cartan_count, labels):
+    for k in range(cartan_count):
+        for l in range(k + 1, cartan_count):
+            if brackets.get((k, l)):
                 raise CartanWeylError(
-                    f"Cartan generators {g.basis_labels[k]}, {g.basis_labels[l]}"
-                    " do not commute"
+                    f"Cartan generators {labels[k]}, {labels[l]} do not commute"
                 )
     roots = {}
-    for t in g.root_indices():
+    for t in range(cartan_count, len(labels)):
         alpha = []
-        for k in range(g.cartan_count):
-            vec = g.structure(k, t)
+        for k in range(cartan_count):
+            vec = brackets.get((k, t), {})
             if any(m != t for m in vec):
                 raise CartanWeylError(
-                    f"[{g.basis_labels[k]}, {g.basis_labels[t]}] is not a"
-                    f" multiple of {g.basis_labels[t]}"
+                    f"[{labels[k]}, {labels[t]}] is not a multiple of {labels[t]}"
                 )
             alpha.append(vec.get(t, ZERO))
         roots[t] = tuple(alpha)
@@ -355,18 +384,13 @@ def derived_series(g):
     return series, max(derived_length, 0), max(derived_length, 0) + 1
 
 
-def is_two_step_solvable(g):
-    _, _, k_step = derived_series(g)
-    return k_step == 2
-
-
 def center(g):
     """Kernel of the stacked adjoint action: {x : [x, b] = 0 for all b}."""
     ents = {}
     for j in range(g.dim):
-        for i in range(g.dim):
-            for k, c in g.structure(i, j).items():
-                ents[(j * g.dim + k, i)] = c
+        for i, vec in g.adjacency[j].items():
+            for k, c in vec.items():
+                ents[(j * g.dim + k, i)] = c if i < j else -c
     A = SparseMat(g.dim * g.dim, g.dim, ents)
     return Subspace(ambient_dim=g.dim, basis=tuple(exactla.kernel_basis(A)))
 

@@ -112,6 +112,11 @@ def make_poset(elements, relations, family="A"):
     return Poset(elements=elements, relation=closed, family=family)
 
 
+def _is_int(x):
+    # JSON true/false arrive as bools, which are ints to isinstance.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_poset(document):
     """Parse the shared JSON poset format (family/elements/relations)."""
     if isinstance(document, (str, bytes)):
@@ -128,10 +133,10 @@ def parse_poset(document):
         raise PosetError(f"missing fields: {sorted(missing)}")
     elements = doc["elements"]
     relations = doc["relations"]
-    if not isinstance(elements, list) or not all(isinstance(e, int) for e in elements):
+    if not isinstance(elements, list) or not all(_is_int(e) for e in elements):
         raise PosetError("elements must be an array of integers")
     if not isinstance(relations, list) or not all(
-        isinstance(r, list) and len(r) == 2 and all(isinstance(x, int) for x in r)
+        isinstance(r, list) and len(r) == 2 and all(_is_int(x) for x in r)
         for r in relations
     ):
         raise PosetError("relations must be an array of 2-element integer arrays")

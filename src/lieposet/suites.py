@@ -4,8 +4,6 @@ Each suite returns a list of case dicts {name, passed, detail}; a suite
 passes when every case does.  The same checks back the acceptance tests.
 """
 
-import math
-
 from . import cohomology, indexfrob, liealg, posets, simplicial
 from .exactla import ONE, ZERO
 from .indexfrob import Functional
@@ -75,30 +73,6 @@ def run_classification(seed=0, max_elements=6):
         for (g1, r1), (g2, r2) in zip(items, items[1:]):
             _, ok = indexfrob.compose_isomorphism(g1, r1, g2, r2)
             cases.append(_case(f"compose-dim{dim}", ok))
-    return cases
-
-
-def run_tree_counts(seed=0, max_elements=6):
-    """Tree Hasse diagrams give Frobenius algebras; counts beat the
-    floor(n^(n-2)/n!) lower bound."""
-    cases = []
-    for n in range(2, max_elements + 1):
-        frobenius = 0
-        for idx_p, P in enumerate(posets.enumerate_height_one(n)):
-            props = posets.hasse_graph_properties(P)
-            g = liealg.build(P, "sl")
-            cert = indexfrob.index(g, seed=seed)
-            if props["acyclic"] and props["connected"]:
-                cases.append(
-                    _case(f"tree-n{n}-poset{idx_p}-frobenius", cert.index == 0,
-                          f"index={cert.index}")
-                )
-            if cert.index == 0:
-                frobenius += 1
-        bound = math.floor(n ** (n - 2) / math.factorial(n))
-        cases.append(
-            _case(f"count-n{n}", frobenius >= bound, f"{frobenius} >= {bound}")
-        )
     return cases
 
 

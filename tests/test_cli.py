@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from lieposet import cli
+from lieposet import cli, indexfrob, posets
+from lieposet.liealg import build
+from lieposet.posets import hexagon_type_c_poset
 
 
 @pytest.fixture
@@ -81,6 +83,32 @@ class TestIndex:
         assert (sp["multiplicity_of_0"], sp["multiplicity_of_1"]) == (3, 3)
         assert rep["results"]["principal_element"][:3] == ["1/2", "1/2", "1/2"]
 
+    def test_principal_element_matches_library(self, capsys, hexagon_file):
+        code, rep = run(capsys, ["index", hexagon_file, "--seed", "0"])
+        assert code == 0
+        g = build(hexagon_type_c_poset())
+        f = indexfrob.frobenius_functional(g, seed=0)
+        want = [f"{c.numerator}/{c.denominator}" for c in indexfrob.principal_element(g, f)]
+        assert rep["results"]["principal_element"] == want
+
+    @pytest.mark.parametrize("bound", ("0", "-3"))
+    def test_bound_below_one_rejected(self, capsys, branch_file, bound):
+        code, rep = run(capsys, ["index", branch_file, "--seed", "0", "--bound", bound])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input" and "--bound" in rep["error"]
+
+    def test_bound_one_accepted(self, capsys, branch_file):
+        code, rep = run(capsys, ["index", branch_file, "--seed", "0", "--bound", "1"])
+        assert code == 0
+        assert rep["params"]["bound"] == 1
+
+    def test_boolean_element_rejected(self, capsys, tmp_path):
+        p = tmp_path / "bool.json"
+        p.write_text('{"family": "A", "elements": [true, 2], "relations": [[1, 2]]}')
+        code, rep = run(capsys, ["index", str(p), "--seed", "0"])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input"
+
     def test_seed_required(self, branch_file):
         with pytest.raises(SystemExit):
             cli.main(["index", branch_file])
@@ -124,6 +152,15 @@ class TestCohomology:
         text = out.read_text()
         assert text.startswith("# degree 0:")
         assert "# degree 1:" in text
+
+    def test_dump_complex_unwritable(self, capsys, hexagon_file, tmp_path):
+        target = tmp_path / "missing-dir" / "complex.txt"
+        code, rep = run(capsys, [
+            "cohomology", hexagon_file, "--degree", "1",
+            "--dump-complex", str(target),
+        ])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input" and "cannot write" in rep["error"]
 
 
 class TestClassify:
@@ -173,3 +210,11 @@ class TestEnumerate:
     def test_guard(self, capsys):
         code, rep = run(capsys, ["enumerate", "--size", "9", "--seed", "0"])
         assert code == cli.EXIT_GUARD
+
+    def test_guard_is_one_below_library_guard(self, capsys):
+        assert cli.ENUM_MAX_SIZE == posets.ENUM_GUARD - 1 == 7
+        code, rep = run(capsys, [
+            "enumerate", "--size", str(cli.ENUM_MAX_SIZE + 1), "--seed", "0",
+        ])
+        assert code == cli.EXIT_GUARD
+        assert rep["error"] == "enumerate guard: size <= 7"

@@ -9,7 +9,6 @@ from lieposet.indexfrob import (
     Functional,
     NotFrobeniusError,
     block_form,
-    commutator_matrix,
     compose_isomorphism,
     eval_kirillov,
     frobenius_functional,
@@ -34,20 +33,20 @@ class TestKirillov:
     def test_skew(self):
         g = build(hexagon_type_c_poset())
         f = Functional.from_list(range(1, g.dim + 1))
-        M = eval_kirillov(commutator_matrix(g), f)
+        M = eval_kirillov(g, f)
         assert M.is_skew_symmetric()
 
     def test_entries(self):
         g = make_phi(1)
         f = Functional.from_list([0, 5])
-        M = eval_kirillov(commutator_matrix(g), f)
+        M = eval_kirillov(g, f)
         # f([d, e]) = f(e) = 5
         assert M.entries == {(0, 1): Fraction(5), (1, 0): Fraction(-5)}
 
     def test_length_mismatch(self):
         g = make_phi(1)
         with pytest.raises(exactla.DimensionError):
-            eval_kirillov(commutator_matrix(g), Functional.from_list([1]))
+            eval_kirillov(g, Functional.from_list([1]))
 
 
 class TestIndex:
@@ -134,6 +133,7 @@ class TestSpectrum:
             sp = spectrum(g, structured_candidate(g))
             assert sp.binary
             assert (sp.multiplicity_of_0, sp.multiplicity_of_1) == (n, n)
+            assert sp.principal_element == [ONE] * n + [ZERO] * n
 
     def test_hexagon(self):
         g = build(hexagon_type_c_poset())
@@ -142,6 +142,7 @@ class TestSpectrum:
         assert sp.binary
         assert (sp.multiplicity_of_0, sp.multiplicity_of_1) == (3, 3)
         assert sp.char_poly == [0, 0, 0, -1, 3, -3, 1]
+        assert sp.principal_element == principal_element(g, structured_candidate(g))
 
 
 class TestBlockForm:

@@ -62,6 +62,15 @@ class TestParse:
         with pytest.raises(PosetError):
             parse_poset({"family": "A", "elements": [1], "relations": [[1]]})
 
+    def test_json_booleans_rejected(self):
+        # isinstance(True, int) holds, so true would otherwise read as 1.
+        with pytest.raises(PosetError, match="elements"):
+            parse_poset('{"family": "A", "elements": [true, 2], "relations": []}')
+        with pytest.raises(PosetError, match="relations"):
+            parse_poset('{"family": "A", "elements": [1, 2], "relations": [[true, 2]]}')
+        with pytest.raises(PosetError, match="relations"):
+            parse_poset('{"family": "A", "elements": [0, 1], "relations": [[false, 1]]}')
+
 
 class TestClosure:
     def test_idempotent(self):
