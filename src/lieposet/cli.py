@@ -2,8 +2,10 @@
 
 JSON reports only (``--pretty`` for indentation), schema
 ``lieposet-report/1``.  Exit codes: 0 ok, 1 verification failure,
-2 input error, 3 guard violation.  Randomized subcommands require an
-explicit ``--seed`` so certificates are reproducible.
+2 input error, 3 guard violation, 4 internal error (a construction guard
+such as ``ClosureError`` or ``CartanWeylError`` failed on valid input).
+Randomized subcommands require an explicit ``--seed`` so certificates are
+reproducible.
 """
 
 import argparse
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 # Largest --size of ``enumerate``.  The library goes to posets.ENUM_GUARD = 8,
 # but size 8 (328 classes, about 10 s of enumeration before any index
@@ -105,7 +108,8 @@ def cmd_index(args):
     results = {"certificate": cert.to_json()}
     if cert.certified_frobenius and g.dim:
         f = indexfrob.frobenius_functional(
-            g, trials=args.trials, entry_bound=args.bound, seed=args.seed
+            g, trials=args.trials, entry_bound=args.bound, seed=args.seed,
+            certificate=cert,
         )
         sp = indexfrob.spectrum(g, f)
         results["frobenius_functional"] = [_frac_str(c) for c in f.coords]
@@ -293,6 +297,9 @@ def main(argv=None):
     except (GuardError, DegreeError) as e:
         _emit({"schema": SCHEMA, "error": str(e), "kind": "guard"}, True)
         return EXIT_GUARD
+    except (liealg.ClosureError, liealg.CartanWeylError) as e:
+        _emit({"schema": SCHEMA, "error": str(e), "kind": "internal"}, True)
+        return EXIT_INTERNAL
     except (liealg.LieAlgError, SingularMatrixError, ValueError) as e:
         _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, True)
         return EXIT_INPUT

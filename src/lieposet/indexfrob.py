@@ -127,15 +127,25 @@ def structured_candidate(g):
     )
 
 
-def frobenius_functional(g, trials=3, entry_bound=10**6, seed=0):
+def frobenius_functional(g, trials=3, entry_bound=10**6, seed=0, certificate=None):
     """A functional with exactly nonsingular Kirillov matrix, or None.
 
     The structured candidate (sum of root-vector coordinate functionals)
     is tried before random sampling, so Frobenius witnesses stay readable.
+    A Frobenius ``certificate`` from ``index`` at the same trials, bound
+    and seed stands in for the random trials: ``index`` stops at the first
+    full-rank trial, which is the one the trials here would return.
     """
     cand = structured_candidate(g)
     if exactla.rank(eval_kirillov(g, cand)) == g.dim:
         return cand
+    if (
+        certificate is not None
+        and certificate.certified_frobenius
+        and (certificate.trials, certificate.entry_bound, certificate.seed)
+        == (trials, entry_bound, seed)
+    ):
+        return certificate.witness
     for trial in range(trials):
         f = _random_functional(g.dim, entry_bound, seed, trial)
         if exactla.rank(eval_kirillov(g, f)) == g.dim:

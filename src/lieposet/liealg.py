@@ -235,27 +235,90 @@ def _family_bcd_basis(P):
     return cartan + roots, labels + rlabels, n
 
 
-def _express_in_basis(mats, target):
-    """Coordinates of target in span(mats), or None."""
-    positions = sorted({k for M in mats for k in M.entries} | set(target.entries))
-    pos_idx = {p: r for r, p in enumerate(positions)}
-    ents = {}
-    for col, M in enumerate(mats):
-        for p, v in M.entries.items():
-            ents[(pos_idx[p], col)] = v
-    A = SparseMat(len(positions), len(mats), ents)
-    b = [ZERO] * len(positions)
-    for p, v in target.entries.items():
-        b[pos_idx[p]] = v
-    return exactla.solve(A, b)
+def _structure_constants(mats, labels):
+    """brackets[(i, j)] = {k: c_k}, k ascending, with [M_i, M_j] = sum c_k M_k
+    for every nonzero commutator of the basis matrices ``mats``.
+
+    One elimination of the basis, taken as rows over matrix positions,
+    picks dim positions at which the stacked basis is invertible; that
+    block is inverted once, the coordinates of a commutator are the inverse
+    applied to its entries at those positions, and each is checked exactly
+    by summing the basis back.  Raises ClosureError when the basis is
+    dependent or a commutator falls outside its span.
+    """
+    dim = len(mats)
+    positions = sorted({p for M in mats for p in M.entries})
+    col_of = {p: c for c, p in enumerate(positions)}
+    rows = [{col_of[p]: v for p, v in M.entries.items()} for M in mats]
+    pivots, _ = exactla._elim.eliminate(rows, len(positions))
+    if len(pivots) != dim:
+        raise ClosureError(
+            f"the {dim} basis matrices are dependent (rank {len(pivots)})"
+        )
+    pivot_of = {positions[c]: r for r, c in enumerate(pivots)}
+    block = SparseMat(dim, dim, {
+        (pivot_of[p], k): v
+        for k, M in enumerate(mats)
+        for p, v in M.entries.items()
+        if p in pivot_of
+    })
+    # inverse_cols[r] = column r of the inverse, as {k: value}.
+    inverse_cols = [{} for _ in range(dim)]
+    for (k, r), v in exactla.invert(block).entries.items():
+        inverse_cols[r][k] = v
+    by_row = [M.row_dicts() for M in mats]
+    rows_of = [{r for r, _ in M.entries} for M in mats]
+    cols_of = [{c for _, c in M.entries} for M in mats]
+    brackets = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            # M_i M_j is zero unless a column of M_i meets a row of M_j.
+            ij = not cols_of[i].isdisjoint(rows_of[j])
+            ji = not cols_of[j].isdisjoint(rows_of[i])
+            if not (ij or ji):
+                continue
+            comm = _product(mats[i], by_row[j]) if ij else {}
+            if ji:
+                for p, v in _product(mats[j], by_row[i]).items():
+                    comm[p] = comm.get(p, ZERO) - v
+            comm = {p: v for p, v in comm.items() if v}
+            if not comm:
+                continue
+            coords = {}
+            for p, v in comm.items():
+                r = pivot_of.get(p)
+                if r is not None:
+                    for k, w in inverse_cols[r].items():
+                        coords[k] = coords.get(k, ZERO) + v * w
+            vec = {k: coords[k] for k in sorted(coords) if coords[k]}
+            back = {}
+            for k, c in vec.items():
+                for p, v in mats[k].entries.items():
+                    back[p] = back.get(p, ZERO) + c * v
+            if {p: v for p, v in back.items() if v} != comm:
+                raise ClosureError(
+                    f"[{labels[i]}, {labels[j]}] falls outside the basis span"
+                )
+            brackets[(i, j)] = vec
+    return brackets
+
+
+def _product(A, B_rows):
+    """A B as {position: value}, zeros kept; B is given by its row dicts."""
+    out = {}
+    for (r, k), a in A.entries.items():
+        for c, b in B_rows[k].items():
+            out[(r, c)] = out.get((r, c), ZERO) + a * b
+    return out
 
 
 def build(P, variant="gl"):
     """Lie poset algebra of P with sparse matrix realization.
 
     Family A uses the gl (default) or sl Cartan; families B/C/D ignore
-    the variant.  Raises ClosureError if the constructed basis fails to
-    close under the commutator (must not happen on valid input).
+    the variant.  Raises ClosureError if the constructed basis is
+    dependent or fails to close under the commutator (must not happen on
+    valid input).
     """
     report = validate_family(P)
     if not report.ok:
@@ -264,24 +327,10 @@ def build(P, variant="gl"):
         mats, labels, cartan_count = _family_a_basis(P, variant)
     else:
         mats, labels, cartan_count = _family_bcd_basis(P)
-    dim = len(mats)
     labels = tuple(labels)
-    brackets = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = mats[i].matmul(mats[j]).add(mats[j].matmul(mats[i]), scale=-ONE)
-            if not comm.entries:
-                continue
-            coords = _express_in_basis(mats, comm)
-            if coords is None:
-                raise ClosureError(
-                    f"[{labels[i]}, {labels[j]}] falls outside the basis span"
-                )
-            vec = {k: c for k, c in enumerate(coords) if c}
-            if vec:
-                brackets[(i, j)] = vec
+    brackets = _structure_constants(mats, labels)
     return LieAlg(
-        dim=dim,
+        dim=len(mats),
         basis_labels=labels,
         brackets=brackets,
         cartan_count=cartan_count,

@@ -283,6 +283,29 @@ def _canonical_bipartite(edges, k, m):
     return best
 
 
+def _bipartite_connected(edges, k, m):
+    """Whether the bipartite graph on minimals 0..k-1 and maximals 0..m-1
+    with these (minimal, maximal) edges is connected.
+
+    Breadth-first search over neighbour bitmasks: vertex a < k is bit a,
+    maximal b is bit k + b.
+    """
+    nbrs = [0] * (k + m)
+    for a, b in edges:
+        nbrs[a] |= 1 << (k + b)
+        nbrs[k + b] |= 1 << a
+    seen = frontier = 1
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~seen
+        seen |= frontier
+    return seen == (1 << (k + m)) - 1
+
+
 def enumerate_height_one(n):
     """All connected family-A posets on n elements of height exactly 1
     (the singleton for n = 1), pairwise non-isomorphic, labeled with
@@ -301,11 +324,7 @@ def enumerate_height_one(n):
             edges = [cells[t] for t in range(len(cells)) if bits >> t & 1]
             if len(edges) < n - 1:
                 continue
-            G = nx.Graph()
-            G.add_nodes_from(("u", a) for a in range(k))
-            G.add_nodes_from(("v", b) for b in range(m))
-            G.add_edges_from((("u", a), ("v", b)) for a, b in edges)
-            if not nx.is_connected(G):
+            if not _bipartite_connected(edges, k, m):
                 continue
             canon = _canonical_bipartite(edges, k, m)
             if canon in seen:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lieposet import cli, indexfrob, posets
+from lieposet import cli, exactla, indexfrob, liealg, posets
 from lieposet.liealg import build
 from lieposet.posets import hexagon_type_c_poset
 
@@ -91,6 +91,29 @@ class TestIndex:
         want = [f"{c.numerator}/{c.denominator}" for c in indexfrob.principal_element(g, f)]
         assert rep["results"]["principal_element"] == want
 
+    @pytest.mark.parametrize("poset, variant, structured_singular", (
+        ("hexagon", "gl", False),
+        ("branch", "sl", True),
+    ))
+    def test_frobenius_functional_matches_library(
+        self, capsys, request, poset, variant, structured_singular
+    ):
+        # Where the structured candidate is singular, the report reuses the
+        # index certificate's witness instead of re-running the trials.
+        path = request.getfixturevalue(f"{poset}_file")
+        P = hexagon_type_c_poset() if poset == "hexagon" else posets.branch_poset()
+        g = build(P, variant)
+        cand = indexfrob.structured_candidate(g)
+        assert (exactla.rank(indexfrob.eval_kirillov(g, cand)) < g.dim) == structured_singular
+        for seed in (0, 5):
+            code, rep = run(capsys, ["index", path, "--variant", variant,
+                                     "--seed", str(seed), "--bound", "1000"])
+            assert code == 0
+            f = indexfrob.frobenius_functional(g, trials=3, entry_bound=1000, seed=seed)
+            assert rep["results"]["frobenius_functional"] == [
+                f"{c.numerator}/{c.denominator}" for c in f.coords]
+            assert (f == cand) != structured_singular
+
     @pytest.mark.parametrize("bound", ("0", "-3"))
     def test_bound_below_one_rejected(self, capsys, branch_file, bound):
         code, rep = run(capsys, ["index", branch_file, "--seed", "0", "--bound", bound])
@@ -119,6 +142,18 @@ class TestIndex:
         rep1.pop("wall_time_s")
         rep2.pop("wall_time_s")
         assert rep1 == rep2
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("exc", (liealg.ClosureError, liealg.CartanWeylError))
+    def test_guard_failure_is_internal(self, capsys, monkeypatch, branch_file, exc):
+        def broken(P, variant="gl"):
+            raise exc("guard tripped")
+
+        monkeypatch.setattr(liealg, "build", broken)
+        code, rep = run(capsys, ["build", branch_file])
+        assert code == cli.EXIT_INTERNAL == 4
+        assert rep["kind"] == "internal" and rep["error"] == "guard tripped"
 
 
 class TestCohomology:

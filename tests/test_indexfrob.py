@@ -97,6 +97,26 @@ class TestFrobeniusFunctional:
         g = build(antichain_poset(2), "gl")
         assert frobenius_functional(g, seed=0) is None
 
+    def test_certificate_witness_stands_in_for_trials(self):
+        # The structured candidate of branch (sl) is singular, so a random
+        # trial is returned: the same one with or without the certificate.
+        g = build(branch_poset(), "sl")
+        assert exactla.rank(eval_kirillov(g, structured_candidate(g))) < g.dim
+        for seed in range(5):
+            cert = index(g, trials=3, entry_bound=50, seed=seed)
+            assert cert.certified_frobenius
+            want = frobenius_functional(g, trials=3, entry_bound=50, seed=seed)
+            got = frobenius_functional(
+                g, trials=3, entry_bound=50, seed=seed, certificate=cert
+            )
+            assert got == want == cert.witness
+
+    def test_certificate_of_other_parameters_ignored(self):
+        g = build(branch_poset(), "sl")
+        cert = index(g, seed=1)
+        f = frobenius_functional(g, seed=2, certificate=cert)
+        assert f == frobenius_functional(g, seed=2) != cert.witness
+
 
 class TestPrincipalElement:
     def test_phi(self):

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from lieposet import liealg
-from lieposet.exactla import ONE, ZERO
+from lieposet.exactla import ONE, ZERO, SparseMat
 from lieposet.liealg import (
     CartanWeylError,
+    ClosureError,
     LieAlgError,
     basis_vector,
     bracket,
@@ -235,3 +236,27 @@ class TestClosureInvariant:
             vec = g.structure(i, j)
             for k in vec:
                 assert 0 <= k < g.dim
+
+    def test_unclosed_basis_rejected(self):
+        # e12 and e23 without e13: [e12, e23] = e13 leaves the span.
+        e12 = SparseMat(3, 3, {(0, 1): ONE})
+        e23 = SparseMat(3, 3, {(1, 2): ONE})
+        with pytest.raises(ClosureError, match="outside the basis span"):
+            liealg._structure_constants([e12, e23], ("e12", "e23"))
+
+    def test_dependent_basis_rejected(self):
+        # Closed (all three commute) but dependent: coordinates are not unique.
+        e11 = SparseMat(2, 2, {(0, 0): ONE})
+        e22 = SparseMat(2, 2, {(1, 1): ONE})
+        with pytest.raises(ClosureError, match="dependent"):
+            liealg._structure_constants(
+                [e11, e22, e11.add(e22)], ("e11", "e22", "e11+e22")
+            )
+
+    def test_closed_basis_accepted(self):
+        e12 = SparseMat(3, 3, {(0, 1): ONE})
+        e23 = SparseMat(3, 3, {(1, 2): ONE})
+        e13 = SparseMat(3, 3, {(0, 2): ONE})
+        assert liealg._structure_constants([e12, e23, e13], ("e12", "e23", "e13")) == {
+            (0, 1): {2: ONE}
+        }

@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import networkx as nx
 import pytest
 
 from lieposet import posets
@@ -198,6 +199,19 @@ class TestEnumerate:
                 assert a <= b
             assert height(P) == 1
             assert hasse_graph_properties(P)["connected"]
+
+    def test_bitmask_connectivity_matches_networkx(self):
+        for k, m in itertools.product(range(1, 5), repeat=2):
+            if k + m > 5:
+                continue
+            cells = [(a, b) for a in range(k) for b in range(m)]
+            for bits in range(1 << len(cells)):
+                edges = [cells[t] for t in range(len(cells)) if bits >> t & 1]
+                G = nx.Graph()
+                G.add_nodes_from(("u", a) for a in range(k))
+                G.add_nodes_from(("v", b) for b in range(m))
+                G.add_edges_from((("u", a), ("v", b)) for a, b in edges)
+                assert posets._bipartite_connected(edges, k, m) == nx.is_connected(G)
 
     def test_no_isomorphic_pair(self):
         # brute-force check over all bipartition-respecting bijections

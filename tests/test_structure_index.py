@@ -1,19 +1,22 @@
-"""The sparse structure index against the dense pair-scan formulas.
+"""The structure constants and their sparse index against the formulas they
+replaced.
 
+``build`` reads each commutator's coordinates through one inverted block of
+the stacked basis; the oracle is the earlier exact solve per commutator.
 ``bracket`` and ``coboundary_matrix`` read the structure constants through
-``LieAlg.adjacency`` and ``LieAlg.producers``.  The oracles below are the
-formulas they replaced, which scan every pair of basis indices; both sides
-must agree exactly on random valid posets of all four families and on the
-normal form.
+``LieAlg.adjacency`` and ``LieAlg.producers``; the oracles are the formulas
+that scan every pair of basis indices.  Both sides must agree exactly on
+random valid posets of all four families and on the normal form.
 """
 
 import itertools
 import math
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieposet import cohomology, liealg, posets
+from lieposet import cohomology, exactla, liealg, posets
 from lieposet.exactla import ONE, ZERO, SparseMat
 
 MAX_DIM = 9
@@ -65,6 +68,84 @@ def vectors(dim):
         st.lists(sparse, min_size=dim, max_size=dim),
         st.lists(nonzero, min_size=dim, max_size=dim),
     )
+
+
+def build_oracle(mats):
+    """Structure constants by one exact solve per nonzero commutator, over
+    the matrix positions of the whole basis and of the commutator."""
+    brackets = {}
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            comm = mats[i].matmul(mats[j]).add(mats[j].matmul(mats[i]), scale=-ONE)
+            if not comm.entries:
+                continue
+            positions = sorted({k for M in mats for k in M.entries} | set(comm.entries))
+            pos_idx = {p: r for r, p in enumerate(positions)}
+            A = SparseMat(len(positions), len(mats), {
+                (pos_idx[p], col): v for col, M in enumerate(mats) for p, v in M.entries.items()
+            })
+            b = [ZERO] * len(positions)
+            for p, v in comm.entries.items():
+                b[pos_idx[p]] = v
+            coords = exactla.solve(A, b)
+            assert coords is not None, "commutator outside the basis span"
+            vec = {k: c for k, c in enumerate(coords) if c}
+            if vec:
+                brackets[(i, j)] = vec
+    return brackets
+
+
+def _ordered(brackets):
+    return [(pair, list(vec.items())) for pair, vec in brackets.items()]
+
+
+NAMED = {
+    "branch-gl": (posets.branch_poset(), "gl"),
+    "branch-sl": (posets.branch_poset(), "sl"),
+    "hexagon-C": (posets.hexagon_type_c_poset(), "gl"),
+    "chain1-sl": (posets.chain_poset(1), "sl"),
+    "chain5-gl": (posets.chain_poset(5), "gl"),
+    "chain5-sl": (posets.chain_poset(5), "sl"),
+    "antichain3-gl": (posets.antichain_poset(3), "gl"),
+    "typeB": (posets.make_poset(range(-2, 3), [(-1, 2), (-2, 1)], "B"), "gl"),
+    "typeC-long-root": (posets.make_poset([-2, -1, 1, 2], [(-2, -1), (-1, 1), (1, 2)], "C"), "gl"),
+    "typeD": (posets.make_poset([-2, -1, 1, 2], [(-1, 2), (-2, 1)], "D"), "gl"),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras())
+def test_build_matches_per_pair_solve(g):
+    assume(g.realization is not None)
+    # Same pairs, same coefficients, both in the same insertion order.
+    assert _ordered(g.brackets) == _ordered(build_oracle(g.realization))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_structure_constants_match_per_pair_solve_in_mixed_basis(data):
+    # Poset bases bracket to one basis element at a time; a unitriangular
+    # change of basis gives brackets of several terms, whose order counts.
+    g = data.draw(algebras())
+    assume(g.realization is not None)
+    mats = g.realization
+    mixed = []
+    for k, M in enumerate(mats):
+        for j in range(k + 1, len(mats)):
+            c = data.draw(st.integers(-2, 2))
+            if c:
+                M = M.add(mats[j], scale=ONE * c)
+        mixed.append(M)
+    labels = tuple(f"y{k}" for k in range(len(mixed)))
+    got = liealg._structure_constants(mixed, labels)
+    assert _ordered(got) == _ordered(build_oracle(mixed))
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_build_matches_per_pair_solve_named(name):
+    P, variant = NAMED[name]
+    g = liealg.build(P, variant)
+    assert _ordered(g.brackets) == _ordered(build_oracle(g.realization))
 
 
 def bracket_oracle(g, x, y):
