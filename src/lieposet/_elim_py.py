@@ -1,8 +1,10 @@
-"""Pure-Python sparse Gaussian elimination over the rationals.
+"""Sparse Gaussian elimination over the rationals, the package's one
+elimination kernel.
 
-Rows are dicts mapping column index -> nonzero Fraction.  This module is
-the fallback backend; ``lieposet._elim_cy`` implements the same interface
-in Cython with integer num/den pairs in the inner loop.
+Rows are dicts mapping column index -> nonzero Fraction.  ``exactla``
+builds rank, kernel, solve and inverse on ``eliminate``, and
+``liealg`` calls it directly for spans and the structure-constant
+factorization.
 """
 
 from fractions import Fraction

@@ -117,15 +117,22 @@ def coboundary_matrix(g, n):
 
 
 def cohomology_report(g, n, max_dim=DEFAULT_MAX_DIM):
-    """Dims of C^n, Z^n, B^n, H^n, via exact ranks of the differentials."""
+    """Dims of C^n, Z^n, B^n, H^n, via exact ranks of the differentials.
+
+    Above the algebra's dimension C^n = 0, so all four are 0.
+    """
     if not 0 <= n <= DEGREE_GUARD:
         raise DegreeError(f"degree guard: 0 <= n <= {DEGREE_GUARD}")
     if g.dim > max_dim:
         raise DegreeError(f"dimension guard: dim {g.dim} > {max_dim}")
-    c_dim = cochain_dim(g, n)
+    c_dim = cochain_dim(g, n) if n <= g.dim else 0
     rank_n = exactla.rank(coboundary_matrix(g, n).matrix) if n <= g.dim else 0
     z_dim = c_dim - rank_n
-    b_dim = exactla.rank(coboundary_matrix(g, n - 1).matrix) if n >= 1 else 0
+    b_dim = (
+        exactla.rank(coboundary_matrix(g, n - 1).matrix)
+        if 1 <= n <= g.dim
+        else 0
+    )
     return {"C": c_dim, "Z": z_dim, "B": b_dim, "H": z_dim - b_dim}
 
 

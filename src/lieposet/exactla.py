@@ -5,21 +5,16 @@ Scalars are ``fractions.Fraction`` throughout (canonical reduced form,
 positive denominator), so every rank and dimension below is exact; there
 is no floating point anywhere in this package.
 
-The elimination kernel is selected at import: the compiled Cython backend
-when available, otherwise the pure-Python one.  Both expose the same
-``eliminate`` contract and are cross-checked in the test suite.
+Every rank, kernel, solve and inverse runs through one sparse elimination
+kernel, ``_elim_py.eliminate``, reached here as ``_elim.eliminate``.
+``BACKEND`` names it; it is a constant, kept for reports that record it.
 """
 
 from fractions import Fraction
 
-try:
-    from . import _elim_cy as _elim
+from . import _elim_py as _elim
 
-    BACKEND = "cython"
-except ImportError:  # extension not built
-    from . import _elim_py as _elim
-
-    BACKEND = "python"
+BACKEND = "python"
 
 Rat = Fraction
 

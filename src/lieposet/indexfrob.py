@@ -326,14 +326,4 @@ def compose_isomorphism(g1, r1, g2, r2):
     # Coordinates: v in g1 equals P1 w with w in normal-form coordinates,
     # so the map is v -> P2 P1^{-1} v.
     M = r2.change_of_basis.matmul(exactla.invert(r1.change_of_basis))
-    cols = _columns(M)
-    ok = True
-    for i in range(g1.dim):
-        for j in range(i + 1, g1.dim):
-            img = [ZERO] * g1.dim
-            for k, c in g1.structure(i, j).items():
-                for r in range(g1.dim):
-                    img[r] += c * cols[k][r]
-            if bracket(g2, cols[i], cols[j]) != img:
-                ok = False
-    return M, ok
+    return M, _verify_isomorphism(g2, M, g1)

@@ -397,12 +397,10 @@ def check_realization(g):
 
 
 def _span(g, vectors):
-    from .exactla import _elim
-
     rows = [
         {i: v for i, v in enumerate(vec) if v} for vec in vectors
     ]
-    pivots, red = _elim.eliminate(rows, g.dim, reduce_full=True)
+    pivots, red = exactla._elim.eliminate(rows, g.dim, reduce_full=True)
     basis = []
     for p in pivots:
         vec = [ZERO] * g.dim

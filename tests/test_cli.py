@@ -167,6 +167,13 @@ class TestCohomology:
         assert code == cli.EXIT_GUARD
         assert rep["kind"] == "guard"
 
+    def test_degree_above_dim(self, capsys, tmp_path):
+        p = tmp_path / "point.json"
+        p.write_text(json.dumps({"family": "A", "elements": [1], "relations": []}))
+        code, rep = run(capsys, ["cohomology", str(p), "--degree", "3"])
+        assert code == cli.EXIT_OK
+        assert rep["results"]["dims"] == {"C": 0, "Z": 0, "B": 0, "H": 0}
+
     def test_dimension_guard(self, capsys, tmp_path):
         p = tmp_path / "big.json"
         p.write_text(json.dumps({

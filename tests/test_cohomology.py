@@ -157,3 +157,13 @@ class TestReportShape:
         g = make_phi(2)
         rep = cohomology_report(g, 1)
         assert rep["B"] == g.dim - center(g).dim
+
+    @pytest.mark.parametrize(
+        "g, n",
+        [(build(chain_poset(1)), 2), (make_phi(1), 3)],
+        ids=["chain1_deg2", "phi1_deg3"],
+    )
+    def test_degree_above_dim_is_zero(self, g, n):
+        # C^n = 0 above the dimension, inside the degree guard.
+        assert n > g.dim
+        assert cohomology_report(g, n) == {"C": 0, "Z": 0, "B": 0, "H": 0}

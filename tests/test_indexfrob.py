@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,23 @@ class TestCompose:
         r2 = normalize_to_phi(g2, seed=0)
         M, ok = compose_isomorphism(g1, r1, g2, r2)
         assert ok
+        assert exactla.rank(M) == 6
+
+    def test_broken_change_of_basis_fails(self):
+        # Doubling the d_1 column keeps P invertible but breaks
+        # [d_1, e_1] = e_1, so the composed map no longer intertwines.
+        g1 = build(hexagon_type_c_poset())
+        g2 = make_phi(3)
+        r1 = normalize_to_phi(g1, seed=0)
+        r2 = normalize_to_phi(g2, seed=0)
+        P = r2.change_of_basis
+        doubled = exactla.SparseMat(P.n_rows, P.n_cols, {
+            (i, j): 2 * v if j == 0 else v for (i, j), v in P.entries.items()
+        })
+        M, ok = compose_isomorphism(
+            g1, r1, g2, dataclasses.replace(r2, change_of_basis=doubled)
+        )
+        assert not ok
         assert exactla.rank(M) == 6
 
     def test_mismatched_n(self):
