@@ -127,30 +127,18 @@ def structured_candidate(g):
     )
 
 
-def frobenius_functional(g, trials=3, entry_bound=10**6, seed=0, certificate=None):
+def frobenius_functional(g, certificate):
     """A functional with exactly nonsingular Kirillov matrix, or None.
 
     The structured candidate (sum of root-vector coordinate functionals)
-    is tried before random sampling, so Frobenius witnesses stay readable.
-    A Frobenius ``certificate`` from ``index`` at the same trials, bound
-    and seed stands in for the random trials: ``index`` stops at the first
-    full-rank trial, which is the one the trials here would return.
+    is preferred, so Frobenius witnesses stay readable.  Otherwise the
+    witness of the index ``certificate`` is returned when it certifies
+    index 0, and None when it does not.
     """
     cand = structured_candidate(g)
     if exactla.rank(eval_kirillov(g, cand)) == g.dim:
         return cand
-    if (
-        certificate is not None
-        and certificate.certified_frobenius
-        and (certificate.trials, certificate.entry_bound, certificate.seed)
-        == (trials, entry_bound, seed)
-    ):
-        return certificate.witness
-    for trial in range(trials):
-        f = _random_functional(g.dim, entry_bound, seed, trial)
-        if exactla.rank(eval_kirillov(g, f)) == g.dim:
-            return f
-    return None
+    return certificate.witness if certificate.certified_frobenius else None
 
 
 def principal_element(g, f):

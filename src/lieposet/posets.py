@@ -10,8 +10,6 @@ import itertools
 import json
 from dataclasses import dataclass
 
-import networkx as nx
-
 FAMILIES = ("A", "B", "C", "D")
 
 ENUM_GUARD = 8  # brute-force isomorphism rejection only scales this far
@@ -200,14 +198,60 @@ def hasse(P):
     return frozenset(covers)
 
 
+def _neighbour_masks(n, edges):
+    """Adjacency of an undirected graph on vertices 0..n-1: entry v is the
+    bitmask of v's neighbours."""
+    nbrs = [0] * n
+    for u, v in edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    return nbrs
+
+
+def _component_sides(nbrs, start):
+    """Breadth-first search from ``start`` over neighbour bitmasks.
+
+    Returns the masks of the vertices at even and at odd distance from
+    ``start``; their union is the component of ``start``.
+    """
+    sides = [1 << start, 0]
+    seen = frontier = 1 << start
+    parity = 0
+    while frontier:
+        reached = 0
+        while frontier:
+            low = frontier & -frontier
+            reached |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reached & ~seen
+        seen |= frontier
+        parity ^= 1
+        sides[parity] |= frontier
+    return sides[0], sides[1]
+
+
 def hasse_graph_properties(P):
-    G = nx.Graph()
-    G.add_nodes_from(P.elements)
-    G.add_edges_from(hasse(P))
+    """Properties of the Hasse diagram of P as an undirected graph.
+
+    ``connected``: the diagram has exactly one component.
+    ``acyclic``: it has no cycle (a forest), i.e. |E| = |V| - components.
+    ``bipartite``: its vertices split into two classes with every edge
+    between them, i.e. it has no odd cycle.
+    """
+    pos = {e: i for i, e in enumerate(P.elements)}
+    edges = [(pos[a], pos[b]) for a, b in hasse(P)]
+    nbrs = _neighbour_masks(len(P), edges)
+    components = odd = 0
+    unseen = (1 << len(P)) - 1
+    while unseen:
+        even_c, odd_c = _component_sides(nbrs, (unseen & -unseen).bit_length() - 1)
+        unseen &= ~(even_c | odd_c)
+        odd |= odd_c
+        components += 1
     return {
-        "connected": nx.is_connected(G),
-        "acyclic": nx.is_forest(G),
-        "bipartite": nx.is_bipartite(G),
+        "connected": components == 1,
+        "acyclic": len(edges) == len(P) - components,
+        "bipartite": all((odd >> u & 1) != (odd >> v & 1) for u, v in edges),
     }
 
 
@@ -283,29 +327,6 @@ def _canonical_bipartite(edges, k, m):
     return best
 
 
-def _bipartite_connected(edges, k, m):
-    """Whether the bipartite graph on minimals 0..k-1 and maximals 0..m-1
-    with these (minimal, maximal) edges is connected.
-
-    Breadth-first search over neighbour bitmasks: vertex a < k is bit a,
-    maximal b is bit k + b.
-    """
-    nbrs = [0] * (k + m)
-    for a, b in edges:
-        nbrs[a] |= 1 << (k + b)
-        nbrs[k + b] |= 1 << a
-    seen = frontier = 1
-    while frontier:
-        reached = 0
-        while frontier:
-            low = frontier & -frontier
-            reached |= nbrs[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reached & ~seen
-        seen |= frontier
-    return seen == (1 << (k + m)) - 1
-
-
 def enumerate_height_one(n):
     """All connected family-A posets on n elements of height exactly 1
     (the singleton for n = 1), pairwise non-isomorphic, labeled with
@@ -316,6 +337,7 @@ def enumerate_height_one(n):
     if n == 1:
         return [make_poset([1], [], "A")]
     out = []
+    everyone = (1 << n) - 1
     for k in range(1, n):
         m = n - k
         cells = [(a, b) for a in range(k) for b in range(m)]
@@ -324,7 +346,10 @@ def enumerate_height_one(n):
             edges = [cells[t] for t in range(len(cells)) if bits >> t & 1]
             if len(edges) < n - 1:
                 continue
-            if not _bipartite_connected(edges, k, m):
+            # Minimal a is vertex a, maximal b is vertex k + b.
+            nbrs = _neighbour_masks(n, [(a, k + b) for a, b in edges])
+            even, odd = _component_sides(nbrs, 0)
+            if even | odd != everyone:
                 continue
             canon = _canonical_bipartite(edges, k, m)
             if canon in seen:

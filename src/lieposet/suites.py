@@ -121,7 +121,7 @@ def run_spectrum(seed=0):
             )
         )
     gc = liealg.build(posets.hexagon_type_c_poset())
-    f = indexfrob.frobenius_functional(gc, seed=seed)
+    f = indexfrob.frobenius_functional(gc, indexfrob.index(gc, seed=seed))
     sp = indexfrob.spectrum(gc, f)
     cases.append(
         _case(

@@ -137,7 +137,8 @@ def test_6_spectrum():
                 and sp.multiplicity_of_1 == n):
             ok = False
     gc = liealg.build(posets.hexagon_type_c_poset())
-    spc = indexfrob.spectrum(gc, indexfrob.frobenius_functional(gc, seed=0))
+    spc = indexfrob.spectrum(
+        gc, indexfrob.frobenius_functional(gc, indexfrob.index(gc, seed=0)))
     ok = ok and spc.binary and (spc.multiplicity_of_0, spc.multiplicity_of_1) == (3, 3)
     _gate("6 binary principal-element spectra", ok,
           f"hexagon mults=({spc.multiplicity_of_0},{spc.multiplicity_of_1})")

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lieposet
 from lieposet import cli, exactla, indexfrob, liealg, posets
 from lieposet.liealg import build
 from lieposet.posets import hexagon_type_c_poset
@@ -32,6 +37,14 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_import_loads_no_networkx():
+    # networkx is a test-only oracle; the CLI must not pay for its import.
+    src = str(Path(lieposet.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = 'import sys, lieposet.cli; assert "networkx" not in sys.modules'
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestBuild:
@@ -87,7 +100,7 @@ class TestIndex:
         code, rep = run(capsys, ["index", hexagon_file, "--seed", "0"])
         assert code == 0
         g = build(hexagon_type_c_poset())
-        f = indexfrob.frobenius_functional(g, seed=0)
+        f = indexfrob.frobenius_functional(g, indexfrob.index(g, seed=0))
         want = [f"{c.numerator}/{c.denominator}" for c in indexfrob.principal_element(g, f)]
         assert rep["results"]["principal_element"] == want
 
@@ -109,7 +122,8 @@ class TestIndex:
             code, rep = run(capsys, ["index", path, "--variant", variant,
                                      "--seed", str(seed), "--bound", "1000"])
             assert code == 0
-            f = indexfrob.frobenius_functional(g, trials=3, entry_bound=1000, seed=seed)
+            cert = indexfrob.index(g, trials=3, entry_bound=1000, seed=seed)
+            f = indexfrob.frobenius_functional(g, cert)
             assert rep["results"]["frobenius_functional"] == [
                 f"{c.numerator}/{c.denominator}" for c in f.coords]
             assert (f == cand) != structured_singular

@@ -91,32 +91,24 @@ class TestIndex:
 class TestFrobeniusFunctional:
     def test_structured_preferred(self):
         g = build(hexagon_type_c_poset())
-        f = frobenius_functional(g, seed=0)
+        f = frobenius_functional(g, index(g, seed=0))
         assert f == structured_candidate(g)
 
     def test_none_when_not_frobenius(self):
         g = build(antichain_poset(2), "gl")
-        assert frobenius_functional(g, seed=0) is None
+        assert frobenius_functional(g, index(g, seed=0)) is None
 
     def test_certificate_witness_stands_in_for_trials(self):
-        # The structured candidate of branch (sl) is singular, so a random
-        # trial is returned: the same one with or without the certificate.
+        # The structured candidate of branch (sl) is singular, so the
+        # certificate's witness, index's first full-rank trial, is returned.
         g = build(branch_poset(), "sl")
         assert exactla.rank(eval_kirillov(g, structured_candidate(g))) < g.dim
         for seed in range(5):
             cert = index(g, trials=3, entry_bound=50, seed=seed)
             assert cert.certified_frobenius
-            want = frobenius_functional(g, trials=3, entry_bound=50, seed=seed)
-            got = frobenius_functional(
-                g, trials=3, entry_bound=50, seed=seed, certificate=cert
-            )
-            assert got == want == cert.witness
-
-    def test_certificate_of_other_parameters_ignored(self):
-        g = build(branch_poset(), "sl")
-        cert = index(g, seed=1)
-        f = frobenius_functional(g, seed=2, certificate=cert)
-        assert f == frobenius_functional(g, seed=2) != cert.witness
+            f = frobenius_functional(g, cert)
+            assert f == cert.witness
+            assert exactla.rank(eval_kirillov(g, f)) == g.dim
 
 
 class TestPrincipalElement:
@@ -135,7 +127,7 @@ class TestPrincipalElement:
     def test_defining_identity(self):
         # f([p, x]) = f(x) on every basis vector
         for g in (build(hexagon_type_c_poset()), make_phi(3)):
-            f = frobenius_functional(g, seed=0)
+            f = frobenius_functional(g, index(g, seed=0))
             p = principal_element(g, f)
             for j in range(g.dim):
                 x = liealg.basis_vector(g, j)

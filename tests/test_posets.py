@@ -3,6 +3,8 @@ import json
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieposet import posets
 from lieposet.posets import (
@@ -22,6 +24,7 @@ from lieposet.posets import (
     transitive_closure,
     validate_family,
 )
+from strategies import valid_posets
 
 
 class TestParse:
@@ -150,6 +153,56 @@ class TestGraphProperties:
         P = make_poset([1, 2, 3, 4], [(1, 2), (3, 4)], "A")
         assert not hasse_graph_properties(P)["connected"]
 
+    def test_odd_cycle(self):
+        # 1<2<3<4 and 1<5<4: the Hasse diagram is a 5-cycle.
+        P = make_poset([1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (1, 5), (5, 4)], "A")
+        assert hasse_graph_properties(P) == _nx_properties(P) == {
+            "connected": True,
+            "acyclic": False,
+            "bipartite": False,
+        }
+
+    def test_disconnected_cycle(self):
+        P = make_poset([1, 2, 3, 4, 5], [(1, 2), (1, 3), (2, 4), (3, 4)], "A")
+        assert hasse_graph_properties(P) == _nx_properties(P) == {
+            "connected": False,
+            "acyclic": False,
+            "bipartite": True,
+        }
+
+    def test_matches_networkx_on_family_a(self):
+        # Every order-compatible poset on 1..n, n <= 5: each transitively
+        # closed set of pairs (a, b) with a < b.
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            for bits in range(1 << len(pairs)):
+                rel = {pairs[t] for t in range(len(pairs)) if bits >> t & 1}
+                if transitive_closure(range(1, n + 1), rel) != rel:
+                    continue
+                P = make_poset(range(1, n + 1), rel, "A")
+                assert hasse_graph_properties(P) == _nx_properties(P)
+
+    def test_matches_networkx_on_height_one_classes(self):
+        for n in range(1, 8):
+            for P in enumerate_height_one(n):
+                assert hasse_graph_properties(P) == _nx_properties(P)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from("BCD").flatmap(valid_posets))
+    def test_matches_networkx_on_bcd(self, P):
+        assert hasse_graph_properties(P) == _nx_properties(P)
+
+
+def _nx_properties(P):
+    G = nx.Graph()
+    G.add_nodes_from(P.elements)
+    G.add_edges_from(hasse(P))
+    return {
+        "connected": nx.is_connected(G),
+        "acyclic": nx.is_forest(G),
+        "bipartite": nx.is_bipartite(G),
+    }
+
 
 class TestNerve:
     def test_branch(self):
@@ -184,8 +237,12 @@ class TestEnumerate:
     def test_small_counts(self):
         assert len(enumerate_height_one(2)) == 1
         assert len(enumerate_height_one(3)) == 2
-        # frozen golden value, confirmed by the exhaustive oracle below
+        # frozen golden values, confirmed by the exhaustive oracle below
+        # for n = 4, 5
         assert len(enumerate_height_one(4)) == 4
+        assert len(enumerate_height_one(5)) == 10
+        assert len(enumerate_height_one(6)) == 27
+        assert len(enumerate_height_one(7)) == 88
 
     def test_guard(self):
         with pytest.raises(GuardError):
@@ -200,7 +257,9 @@ class TestEnumerate:
             assert height(P) == 1
             assert hasse_graph_properties(P)["connected"]
 
-    def test_bitmask_connectivity_matches_networkx(self):
+    def test_component_connectivity_matches_networkx(self):
+        # The connectivity test of enumeration: minimal a is vertex a,
+        # maximal b is vertex k + b, and the BFS starts at vertex 0.
         for k, m in itertools.product(range(1, 5), repeat=2):
             if k + m > 5:
                 continue
@@ -208,10 +267,14 @@ class TestEnumerate:
             for bits in range(1 << len(cells)):
                 edges = [cells[t] for t in range(len(cells)) if bits >> t & 1]
                 G = nx.Graph()
-                G.add_nodes_from(("u", a) for a in range(k))
-                G.add_nodes_from(("v", b) for b in range(m))
-                G.add_edges_from((("u", a), ("v", b)) for a, b in edges)
-                assert posets._bipartite_connected(edges, k, m) == nx.is_connected(G)
+                G.add_nodes_from(range(k + m))
+                G.add_edges_from((a, k + b) for a, b in edges)
+                nbrs = posets._neighbour_masks(k + m, [(a, k + b) for a, b in edges])
+                even, odd = posets._component_sides(nbrs, 0)
+                component = nx.node_connected_component(G, 0)
+                assert even | odd == sum(1 << v for v in component)
+                assert even & ~((1 << k) - 1) == 0 and odd & ((1 << k) - 1) == 0
+                assert (even | odd == (1 << (k + m)) - 1) == nx.is_connected(G)
 
     def test_no_isomorphic_pair(self):
         # brute-force check over all bipartition-respecting bijections

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from lieposet import cohomology, exactla, liealg, posets
 from lieposet.exactla import ONE, ZERO, SparseMat
+from strategies import valid_posets
 
 MAX_DIM = 9
 
@@ -28,31 +29,13 @@ def algebras(draw, max_dim=MAX_DIM):
     family = draw(st.sampled_from("ABCDP"))
     if family == "P":
         return liealg.make_phi(draw(st.integers(1, max_dim // 2)))
+    P = draw(valid_posets(family))
     if family == "A":
-        elems = list(range(1, draw(st.integers(1, 5)) + 1))
-        pairs = [(a, b) for a, b in itertools.combinations(elems, 2)]
-        chosen = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True)) if pairs else []
-        P = posets.make_poset(elems, chosen, "A")
         variant = draw(st.sampled_from(("gl", "sl")))
         dim = len(P) - (variant == "sl") + len(P.relation)
     else:
-        n = draw(st.integers(1, 3 if family == "B" else 4))
-        elems = [e for e in range(-n, n + 1) if e or family == "B"]
-        # Order-compatible pairs, one per mirror orbit {(a, b), (-b, -a)};
-        # in B and D, -i is never below i.
-        reps = sorted({min((a, b), (-b, -a)) for a, b in itertools.combinations(elems, 2)
-                       if family == "C" or a != -b})
-        chosen = draw(st.lists(st.sampled_from(reps), max_size=4, unique=True)) if reps else []
-        relation = frozenset()
-        for a, b in chosen:
-            closed = posets.transitive_closure(elems, relation | {(a, b), (-b, -a)})
-            if family in ("B", "D") and any((-e, e) in closed for e in elems if e > 0):
-                continue
-            relation = closed
-        P = posets.make_poset(elems, relation, family)
         variant = "gl"
-        dim = n + len({min((a, b), (-b, -a)) for a, b in P.relation})
-    assert posets.validate_family(P).ok
+        dim = P.n + len({min((a, b), (-b, -a)) for a, b in P.relation})
     assume(1 <= dim <= max_dim)
     g = liealg.build(P, variant)
     assert g.dim == dim
