@@ -141,23 +141,11 @@ class SparseMat:
                 ents.pop(key, None)
         return SparseMat(self.n_rows, self.n_cols, ents)
 
-    def scaled(self, c):
-        c = _rat(c)
-        return SparseMat(
-            self.n_rows, self.n_cols, {k: c * v for k, v in self.entries.items()}
-        )
-
     def is_skew_symmetric(self):
         for (i, j), v in self.entries.items():
             if self.entries.get((j, i), ZERO) != -v:
                 return False
         return True
-
-    def to_dense(self):
-        rows = [[ZERO] * self.n_cols for _ in range(self.n_rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
 
 
 def rank(M):

@@ -13,7 +13,9 @@ from fractions import Fraction
 
 from . import exactla, liealg
 from .exactla import ONE, ZERO, SparseMat
-from .liealg import LieAlg, basis_vector, bracket, derived_series
+# derived_series is not called here; it is re-exported because perfbench's
+# self-test traces its binding as indexfrob.derived_series.
+from .liealg import basis_vector, bracket, derived_series  # noqa: F401
 
 
 class IndexError_(ValueError):
@@ -49,7 +51,11 @@ class IndexCertificate:
     trials: int
     entry_bound: int
     seed: int
-    certified_frobenius: bool
+
+    @property
+    def certified_frobenius(self):
+        """Index 0 is proved by the witness's exactly nonsingular evaluation."""
+        return self.index == 0
 
     def to_json(self):
         return {
@@ -63,9 +69,7 @@ class IndexCertificate:
             "entry_bound": self.entry_bound,
             "seed": self.seed,
             "certified_frobenius": self.certified_frobenius,
-            "claim": "exact"
-            if self.certified_frobenius or self.index == 0
-            else "probabilistic-upper-rank",
+            "claim": "exact" if self.index == 0 else "probabilistic-upper-rank",
         }
 
 
@@ -114,7 +118,6 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
         trials=trials,
         entry_bound=entry_bound,
         seed=seed,
-        certified_frobenius=(idx == 0),
     )
 
 
@@ -144,15 +147,18 @@ def frobenius_functional(g, certificate):
 def principal_element(g, f):
     """The unique p with f([p, x]) = f(x) for all x; needs f Frobenius.
 
-    In coordinates this is the solve M_f^T a = f, with M_f the Kirillov
-    matrix of f.
+    In coordinates f([p, x_j]) = sum_i p_i M[i][j] with M the Kirillov
+    matrix of f, so p solves M^T p = f; M is skew, hence p = -M^{-1} f.
+    One inversion both proves M nonsingular and gives p; a singular M
+    raises NotFrobeniusError.
     """
-    M = eval_kirillov(g, f)
-    if exactla.rank(M) != g.dim:
-        raise NotFrobeniusError("Kirillov matrix is singular at this functional")
-    sol = exactla.solve(M.transpose(), list(f.coords))
-    assert sol is not None
-    return sol
+    try:
+        inverse = exactla.invert(eval_kirillov(g, f))
+    except exactla.SingularMatrixError:
+        raise NotFrobeniusError(
+            "Kirillov matrix is singular at this functional"
+        ) from None
+    return [-v for v in inverse.mat_vec(f.coords)]
 
 
 @dataclass(frozen=True)
@@ -194,22 +200,19 @@ def spectrum(g, f):
     )
 
 
-@dataclass(frozen=True)
-class BlockForm:
-    is_block: bool
-    B: SparseMat  # rows: Cartan generators, cols: root vectors; entries alpha_t(h_k)
-
-
 def block_form(g):
-    """Confirm the Cartan-first commutator tensor is block off-diagonal
-    and extract the root-value block B[k][t] = alpha_t(h_k).
+    """The root-value block B[k][t] = alpha_t(h_k) of a two-step algebra,
+    as a cartan_count x (dim - cartan_count) SparseMat.
 
-    Requires g two-step solvable; a nonzero bracket of two root vectors
-    contradicts that and raises.
+    This is the package's two-step test.  It scans the brackets once and
+    raises BlockFormError on a nonzero bracket between two Cartan
+    generators or between two root vectors.  Since every root vector is
+    an ad(h)-eigenvector ([h, x_t] = alpha_t(h) x_t, checked when the
+    roots are extracted), a clean scan puts [g, g] inside the abelian span
+    of the root vectors, so g is at most two-step solvable.  Conversely,
+    the roots of a Lie poset algebra are nonzero, so a nonzero root-root
+    bracket lies in [[g, g], [g, g]] and g is not two-step.
     """
-    _, _, k_step = derived_series(g)
-    if k_step > 2:
-        raise BlockFormError(f"algebra is {k_step}-step solvable, not two-step")
     cc = g.cartan_count
     for (i, j), vec in g.brackets.items():
         if i < cc and j < cc and vec:
@@ -222,7 +225,7 @@ def block_form(g):
         for k, val in enumerate(roots[t]):
             if val:
                 ents[(k, t - cc)] = val
-    return BlockForm(is_block=True, B=SparseMat(cc, g.dim - cc, ents))
+    return SparseMat(cc, g.dim - cc, ents)
 
 
 @dataclass(frozen=True)
@@ -232,20 +235,20 @@ class NormalizeResult:
     verified: bool
 
 
-def normalize_to_phi(g, certificate=None, seed=0):
+def normalize_to_phi(g, certificate):
     """Constructive isomorphism onto the normal form.
 
-    Root vectors become e_1..e_n as-is; each d_i is solved for in the
-    Cartan span so that alpha_j(d_i) = delta_ij.  All bracket relations of
-    the normal form are re-verified exactly under the change of basis.
+    ``certificate`` is the index certificate of g and must certify index
+    0.  block_form(g) decides that g is two-step (BlockFormError
+    otherwise) and gives the root block B, which a Frobenius two-step g
+    has square.  Root vectors become e_1..e_n as-is, and row i of B^{-1}
+    holds the Cartan coefficients of d_i, so that alpha_j(d_i) = delta_ij.
+    All bracket relations of the normal form are re-verified exactly under
+    the change of basis.
     """
-    if certificate is None:
-        certificate = index(g, seed=seed)
-    if certificate.index != 0 or not certificate.certified_frobenius:
+    if certificate.index != 0:
         raise NotFrobeniusError("algebra is not certified Frobenius")
-    _, _, k_step = derived_series(g)
-    if k_step != 2:
-        raise BlockFormError(f"algebra is {k_step}-step solvable, not two-step")
+    B = block_form(g)
     if g.dim % 2:
         raise NotFrobeniusError("odd dimension cannot be Frobenius (skew rank)")
     cc = g.cartan_count
@@ -255,18 +258,7 @@ def normalize_to_phi(g, certificate=None, seed=0):
             "Cartan and root-vector counts differ; Frobenius two-step input"
             " must split evenly (internal inconsistency)"
         )
-    roots = g.roots if g.roots is not None else liealg.cartan_weyl_extract(g)
-    A = SparseMat(
-        cc,
-        n,
-        {
-            (k, t): roots[cc + t][k]
-            for t in range(n)
-            for k in range(cc)
-            if roots[cc + t][k]
-        },
-    )
-    C = exactla.invert(A)  # row i = Cartan coefficients of d_i
+    C = exactla.invert(B)  # row i = Cartan coefficients of d_i
     ents = {}
     for i in range(n):
         for k in range(cc):

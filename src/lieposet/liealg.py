@@ -212,24 +212,16 @@ def _family_bcd_basis(P):
             # Self-paired long root, only possible in family C.
             X = SparseMat(size, size, {(idx[a], idx[b]): ONE})
             label = f"e[{a},{b}]"
-            if not _in_form_algebra(X, S):
-                raise ClosureError(f"long root at ({a},{b}) not in the form algebra")
         else:
-            X = None
-            for sigma in (ONE, -ONE):
-                cand = SparseMat(
-                    size,
-                    size,
-                    {(idx[a], idx[b]): ONE, (idx[-b], idx[-a]): -sigma},
-                )
-                if _in_form_algebra(cand, S):
-                    X = cand
-                    label = (
-                        f"e[{a},{b}]{'-' if sigma == ONE else '+'}e[{-b},{-a}]"
-                    )
-                    break
-            if X is None:
-                raise ClosureError(f"no sign makes ({a},{b}) orbit lie in the algebra")
+            # X = E[a,b] - sigma E[-b,-a]; the (-a, b) entry of
+            # X^T S + S X = 0 forces sigma = s_a s_b with s_e = S[e, -e].
+            sigma = S[(idx[a], idx[-a])] * S[(idx[b], idx[-b])]
+            X = SparseMat(
+                size, size, {(idx[a], idx[b]): ONE, (idx[-b], idx[-a]): -sigma}
+            )
+            label = f"e[{a},{b}]{'-' if sigma == ONE else '+'}e[{-b},{-a}]"
+        if not _in_form_algebra(X, S):
+            raise ClosureError(f"root vector {label} not in the form algebra")
         roots.append(X)
         rlabels.append(label)
     return cartan + roots, labels + rlabels, n
@@ -239,33 +231,35 @@ def _structure_constants(mats, labels):
     """brackets[(i, j)] = {k: c_k}, k ascending, with [M_i, M_j] = sum c_k M_k
     for every nonzero commutator of the basis matrices ``mats``.
 
-    One elimination of the basis, taken as rows over matrix positions,
-    picks dim positions at which the stacked basis is invertible; that
-    block is inverted once, the coordinates of a commutator are the inverse
-    applied to its entries at those positions, and each is checked exactly
-    by summing the basis back.  Raises ClosureError when the basis is
-    dependent or a commutator falls outside its span.
+    One Gauss-Jordan elimination of the basis, taken as rows over matrix
+    positions and augmented by the identity, picks dim positions at which
+    the stacked basis is invertible and inverts that block in the same
+    pass; the coordinates of a commutator are the inverse applied to its
+    entries at those positions, and each is checked exactly by summing the
+    basis back.  Raises ClosureError when the basis is dependent or a
+    commutator falls outside its span.
     """
     dim = len(mats)
     positions = sorted({p for M in mats for p in M.entries})
+    width = len(positions)
     col_of = {p: c for c, p in enumerate(positions)}
     rows = [{col_of[p]: v for p, v in M.entries.items()} for M in mats]
-    pivots, _ = exactla._elim.eliminate(rows, len(positions))
+    for k, row in enumerate(rows):
+        row[width + k] = ONE
+    pivots, red = exactla._elim.eliminate(
+        rows, width + dim, pivot_limit=width, reduce_full=True
+    )
     if len(pivots) != dim:
         raise ClosureError(
             f"the {dim} basis matrices are dependent (rank {len(pivots)})"
         )
     pivot_of = {positions[c]: r for r, c in enumerate(pivots)}
-    block = SparseMat(dim, dim, {
-        (pivot_of[p], k): v
-        for k, M in enumerate(mats)
-        for p, v in M.entries.items()
-        if p in pivot_of
-    })
-    # inverse_cols[r] = column r of the inverse, as {k: value}.
-    inverse_cols = [{} for _ in range(dim)]
-    for (k, r), v in exactla.invert(block).entries.items():
-        inverse_cols[r][k] = v
+    # inverse_cols[r] = column r of the inverse of the pivot block, as
+    # {k: value}: past width, the reduced pivot row of position c holds it.
+    inverse_cols = [
+        {col - width: v for col, v in red[c].items() if col >= width}
+        for c in pivots
+    ]
     by_row = [M.row_dicts() for M in mats]
     rows_of = [{r for r, _ in M.entries} for M in mats]
     cols_of = [{c for _, c in M.entries} for M in mats]

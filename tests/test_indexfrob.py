@@ -2,8 +2,10 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lieposet import exactla, indexfrob, liealg
+from lieposet import exactla, indexfrob, liealg, posets
 from lieposet.exactla import ONE, ZERO
 from lieposet.indexfrob import (
     BlockFormError,
@@ -19,15 +21,42 @@ from lieposet.indexfrob import (
     spectrum,
     structured_candidate,
 )
-from lieposet.liealg import build, make_phi
+from lieposet.liealg import build, derived_series, make_phi
 from lieposet.posets import (
     antichain_poset,
     chain_poset,
     branch_poset,
     hexagon_type_c_poset,
 )
+from strategies import valid_posets
 
 HALF = Fraction(1, 2)
+
+# Every height-one class up to size 7, in both family-A variants.
+HEIGHT_ONE = [
+    build(P, variant)
+    for n in range(1, 8)
+    for P in posets.enumerate_height_one(n)
+    for variant in ("gl", "sl")
+]
+
+
+@st.composite
+def valid_algebras(draw):
+    """The algebra of a random valid poset of family A (gl or sl) or B/C/D."""
+    family = draw(st.sampled_from("ABCD"))
+    variant = draw(st.sampled_from(("gl", "sl"))) if family == "A" else "gl"
+    return build(draw(valid_posets(family)), variant)
+
+
+def principal_element_oracle(g, f):
+    """The rank check and transposed solve that principal_element replaced."""
+    M = eval_kirillov(g, f)
+    if exactla.rank(M) != g.dim:
+        raise NotFrobeniusError("Kirillov matrix is singular at this functional")
+    sol = exactla.solve(M.transpose(), list(f.coords))
+    assert sol is not None
+    return sol
 
 
 class TestKirillov:
@@ -138,6 +167,23 @@ class TestPrincipalElement:
         with pytest.raises(NotFrobeniusError):
             principal_element(g, Functional.from_list([1, 1]))
 
+    @staticmethod
+    def _check_against_oracle(g):
+        cert = index(g, seed=0)
+        if cert.index != 0 or not g.dim:
+            return False
+        for f in {frobenius_functional(g, cert), cert.witness}:
+            assert principal_element(g, f) == principal_element_oracle(g, f)
+        return True
+
+    def test_matches_rank_and_solve_on_height_one(self):
+        assert sum(self._check_against_oracle(g) for g in HEIGHT_ONE) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_algebras())
+    def test_matches_rank_and_solve_on_generated(self, g):
+        self._check_against_oracle(g)
+
 
 class TestSpectrum:
     def test_phi(self):
@@ -161,44 +207,85 @@ class TestSpectrum:
 class TestBlockForm:
     def test_hexagon(self):
         g = build(hexagon_type_c_poset())
-        bf = block_form(g)
-        assert bf.is_block
-        assert bf.B.n_rows == 3 and bf.B.n_cols == 3
+        B = block_form(g)
+        assert B.n_rows == 3 and B.n_cols == 3
         t = g.basis_labels.index("e[-2,1]+e[-1,2]") - g.cartan_count
-        col = [bf.B.entries.get((k, t), ZERO) for k in range(3)]
+        col = [B.entries.get((k, t), ZERO) for k in range(3)]
         assert col == [ONE, ONE, ZERO]
 
     def test_three_step_rejected(self):
         with pytest.raises(BlockFormError):
             block_form(build(chain_poset(3), "sl"))
 
+    @staticmethod
+    def _check_against_derived_series(g):
+        # The bracket scan decides two-step exactly as the derived series does.
+        if derived_series(g)[2] > 2:
+            with pytest.raises(BlockFormError):
+                block_form(g)
+            return
+        B = block_form(g)
+        cc = g.cartan_count
+        assert (B.n_rows, B.n_cols) == (cc, g.dim - cc)
+        for t in g.root_indices():
+            assert [B[(k, t - cc)] for k in range(cc)] == list(g.roots[t])
+
+    def test_matches_derived_series_on_height_one(self):
+        for g in HEIGHT_ONE:
+            self._check_against_derived_series(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_algebras())
+    def test_matches_derived_series_on_generated(self, g):
+        self._check_against_derived_series(g)
+
 
 class TestNormalize:
     def test_chain2_sl(self):
         g = build(chain_poset(2), "sl")
-        res = normalize_to_phi(g, seed=0)
+        res = normalize_to_phi(g, index(g, seed=0))
         assert res.n == 1 and res.verified
         # d = h/2 since [h, e] = 2e for the traceless Cartan generator
         assert res.change_of_basis.entries[(0, 0)] == HALF
 
     def test_hexagon(self):
-        res = normalize_to_phi(build(hexagon_type_c_poset()), seed=0)
+        g = build(hexagon_type_c_poset())
+        res = normalize_to_phi(g, index(g, seed=0))
         assert res.n == 3 and res.verified
 
     def test_not_frobenius_rejected(self):
         with pytest.raises(NotFrobeniusError):
-            normalize_to_phi(build(chain_poset(2), "gl"), seed=0)
+            g = build(chain_poset(2), "gl")
+            normalize_to_phi(g, index(g, seed=0))
 
     def test_not_two_step_rejected(self):
         # the three-element chain in sl is Frobenius but three-step
         g = build(chain_poset(3), "sl")
         if index(g, seed=0).index == 0:
             with pytest.raises(BlockFormError):
-                normalize_to_phi(g, seed=0)
+                normalize_to_phi(g, index(g, seed=0))
+
+    def test_frobenius_three_step_rejected(self):
+        # 1 < 2 < 3 and 2 < 4 in sl: index 0, but [e12, e23] = e13.
+        P = posets.make_poset([1, 2, 3, 4], [(1, 2), (2, 3), (2, 4), (1, 3), (1, 4)], "A")
+        g = build(P, "sl")
+        cert = index(g, seed=0)
+        assert cert.index == 0 and derived_series(g)[2] == 3
+        with pytest.raises(BlockFormError):
+            normalize_to_phi(g, cert)
+
+    def test_dim_zero_rejected(self):
+        # The one-element poset in sl has dimension 0 and index 0; there is
+        # no normal form Phi_0, so normalization must raise, not return.
+        g = build(chain_poset(1), "sl")
+        cert = index(g, seed=0)
+        assert g.dim == 0 and cert.index == 0
+        with pytest.raises(ValueError):
+            normalize_to_phi(g, cert)
 
     def test_phi_fixed_point(self):
         g = make_phi(2)
-        res = normalize_to_phi(g, seed=0)
+        res = normalize_to_phi(g, index(g, seed=0))
         assert res.change_of_basis == exactla.SparseMat.identity(4)
 
 
@@ -206,8 +293,8 @@ class TestCompose:
     def test_hexagon_vs_phi3(self):
         g1 = build(hexagon_type_c_poset())
         g2 = make_phi(3)
-        r1 = normalize_to_phi(g1, seed=0)
-        r2 = normalize_to_phi(g2, seed=0)
+        r1 = normalize_to_phi(g1, index(g1, seed=0))
+        r2 = normalize_to_phi(g2, index(g2, seed=0))
         M, ok = compose_isomorphism(g1, r1, g2, r2)
         assert ok
         assert exactla.rank(M) == 6
@@ -217,8 +304,8 @@ class TestCompose:
         # [d_1, e_1] = e_1, so the composed map no longer intertwines.
         g1 = build(hexagon_type_c_poset())
         g2 = make_phi(3)
-        r1 = normalize_to_phi(g1, seed=0)
-        r2 = normalize_to_phi(g2, seed=0)
+        r1 = normalize_to_phi(g1, index(g1, seed=0))
+        r2 = normalize_to_phi(g2, index(g2, seed=0))
         P = r2.change_of_basis
         doubled = exactla.SparseMat(P.n_rows, P.n_cols, {
             (i, j): 2 * v if j == 0 else v for (i, j), v in P.entries.items()
@@ -230,7 +317,7 @@ class TestCompose:
         assert exactla.rank(M) == 6
 
     def test_mismatched_n(self):
-        r1 = normalize_to_phi(make_phi(1), seed=0)
-        r2 = normalize_to_phi(make_phi(2), seed=0)
+        r1 = normalize_to_phi(make_phi(1), index(make_phi(1), seed=0))
+        r2 = normalize_to_phi(make_phi(2), index(make_phi(2), seed=0))
         with pytest.raises(ValueError):
             compose_isomorphism(make_phi(1), r1, make_phi(2), r2)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieposet import liealg
 from lieposet.exactla import ONE, ZERO, SparseMat
@@ -27,6 +29,7 @@ from lieposet.posets import (
     hexagon_type_c_poset,
     make_poset,
 )
+from strategies import valid_posets
 
 CORPUS = [
     ("branch-gl", lambda: build(branch_poset(), "gl")),
@@ -95,6 +98,21 @@ class TestBuild:
         if g.realization is None:
             pytest.skip("abstract algebra")
         assert check_realization(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from("BCD").flatmap(valid_posets))
+    def test_root_sign_is_the_only_one(self, P):
+        # The closed-form sign sigma = s_a s_b puts each two-entry root
+        # vector in the form algebra, and the opposite sign does not.
+        g = build(P)
+        S = liealg._form_matrix(P)
+        for X in g.realization[g.cartan_count:]:
+            assert liealg._in_form_algebra(X, S)
+            if len(X.entries) == 2:
+                first, second = sorted(X.entries)
+                flipped = SparseMat(X.n_rows, X.n_cols,
+                                    {first: X[first], second: -X[second]})
+                assert not liealg._in_form_algebra(flipped, S)
 
 
 class TestBracket:
