@@ -107,8 +107,7 @@ def cmd_index(args):
     )
     results = {"certificate": cert.to_json()}
     if cert.certified_frobenius and g.dim:
-        f = indexfrob.frobenius_functional(g, cert)
-        sp = indexfrob.spectrum(g, f)
+        f, sp = indexfrob.frobenius_spectrum(g, cert)
         results["frobenius_functional"] = [_frac_str(c) for c in f.coords]
         results["principal_element"] = [_frac_str(c) for c in sp.principal_element]
         results["spectrum"] = {

@@ -54,6 +54,25 @@ def coboundary_matrix(g, n):
     dim = g.dim
     combos_n, _ = _coords(dim, n)
     combos_n1, pos_n1 = _coords(dim, n + 1)
+    ents = _assemble(g, ((S, range(dim)) for S in combos_n), pos_n1)
+    rows = math.comb(dim, n + 1) * dim
+    cols = math.comb(dim, n) * dim
+    return CoboundaryMap(
+        degree=n,
+        matrix=SparseMat(rows, cols, ents),
+        col_index=tuple((S, t) for S in combos_n for t in range(dim)),
+        row_index=tuple((S, t) for S in combos_n1 for t in range(dim)),
+    )
+
+
+def _assemble(g, cells, pos_n1):
+    """Entries {(row, col): value} of the differential on some columns.
+
+    ``cells`` yields (S, targets): a degree-n tuple S and the ascending
+    targets t of its columns (S, t), numbered consecutively in that order.
+    Row (G, t) of C^(n+1) is ``pos_n1[G] * dim + t``.
+    """
+    dim = g.dim
     ents = {}
 
     def add(row, val, col):
@@ -71,14 +90,12 @@ def coboundary_matrix(g, n):
             del ents[key]
 
     adjacency, producers = g.adjacency, g.producers
-    for s_pos, S in enumerate(combos_n):
+    col = 0
+    for S, targets in cells:
         # Module term: insert a into S at position p; the cochain eats the
-        # rest.  Row offset and sign depend on (S, a) only.
+        # rest.  Row offset and sign depend on (S, a) only, and are found
+        # on first use (None when a is in S).
         inserted = {}
-        for a in range(dim):
-            p = bisect.bisect_left(S, a)
-            if p == len(S) or S[p] != a:
-                inserted[a] = (pos_n1[S[:p] + (a,) + S[p:]] * dim, p % 2 == 0)
         # Bracket term: replace k in S by a bracketed pair (a, b).  It does
         # not depend on the target t, so its rows and values are shared.
         replaced = []
@@ -93,46 +110,127 @@ def coboundary_matrix(g, n):
                 # (-1)^(i + j) from the pair, (-1)^q from removing k.
                 val = c if (i + j + q) % 2 == 0 else -c
                 replaced.append((pos_n1[G] * dim, val))
-        for t in range(dim):
-            col = s_pos * dim + t
+        for t in targets:
             for a, vec in adjacency[t].items():
-                if a not in inserted:
+                if a in inserted:
+                    ins = inserted[a]
+                else:
+                    p = bisect.bisect_left(S, a)
+                    ins = inserted[a] = (
+                        (pos_n1[S[:p] + (a,) + S[p:]] * dim, p % 2 == 0)
+                        if p == len(S) or S[p] != a
+                        else None
+                    )
+                if ins is None:
                     continue
-                base, even = inserted[a]
+                base, even = ins
                 # [x_a, x_t] is vec for a < t and -vec for a > t.
                 positive = even == (a < t)
                 for m, c in vec.items():
                     add(base + m, c if positive else -c, col)
             for base, val in replaced:
                 add(base + t, val, col)
+            col += 1
+    return ents
 
-    rows = math.comb(dim, n + 1) * dim
-    cols = math.comb(dim, n) * dim
-    return CoboundaryMap(
-        degree=n,
-        matrix=SparseMat(rows, cols, ents),
-        col_index=tuple((S, t) for S in combos_n for t in range(dim)),
-        row_index=tuple((S, t) for S in combos_n1 for t in range(dim)),
-    )
+
+# ---------------------------------------------------------------------------
+# Weight grading
+#
+# The Cartan generators act diagonally: weight 0 on themselves and
+# roots[t] on root vector t.  A cochain (S, t) has weight
+# wt(t) - sum of wt(s) over s in S, and every differential preserves it.
+# By Cartan's formula theta(h) = d iota(h) + iota(h) d, theta(h) is
+# null-homotopic, and it acts on the weight-lambda cochains by lambda(h);
+# so every block of nonzero weight is acyclic (Hochschild-Serre).  Its
+# ranks follow by counting: rank d^n_lambda is the alternating sum of
+# dim C^j_lambda over j <= n.  Only the weight-0 block needs elimination.
+
+
+def _weight_keys(g):
+    """One int per basis element, additive in the weights and exact.
+
+    The root values, scaled by the lcm of their denominators, are integer
+    vectors with components of size at most M.  A cochain weight sums at
+    most dim + 1 of them, so its components stay below (dim + 1) * M, and
+    packing them in base 2 * (dim + 1) * M + 1 is additive and injective:
+    a cochain has weight 0 exactly when its key sum is 0.
+    """
+    roots = g.roots if g.roots is not None else liealg.cartan_weyl_extract(g)
+    scale = math.lcm(*(v.denominator for alpha in roots.values() for v in alpha))
+    ints = {t: [int(v * scale) for v in alpha] for t, alpha in roots.items()}
+    bound = max((abs(v) for alpha in ints.values() for v in alpha), default=0)
+    radix = 2 * (g.dim + 1) * bound + 1
+    keys = [0] * g.dim
+    for t, alpha in ints.items():
+        for v in reversed(alpha):
+            keys[t] = keys[t] * radix + v
+    return keys
+
+
+def _weight0_cells(g, top):
+    """cells[j], j = 0..top: (S, targets) for every degree-j tuple S that
+    has weight-0 cochains (S, t), with those targets ascending."""
+    keys = _weight_keys(g)
+    targets = {}
+    for t, key in enumerate(keys):
+        targets.setdefault(key, []).append(t)
+    cells = []
+    level = [((), 0)]  # every degree-j tuple in order, with its key sum
+    for j in range(top + 1):
+        cells.append([(S, targets[w]) for S, w in level if w in targets])
+        if j < top:
+            level = [
+                (S + (s,), w + keys[s])
+                for S, w in level
+                for s in range(S[-1] + 1 if S else 0, g.dim)
+            ]
+    return cells
+
+
+def _weight0_rank(g, n, cells):
+    """Exact rank of the weight-0 block of d^n, assembled column by column
+    from the weight-0 cells of degree n; its rows are those of degree n + 1."""
+    dim = g.dim
+    _, pos_n1 = _coords(dim, n + 1)
+    row_of = {}
+    for G, ts in cells[n + 1]:
+        base = pos_n1[G] * dim
+        for t in ts:
+            row_of[base + t] = len(row_of)
+    ents = _assemble(g, cells[n], pos_n1)
+    n_cols = sum(len(ts) for _, ts in cells[n])
+    # A row outside row_of would be a weight the differential does not
+    # preserve; the KeyError stops the report rather than miscount.
+    block = SparseMat(len(row_of), n_cols, {(row_of[r], c): v for (r, c), v in ents.items()})
+    return exactla.rank(block)
 
 
 def cohomology_report(g, n, max_dim=DEFAULT_MAX_DIM):
-    """Dims of C^n, Z^n, B^n, H^n, via exact ranks of the differentials.
+    """Dims of C^n, Z^n, B^n, H^n.
 
-    Above the algebra's dimension C^n = 0, so all four are 0.
+    Only the weight-0 blocks of d^n and d^(n-1) are eliminated exactly;
+    the blocks of nonzero weight are acyclic, so their ranks are counted:
+    rank d^m = rank d^m_0 + sum over j <= m of (-1)^(m-j) (c_j - c0_j),
+    with c_j = dim C^j and c0_j = dim C^j_0.  Above the algebra's
+    dimension C^n = 0, so all four are 0.
     """
     if not 0 <= n <= DEGREE_GUARD:
         raise DegreeError(f"degree guard: 0 <= n <= {DEGREE_GUARD}")
     if g.dim > max_dim:
         raise DegreeError(f"dimension guard: dim {g.dim} > {max_dim}")
-    c_dim = cochain_dim(g, n) if n <= g.dim else 0
-    rank_n = exactla.rank(coboundary_matrix(g, n).matrix) if n <= g.dim else 0
-    z_dim = c_dim - rank_n
-    b_dim = (
-        exactla.rank(coboundary_matrix(g, n - 1).matrix)
-        if 1 <= n <= g.dim
-        else 0
-    )
+    if n > g.dim:
+        return {"C": 0, "Z": 0, "B": 0, "H": 0}
+    cells = _weight0_cells(g, n + 1)
+    # rank d^m on the nonzero weights, m = 0..n: exactness there gives
+    # rank d^m = (c_m - c0_m) - rank d^(m-1).
+    nonzero_rank, r = [], 0
+    for m in range(n + 1):
+        r = cochain_dim(g, m) - sum(len(ts) for _, ts in cells[m]) - r
+        nonzero_rank.append(r)
+    c_dim = cochain_dim(g, n)
+    z_dim = c_dim - _weight0_rank(g, n, cells) - nonzero_rank[n]
+    b_dim = _weight0_rank(g, n - 1, cells) + nonzero_rank[n - 1] if n >= 1 else 0
     return {"C": c_dim, "Z": z_dim, "B": b_dim, "H": z_dim - b_dim}
 
 

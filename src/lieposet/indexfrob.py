@@ -182,12 +182,13 @@ def ad_matrix(g, v):
     return SparseMat(g.dim, g.dim, ents)
 
 
-def spectrum(g, f):
+def spectrum(g, f, p_elt=None):
     """The principal element of f and the characteristic polynomial of its
     adjoint, with the x^a (x-1)^b factorization pulled out; binary means
-    nothing is left.
+    nothing is left.  ``p_elt``, when given, is f's principal element.
     """
-    p_elt = principal_element(g, f)
+    if p_elt is None:
+        p_elt = principal_element(g, f)
     cp = exactla.char_poly(ad_matrix(g, p_elt))
     a, b, residual = exactla.factor_binary(cp)
     return SpectrumRecord(
@@ -198,6 +199,23 @@ def spectrum(g, f):
         binary=(len(residual) <= 1),
         residual_factor=residual,
     )
+
+
+def frobenius_spectrum(g, certificate):
+    """(f, spectrum(g, f)) for f the functional frobenius_functional picks.
+
+    One inversion of the structured candidate's Kirillov matrix both
+    decides whether the candidate is Frobenius and gives its principal
+    element; when it is singular, the index ``certificate``'s witness is
+    used instead, and NotFrobeniusError means that one is singular too.
+    """
+    f = structured_candidate(g)
+    try:
+        p_elt = principal_element(g, f)
+    except NotFrobeniusError:
+        f = certificate.witness
+        p_elt = principal_element(g, f)
+    return f, spectrum(g, f, p_elt)
 
 
 def block_form(g):

@@ -121,8 +121,7 @@ def run_spectrum(seed=0):
             )
         )
     gc = liealg.build(posets.hexagon_type_c_poset())
-    f = indexfrob.frobenius_functional(gc, indexfrob.index(gc, seed=seed))
-    sp = indexfrob.spectrum(gc, f)
+    _, sp = indexfrob.frobenius_spectrum(gc, indexfrob.index(gc, seed=seed))
     cases.append(
         _case(
             "hexagon-C",

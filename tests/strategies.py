@@ -2,9 +2,10 @@
 
 import itertools
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
-from lieposet import posets
+from lieposet import liealg, posets
 
 
 @st.composite
@@ -36,3 +37,23 @@ def valid_posets(draw, family):
         P = posets.make_poset(elems, relation, family)
     assert posets.validate_family(P).ok
     return P
+
+
+@st.composite
+def algebras(draw, families="ABCDP", max_dim=9):
+    """A Lie poset algebra of a random valid poset of one of ``families``
+    (family A in gl or sl), or a normal form Phi_n for "P"; dim 1..max_dim."""
+    family = draw(st.sampled_from(families))
+    if family == "P":
+        return liealg.make_phi(draw(st.integers(1, max_dim // 2)))
+    P = draw(valid_posets(family))
+    if family == "A":
+        variant = draw(st.sampled_from(("gl", "sl")))
+        dim = len(P) - (variant == "sl") + len(P.relation)
+    else:
+        variant = "gl"
+        dim = P.n + len({min((a, b), (-b, -a)) for a, b in P.relation})
+    assume(1 <= dim <= max_dim)
+    g = liealg.build(P, variant)
+    assert g.dim == dim
+    return g

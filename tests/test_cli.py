@@ -128,6 +128,42 @@ class TestIndex:
                 f"{c.numerator}/{c.denominator}" for c in f.coords]
             assert (f == cand) != structured_singular
 
+    @pytest.mark.parametrize("poset, variant, candidate_evaluations", (
+        ("hexagon", "gl", 1),
+        ("branch", "sl", 2),
+    ))
+    def test_one_kirillov_matrix_per_functional(
+        self, capsys, request, monkeypatch, poset, variant, candidate_evaluations
+    ):
+        # After the index trials, the report evaluates the structured
+        # candidate once (and the witness once more if the candidate is
+        # singular), and never ranks it: one inversion decides and gives
+        # the principal element.
+        path = request.getfixturevalue(f"{poset}_file")
+        P = hexagon_type_c_poset() if poset == "hexagon" else posets.branch_poset()
+        g = build(P, variant)
+        trials = []
+        for trial in range(3):
+            f = indexfrob._random_functional(g.dim, 10**6, 0, trial)
+            trials.append(f)
+            if exactla.rank(indexfrob.eval_kirillov(g, f)) == g.dim:
+                break
+        calls = {"eval_kirillov": 0, "rank": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(indexfrob, "eval_kirillov",
+                            counting("eval_kirillov", indexfrob.eval_kirillov))
+        monkeypatch.setattr(exactla, "rank", counting("rank", exactla.rank))
+        code, rep = run(capsys, ["index", path, "--variant", variant, "--seed", "0"])
+        assert code == 0 and rep["results"]["certificate"]["certified_frobenius"]
+        assert calls == {"eval_kirillov": len(trials) + candidate_evaluations,
+                         "rank": len(trials)}
+
     @pytest.mark.parametrize("bound", ("0", "-3"))
     def test_bound_below_one_rejected(self, capsys, branch_file, bound):
         code, rep = run(capsys, ["index", branch_file, "--seed", "0", "--bound", bound])

@@ -1,7 +1,9 @@
 import io
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from lieposet import cohomology, exactla, liealg
 from lieposet.cohomology import (
@@ -14,6 +16,7 @@ from lieposet.cohomology import (
     compare_h2,
     z2_shape_check_phi,
 )
+from lieposet.exactla import ZERO
 from lieposet.liealg import build, center, make_phi
 from lieposet.posets import (
     antichain_poset,
@@ -21,6 +24,7 @@ from lieposet.posets import (
     branch_poset,
     hexagon_type_c_poset,
 )
+from strategies import algebras
 
 SMALL = [
     make_phi(1),
@@ -167,3 +171,129 @@ class TestReportShape:
         # C^n = 0 above the dimension, inside the degree guard.
         assert n > g.dim
         assert cohomology_report(g, n) == {"C": 0, "Z": 0, "B": 0, "H": 0}
+
+
+# ---------------------------------------------------------------------------
+# The weight-graded report against the full differentials
+
+
+def full_rank_report(g, n):
+    """(C, Z, B, H) from exact ranks of the full differentials d^n, d^(n-1)."""
+    if n > g.dim:
+        return {"C": 0, "Z": 0, "B": 0, "H": 0}
+    c_dim = cochain_dim(g, n)
+    z_dim = c_dim - exactla.rank(coboundary_matrix(g, n).matrix)
+    b_dim = exactla.rank(coboundary_matrix(g, n - 1).matrix) if n >= 1 else 0
+    return {"C": c_dim, "Z": z_dim, "B": b_dim, "H": z_dim - b_dim}
+
+
+def cochain_weight(g, S, t):
+    """wt(x_t) - sum of wt(x_s), s in S, as a tuple of Fractions."""
+    def wt(i):
+        return g.roots[i] if i >= g.cartan_count else (ZERO,) * g.cartan_count
+
+    return tuple(wt(t)[k] - sum(wt(s)[k] for s in S) for k in range(g.cartan_count))
+
+
+def weight0_count(g, j):
+    """dim C^j_0, counted over every cochain (S, t) by its Fraction weight."""
+    zero = (ZERO,) * g.cartan_count
+    return sum(
+        cochain_weight(g, S, t) == zero
+        for S in itertools.combinations(range(g.dim), j)
+        for t in range(g.dim)
+    )
+
+
+NAMED_REPORTS = {
+    **{f"chain{N}-{v}": build(chain_poset(N), v) for N in range(1, 5) for v in ("gl", "sl")},
+    "branch-gl": build(branch_poset(), "gl"),
+    "hexagon-C": build(hexagon_type_c_poset()),
+    **{f"phi{n}": make_phi(n) for n in range(1, 6)},
+}
+
+
+class TestWeightGradedReport:
+    @settings(max_examples=40, deadline=None)
+    @given(algebras("ABCD", max_dim=12))
+    def test_matches_full_ranks_on_generated(self, g):
+        for n in range(4):
+            assert cohomology_report(g, n) == full_rank_report(g, n)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_REPORTS))
+    def test_matches_full_ranks_named(self, name):
+        g = NAMED_REPORTS[name]
+        for n in range(4):
+            assert cohomology_report(g, n) == full_rank_report(g, n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_phi_is_rigid_in_degree_3(self, n):
+        # Phi_n is aff(1)^n, H*(aff(1), aff(1)) = 0, so by Kunneth every
+        # H^k(Phi_n, Phi_n) vanishes.
+        assert cohomology_report(make_phi(n), 3, max_dim=20)["H"] == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(algebras("ABCD"))
+    def test_differentials_preserve_weight(self, g):
+        # The report rests on this: each entry joins cochains of one weight.
+        for n in range(min(2, g.dim) + 1):
+            cm = coboundary_matrix(g, n)
+            for r, c in cm.matrix.entries:
+                assert cochain_weight(g, *cm.row_index[r]) == cochain_weight(g, *cm.col_index[c])
+
+    @settings(max_examples=40, deadline=None)
+    @given(algebras())
+    def test_integer_keys_find_the_weight0_cochains(self, g):
+        zero = (ZERO,) * g.cartan_count
+        cells = cohomology._weight0_cells(g, 3)
+        for j, level in enumerate(cells):
+            got = [(S, t) for S, ts in level for t in ts]
+            want = [
+                (S, t)
+                for S in itertools.combinations(range(g.dim), j)
+                for t in range(g.dim)
+                if cochain_weight(g, S, t) == zero
+            ]
+            assert got == want
+
+    def test_scaled_weights_stay_exact(self):
+        # Halving the roots changes no grading: the keys scale by the lcm
+        # of the denominators back to integers.
+        g = build(hexagon_type_c_poset())
+        halved = liealg.LieAlg(
+            dim=g.dim, basis_labels=g.basis_labels, brackets=g.brackets,
+            cartan_count=g.cartan_count,
+            roots={t: tuple(v / 2 for v in alpha) for t, alpha in g.roots.items()},
+        )
+        assert cohomology._weight0_cells(halved, 3) == cohomology._weight0_cells(g, 3)
+
+    @pytest.mark.parametrize("name", ["chain4-gl", "branch-gl", "hexagon-C", "phi3"])
+    def test_ranks_only_weight0_blocks(self, monkeypatch, name):
+        g = NAMED_REPORTS[name]
+        shapes = []
+        real_rank = exactla.rank
+
+        def rank(M):
+            shapes.append((M.n_rows, M.n_cols))
+            return real_rank(M)
+
+        def no_full_matrix(*args):
+            raise AssertionError("cohomology_report assembled a full differential")
+
+        monkeypatch.setattr(exactla, "rank", rank)
+        monkeypatch.setattr(cohomology, "coboundary_matrix", no_full_matrix)
+        c0 = [weight0_count(g, j) for j in range(5)]
+        for n in range(4):
+            shapes.clear()
+            cohomology_report(g, n)
+            # d^n_0, then d^(n-1)_0, each strictly smaller than the full map.
+            want = [(c0[n + 1], c0[n])] + ([(c0[n], c0[n - 1])] if n >= 1 else [])
+            assert shapes == want
+            assert all(c0[m] < cochain_dim(g, m) for m in range(n + 1))
+
+
+class TestBCDProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(algebras("BCD"))
+    def test_h0_is_center(self, g):
+        assert cohomology_report(g, 0)["H"] == center(g).dim

@@ -15,6 +15,7 @@ from lieposet.indexfrob import (
     compose_isomorphism,
     eval_kirillov,
     frobenius_functional,
+    frobenius_spectrum,
     index,
     normalize_to_phi,
     principal_element,
@@ -202,6 +203,37 @@ class TestSpectrum:
         assert (sp.multiplicity_of_0, sp.multiplicity_of_1) == (3, 3)
         assert sp.char_poly == [0, 0, 0, -1, 3, -3, 1]
         assert sp.principal_element == principal_element(g, structured_candidate(g))
+
+
+class TestFrobeniusSpectrum:
+    @staticmethod
+    def _check_against_functional_then_spectrum(g):
+        # The functional frobenius_functional picks, with spectrum() of it.
+        cert = index(g, seed=0)
+        if not g.dim:
+            return False
+        if cert.index != 0:
+            with pytest.raises(NotFrobeniusError):
+                frobenius_spectrum(g, cert)
+            return False
+        f, sp = frobenius_spectrum(g, cert)
+        assert f == frobenius_functional(g, cert)
+        assert sp == spectrum(g, f)
+        return True
+
+    def test_matches_functional_then_spectrum_on_height_one_and_branch(self):
+        # Both branches occur: nonsingular candidates (every height-one
+        # class) and a singular one that falls back to the witness (branch sl).
+        corpus = HEIGHT_ONE + [build(branch_poset(), "sl")]
+        checked = [g for g in corpus if self._check_against_functional_then_spectrum(g)]
+        singular = [g for g in checked
+                    if exactla.rank(eval_kirillov(g, structured_candidate(g))) < g.dim]
+        assert singular and len(singular) < len(checked)
+
+    @settings(max_examples=40, deadline=None)
+    @given(valid_algebras())
+    def test_matches_functional_then_spectrum_on_generated(self, g):
+        self._check_against_functional_then_spectrum(g)
 
 
 class TestBlockForm:

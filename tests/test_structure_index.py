@@ -18,28 +18,7 @@ from hypothesis import strategies as st
 
 from lieposet import cohomology, exactla, liealg, posets
 from lieposet.exactla import ONE, ZERO, SparseMat
-from strategies import valid_posets
-
-MAX_DIM = 9
-
-
-@st.composite
-def algebras(draw, max_dim=MAX_DIM):
-    """A Lie poset algebra of a random valid poset, or a normal form Phi_n."""
-    family = draw(st.sampled_from("ABCDP"))
-    if family == "P":
-        return liealg.make_phi(draw(st.integers(1, max_dim // 2)))
-    P = draw(valid_posets(family))
-    if family == "A":
-        variant = draw(st.sampled_from(("gl", "sl")))
-        dim = len(P) - (variant == "sl") + len(P.relation)
-    else:
-        variant = "gl"
-        dim = P.n + len({min((a, b), (-b, -a)) for a, b in P.relation})
-    assume(1 <= dim <= max_dim)
-    g = liealg.build(P, variant)
-    assert g.dim == dim
-    return g
+from strategies import algebras
 
 
 def vectors(dim):
