@@ -27,11 +27,6 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
 
-# Largest --size of ``enumerate``.  The library goes to posets.ENUM_GUARD = 8,
-# but size 8 (328 classes, about 10 s of enumeration before any index
-# certificate) is too slow for a command-line report.
-ENUM_MAX_SIZE = 7
-
 
 class CliInputError(Exception):
     pass
@@ -193,27 +188,22 @@ def cmd_verify(args):
 
 def cmd_enumerate(args):
     started = time.monotonic()
-    if args.size > ENUM_MAX_SIZE:
-        raise GuardError(f"enumerate guard: size <= {ENUM_MAX_SIZE}")
     all_posets = posets.enumerate_height_one(args.size)
     cases = []
-    kept = 0
     for i, P in enumerate(all_posets):
         g = liealg.build(P, variant=args.variant)
         cert = indexfrob.index(g, seed=args.seed + i)
-        entry = {
+        if args.filter == "frobenius" and cert.index != 0:
+            continue
+        cases.append({
             "poset": posets.poset_to_json(P),
             "dim": g.dim,
             "certificate": cert.to_json(),
-        }
-        if args.filter == "frobenius" and cert.index != 0:
-            continue
-        kept += 1
-        cases.append(entry)
+        })
     results = {
         "size": args.size,
         "total_isomorphism_classes": len(all_posets),
-        "reported": kept,
+        "reported": len(cases),
         "cases": cases,
     }
     params = {

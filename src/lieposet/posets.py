@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 FAMILIES = ("A", "B", "C", "D")
 
-ENUM_GUARD = 8  # brute-force isomorphism rejection only scales this far
+ENUM_GUARD = 8  # the class counts are pinned by tests up to this size
 
 
 class PosetError(ValueError):
@@ -31,9 +31,6 @@ class Poset:
 
     def __len__(self):
         return len(self.elements)
-
-    def less(self, a, b):
-        return (a, b) in self.relation
 
     def successors(self, a):
         return sorted(b for (x, b) in self.relation if x == a)
@@ -273,58 +270,13 @@ def nerve(P):
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of connected height-one posets (family A) up to isomorphism.
-# Isomorphisms respect the minimal/maximal bipartition, which any poset
-# isomorphism does; canonical form is the lex-least edge set over the
-# invariant-refined relabelings.
-
-
-def _canonical_bipartite(edges, k, m):
-    """Lex-least edge set over Sym(minimals) x Sym(maximals).
-
-    Vertices 0..k-1 are minimal, 0..m-1 maximal (separate index spaces).
-    Degree/neighbor-degree invariants prune the permutation search.
-    """
-    adj_min = [frozenset(b for a, b in edges if a == i) for i in range(k)]
-    adj_max = [frozenset(a for a, b in edges if b == j) for j in range(m)]
-
-    def groups(adjs, other_deg):
-        inv = [
-            (len(nb), tuple(sorted(other_deg[x] for x in nb)))
-            for nb in adjs
-        ]
-        key = {}
-        for i, t in enumerate(inv):
-            key.setdefault(t, []).append(i)
-        return [key[t] for t in sorted(key)]
-
-    deg_min = [len(nb) for nb in adj_min]
-    deg_max = [len(nb) for nb in adj_max]
-    gmin = groups(adj_min, deg_max)
-    gmax = groups(adj_max, deg_min)
-
-    def perms(grouping, size):
-        pos = 0
-        layout = []
-        for grp in grouping:
-            layout.append((grp, pos))
-            pos += len(grp)
-        for combo in itertools.product(
-            *[itertools.permutations(grp) for grp, _ in layout]
-        ):
-            p = [0] * size
-            for (grp, start), perm in zip(layout, combo):
-                for off, v in enumerate(perm):
-                    p[v] = start + off
-            yield p
-
-    best = None
-    for pmin in perms(gmin, k):
-        for pmax in perms(gmax, m):
-            relabeled = tuple(sorted((pmin[a], pmax[b]) for a, b in edges))
-            if best is None or relabeled < best:
-                best = relabeled
-    return best
+# Enumeration of connected height-one posets (family A) up to isomorphism,
+# by orderly generation (Read 1978).  Isomorphisms respect the
+# minimal/maximal bipartition, which any poset isomorphism does.  Each vertex
+# of the larger side is its neighbourhood, a nonzero bitmask over the s
+# vertices of the smaller side, so a class up to relabeling the larger side
+# is a sorted tuple of masks; the class representative is the tuple that is
+# lex-least under the s! relabelings of the smaller side.
 
 
 def enumerate_height_one(n):
@@ -340,22 +292,25 @@ def enumerate_height_one(n):
     everyone = (1 << n) - 1
     for k in range(1, n):
         m = n - k
-        cells = [(a, b) for a in range(k) for b in range(m)]
-        seen = set()
-        for bits in range(1 << len(cells)):
-            edges = [cells[t] for t in range(len(cells)) if bits >> t & 1]
-            if len(edges) < n - 1:
+        s = min(k, m)
+        relabelings = [
+            [sum(1 << p[i] for i in range(s) if x >> i & 1) for x in range(1 << s)]
+            for p in itertools.permutations(range(s))
+        ]
+        for masks in itertools.combinations_with_replacement(range(1, 1 << s), n - s):
+            if any(tuple(sorted(r[x] for x in masks)) < masks for r in relabelings):
                 continue
+            # (minimal, maximal) pairs, numbered from 0 on each side.
+            if k <= m:
+                pairs = [(a, b) for b, x in enumerate(masks) for a in range(s) if x >> a & 1]
+            else:
+                pairs = [(a, b) for a, x in enumerate(masks) for b in range(s) if x >> b & 1]
             # Minimal a is vertex a, maximal b is vertex k + b.
-            nbrs = _neighbour_masks(n, [(a, k + b) for a, b in edges])
+            nbrs = _neighbour_masks(n, [(a, k + b) for a, b in pairs])
             even, odd = _component_sides(nbrs, 0)
             if even | odd != everyone:
                 continue
-            canon = _canonical_bipartite(edges, k, m)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            relations = [(a + 1, k + b + 1) for a, b in canon]
+            relations = [(a + 1, k + b + 1) for a, b in pairs]
             out.append(make_poset(range(1, n + 1), relations, "A"))
     return out
 

@@ -6,7 +6,6 @@ passes when every case does.  The same checks back the acceptance tests.
 
 from . import cohomology, indexfrob, liealg, posets, simplicial
 from .exactla import ONE, ZERO
-from .indexfrob import Functional
 
 SUITES = ("patterns", "rigidity", "classification", "crossval", "spectrum")
 
@@ -104,12 +103,10 @@ def run_spectrum(seed=0):
     cases = []
     for n in range(1, 6):
         g = liealg.make_phi(n)
-        f = Functional(coords=tuple(
-            ONE if i >= n else ZERO for i in range(2 * n)
-        ))
+        f = indexfrob.structured_candidate(g)
         p = indexfrob.principal_element(g, f)
         want_p = [ONE] * n + [ZERO] * n
-        sp = indexfrob.spectrum(g, f)
+        sp = indexfrob.spectrum(g, f, p)
         cases.append(
             _case(
                 f"phi{n}",

@@ -300,13 +300,19 @@ class TestEnumerate:
             assert case["certificate"]["index"] == 0
 
     def test_guard(self, capsys):
-        code, rep = run(capsys, ["enumerate", "--size", "9", "--seed", "0"])
-        assert code == cli.EXIT_GUARD
+        # The library's guard is the only one.
+        for size in ("9", "0"):
+            code, rep = run(capsys, ["enumerate", "--size", size, "--seed", "0"])
+            assert code == cli.EXIT_GUARD
+            assert rep["error"] == "enumerate_height_one supports 1 <= n <= 8"
 
     def test_guard_is_one_below_library_guard(self, capsys):
-        assert cli.ENUM_MAX_SIZE == posets.ENUM_GUARD - 1 == 7
+        # The CLI once stopped one size below the library; now it has no
+        # guard of its own, and the first refused size is the library's.
+        assert not hasattr(cli, "ENUM_MAX_SIZE")
+        assert posets.ENUM_GUARD == 8
         code, rep = run(capsys, [
-            "enumerate", "--size", str(cli.ENUM_MAX_SIZE + 1), "--seed", "0",
+            "enumerate", "--size", str(posets.ENUM_GUARD + 1), "--seed", "0",
         ])
         assert code == cli.EXIT_GUARD
-        assert rep["error"] == "enumerate guard: size <= 7"
+        assert rep["error"] == "enumerate_height_one supports 1 <= n <= 8"

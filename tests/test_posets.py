@@ -235,14 +235,9 @@ class TestNerve:
 
 class TestEnumerate:
     def test_small_counts(self):
-        assert len(enumerate_height_one(2)) == 1
-        assert len(enumerate_height_one(3)) == 2
-        # frozen golden values, confirmed by the exhaustive oracle below
-        # for n = 4, 5
-        assert len(enumerate_height_one(4)) == 4
-        assert len(enumerate_height_one(5)) == 10
-        assert len(enumerate_height_one(6)) == 27
-        assert len(enumerate_height_one(7)) == 88
+        # OEIS A007776; the oracles below confirm them for n <= 6.
+        counts = [len(enumerate_height_one(n)) for n in range(1, 9)]
+        assert counts == [1, 1, 2, 4, 10, 27, 88, 328]
 
     def test_guard(self):
         with pytest.raises(GuardError):
@@ -258,7 +253,7 @@ class TestEnumerate:
             assert hasse_graph_properties(P)["connected"]
 
     def test_component_connectivity_matches_networkx(self):
-        # The connectivity test of enumeration: minimal a is vertex a,
+        # Laid out as enumeration lays it out: minimal a is vertex a,
         # maximal b is vertex k + b, and the BFS starts at vertex 0.
         for k, m in itertools.product(range(1, 5), repeat=2):
             if k + m > 5:
@@ -277,23 +272,50 @@ class TestEnumerate:
                 assert (even | odd == (1 << (k + m)) - 1) == nx.is_connected(G)
 
     def test_no_isomorphic_pair(self):
-        # brute-force check over all bipartition-respecting bijections
-        for n in (4, 5):
-            classes = enumerate_height_one(n)
-            for P, Q in itertools.combinations(classes, 2):
-                assert not _isomorphic(P, Q)
+        for n in range(1, 8):
+            for group in _classes_by_degrees(n).values():
+                for G, H in itertools.combinations(group, 2):
+                    assert not nx.is_isomorphic(G, H, node_match=_SAME_SIDE)
+
+    def test_complete(self):
+        # Every connected labeled height-one poset on n elements, minimal
+        # elements 1..k, is isomorphic to exactly one class.
+        for n in range(2, 7):
+            classes = _classes_by_degrees(n)
+            for k in range(1, n):
+                cells = [(a, b) for a in range(1, k + 1) for b in range(k + 1, n + 1)]
+                for bits in range(1 << len(cells)):
+                    edges = [cells[t] for t in range(len(cells)) if bits >> t & 1]
+                    G = _side_graph(range(1, n + 1), edges)
+                    if not nx.is_connected(G):
+                        continue
+                    matches = [
+                        H for H in classes.get(_degrees(G), [])
+                        if nx.is_isomorphic(G, H, node_match=_SAME_SIDE)
+                    ]
+                    assert len(matches) == 1, (n, edges)
 
 
-def _isomorphic(P, Q):
-    p_min = sorted(e for e in P.elements if not any(b == e for (_, b) in P.relation))
-    q_min = sorted(e for e in Q.elements if not any(b == e for (_, b) in Q.relation))
-    p_max = sorted(set(P.elements) - set(p_min))
-    q_max = sorted(set(Q.elements) - set(q_min))
-    if (len(p_min), len(p_max)) != (len(q_min), len(q_max)):
-        return False
-    for pi in itertools.permutations(q_min):
-        for pj in itertools.permutations(q_max):
-            send = dict(zip(p_min, pi)) | dict(zip(p_max, pj))
-            if {(send[a], send[b]) for a, b in P.relation} == set(Q.relation):
-                return True
-    return False
+_SAME_SIDE = nx.algorithms.isomorphism.categorical_node_match("minimal", None)
+
+
+def _side_graph(elements, edges):
+    """Undirected Hasse diagram with each vertex marked minimal or not."""
+    upper = {b for _, b in edges}
+    G = nx.Graph()
+    G.add_nodes_from((e, {"minimal": e not in upper}) for e in elements)
+    G.add_edges_from(edges)
+    return G
+
+
+def _degrees(G):
+    """The sorted (side, degree) pairs: the split and both degree sequences."""
+    return tuple(sorted((side, G.degree(v)) for v, side in G.nodes(data="minimal")))
+
+
+def _classes_by_degrees(n):
+    classes = {}
+    for P in enumerate_height_one(n):
+        G = _side_graph(P.elements, hasse(P))
+        classes.setdefault(_degrees(G), []).append(G)
+    return classes
