@@ -4,7 +4,9 @@ elimination kernel.
 Rows are dicts mapping column index -> nonzero Fraction.  ``exactla``
 builds rank, kernel, solve and inverse on ``eliminate``, and
 ``liealg`` calls it directly for spans and the structure-constant
-factorization.
+factorization.  Every mode runs the same forward elimination; the reduced
+form is a back-substitution pass after it, and both are built from the
+one row operation ``_reduce_row``.
 """
 
 from fractions import Fraction
@@ -17,60 +19,43 @@ def eliminate(rows, n_cols, pivot_limit=None, reduce_full=False):
 
     pivot_cols: sorted list of pivot column indices (all < pivot_limit).
     pivot_rows: dict pivot col -> row dict, normalized so the pivot entry
-    is 1.
+    is 1, in the order the pivots were found.
 
-    With ``reduce_full`` the result is a reduced echelon form maintained
-    incrementally (Gauss-Jordan): no pivot row contains another pivot
-    column, so kernel vectors and solutions can be read off directly.
-    Without it only a forward echelon form is produced, which is all a
-    rank computation needs.
+    The forward pass reduces each row against the pivot rows found so far
+    and pivots on what is left, so every pivot row holds no column left of
+    its pivot: an echelon form, which is all a rank computation needs.
+    With ``reduce_full`` the pivot rows are then back-substituted from the
+    last pivot column to the first into the reduced echelon form, which is
+    unique: no pivot row contains another pivot column, so kernel vectors
+    and solutions can be read off directly.
 
     Entries at columns >= pivot_limit (e.g. an augmented right-hand side)
     are carried along but never pivoted on.  Rows are consumed in order of
     increasing sparsity; within a row the smallest eligible column becomes
-    the pivot.
+    the pivot.  The input rows are not modified.
     """
     if pivot_limit is None:
         pivot_limit = n_cols
     pivot_rows = {}
-    occupancy = {}  # col -> set of pivot cols whose rows contain col
-    work = sorted((dict(r) for r in rows if r), key=len)
-    for row in work:
+    for row in sorted((dict(r) for r in rows if r), key=len):
         _reduce_row(row, pivot_rows, pivot_limit)
         cols = [c for c in row if c < pivot_limit]
-        if not cols:
-            continue
-        piv = min(cols)
-        inv = 1 / row[piv]
-        new_row = {c: v * inv for c, v in row.items()}
-        pivot_rows[piv] = new_row
-        if not reduce_full:
-            continue
-        for c in new_row:
-            occupancy.setdefault(c, set()).add(piv)
-        # Clear the new pivot column from every older pivot row; new_row
-        # holds no other pivot columns, so the Jordan invariant survives.
-        for q in list(occupancy.get(piv, ())):
-            if q == piv:
-                continue
-            q_row = pivot_rows[q]
-            f = q_row.pop(piv)
-            occupancy[piv].discard(q)
-            for cc, v in new_row.items():
-                if cc == piv:
-                    continue
-                nv = q_row.get(cc, ZERO) - f * v
-                if nv:
-                    if cc not in q_row:
-                        occupancy.setdefault(cc, set()).add(q)
-                    q_row[cc] = nv
-                elif cc in q_row:
-                    del q_row[cc]
-                    occupancy[cc].discard(q)
-    return sorted(pivot_rows), pivot_rows
+        if cols:
+            piv = min(cols)
+            inv = 1 / row[piv]
+            pivot_rows[piv] = {c: v * inv for c, v in row.items()}
+    pivots = sorted(pivot_rows)
+    if reduce_full:
+        done = {}
+        for p in reversed(pivots):
+            _reduce_row(pivot_rows[p], done, pivot_limit)
+            done[p] = pivot_rows[p]
+    return pivots, pivot_rows
 
 
 def _reduce_row(row, pivot_rows, pivot_limit):
+    """Subtract multiples of ``pivot_rows`` from ``row`` in place until it
+    holds none of their pivot columns."""
     while True:
         hit = -1
         for c in row:

@@ -156,7 +156,7 @@ def _weight_keys(g):
     packing them in base 2 * (dim + 1) * M + 1 is additive and injective:
     a cochain has weight 0 exactly when its key sum is 0.
     """
-    roots = g.roots if g.roots is not None else liealg.cartan_weyl_extract(g)
+    roots = liealg.root_values(g)
     scale = math.lcm(*(v.denominator for alpha in roots.values() for v in alpha))
     ints = {t: [int(v * scale) for v in alpha] for t, alpha in roots.items()}
     bound = max((abs(v) for alpha in ints.values() for v in alpha), default=0)

@@ -88,9 +88,6 @@ class SparseMat:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        return hash((self.n_rows, self.n_cols, frozenset(self.entries.items())))
-
     def __repr__(self):
         return f"SparseMat({self.n_rows}x{self.n_cols}, {len(self.entries)} entries)"
 

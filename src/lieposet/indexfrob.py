@@ -60,11 +60,7 @@ class IndexCertificate:
     def to_json(self):
         return {
             "index": self.index,
-            "witness": [
-                [c.numerator, c.denominator] for c in self.witness.coords
-            ]
-            if self.witness is not None
-            else None,
+            "witness": [[c.numerator, c.denominator] for c in self.witness.coords],
             "trials": self.trials,
             "entry_bound": self.entry_bound,
             "seed": self.seed,
@@ -237,7 +233,7 @@ def block_form(g):
             raise BlockFormError("nonzero bracket between Cartan generators")
         if i >= cc and j >= cc and vec:
             raise BlockFormError("nonzero bracket between two root vectors")
-    roots = g.roots if g.roots is not None else liealg.cartan_weyl_extract(g)
+    roots = liealg.root_values(g)
     ents = {}
     for t in g.root_indices():
         for k, val in enumerate(roots[t]):

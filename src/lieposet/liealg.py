@@ -340,6 +340,12 @@ def cartan_weyl_extract(g):
     return _root_values(g.brackets, g.cartan_count, g.basis_labels)
 
 
+def root_values(g):
+    """The root values of g: those ``build`` recorded, else extracted and
+    verified by cartan_weyl_extract."""
+    return g.roots if g.roots is not None else cartan_weyl_extract(g)
+
+
 def _root_values(brackets, cartan_count, labels):
     for k in range(cartan_count):
         for l in range(k + 1, cartan_count):

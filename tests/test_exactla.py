@@ -10,30 +10,31 @@ from lieposet import _elim_py, exactla
 from lieposet.exactla import SparseMat
 
 
-def dense_rank_oracle(rows):
-    """Naive dense Gaussian elimination, written independently of the
-    sparse kernel, used as the rank oracle."""
+def dense_rref(rows):
+    """Naive dense Gauss-Jordan elimination, written independently of the
+    sparse kernel: the reduced row echelon form as {pivot col: {col: value}}
+    with zero entries dropped, the kernel's output format."""
     m = [[Fraction(v) for v in r] for r in rows]
-    n_rows = len(m)
     n_cols = len(m[0]) if m else 0
-    rank = 0
+    pivots = []
     for col in range(n_cols):
-        piv = None
-        for r in range(rank, n_rows):
-            if m[r][col]:
-                piv = r
-                break
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
         inv = 1 / m[rank][col]
         m[rank] = [x * inv for x in m[rank]]
-        for r in range(n_rows):
+        for r in range(len(m)):
             if r != rank and m[r][col]:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return {p: {c: v for c, v in enumerate(m[r]) if v} for r, p in enumerate(pivots)}
+
+
+def dense_rank_oracle(rows):
+    return len(dense_rref(rows))
 
 
 def random_dense(rng, n_rows, n_cols, bound=5):
@@ -210,12 +211,28 @@ def fraction_matrices(draw):
     ]
 
 
+def _sparse(rows):
+    return [{j: v for j, v in enumerate(r) if v} for r in rows]
+
+
+def _check_kernel_against_rref(rows, n_cols, pivot_limit, want):
+    # Both modes pick the same pivots, the reduced mode's rows are the
+    # unique RREF dict for dict, and neither mode touches its input.
+    snapshot = [dict(r) for r in rows]
+    pivots, red = _elim_py.eliminate(rows, n_cols, pivot_limit, reduce_full=True)
+    assert red == want
+    assert pivots == sorted(want)
+    rank_pivots, _ = _elim_py.eliminate(rows, n_cols, pivot_limit)
+    assert rank_pivots == pivots
+    assert rows == snapshot
+    return pivots, red
+
+
 @settings(max_examples=100, deadline=None)
 @given(fraction_matrices())
 def test_eliminate_against_dense_oracle(rows):
     n_cols = len(rows[0])
-    dict_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
-    pivots, red = _elim_py.eliminate(dict_rows, n_cols, reduce_full=True)
+    pivots, red = _check_kernel_against_rref(_sparse(rows), n_cols, None, dense_rref(rows))
     assert len(pivots) == dense_rank_oracle(rows)
     assert pivots == sorted(red)
     # Reduced echelon form: pivot entry 1, no other pivot column in its row.
@@ -234,6 +251,26 @@ def test_eliminate_against_dense_oracle(rows):
     assert len(basis) == n_cols - len(pivots)
     for v in basis:
         assert all(x == 0 for x in M.mat_vec(list(v)))
+
+
+@st.composite
+def consistent_systems(draw):
+    """An augmented matrix [A | A X]: its right-hand columns lie in the
+    column span of A, so the RREF has no pivot past A's width."""
+    A = draw(fraction_matrices())
+    width = len(A[0])
+    k = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    X = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(width)]
+    aug = [r + [sum(r[i] * X[i][j] for i in range(width)) for j in range(k)] for r in A]
+    return aug, width
+
+
+@settings(max_examples=60, deadline=None)
+@given(consistent_systems())
+def test_augmented_reduced_mode_equals_dense_rref(system):
+    aug, width = system
+    _check_kernel_against_rref(_sparse(aug), len(aug[0]), width, dense_rref(aug))
 
 
 def test_augmented_column_never_pivots():

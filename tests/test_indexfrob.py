@@ -22,14 +22,14 @@ from lieposet.indexfrob import (
     spectrum,
     structured_candidate,
 )
-from lieposet.liealg import build, derived_series, make_phi
+from lieposet.liealg import build, check_jacobi, derived_series, make_phi
 from lieposet.posets import (
     antichain_poset,
     chain_poset,
     branch_poset,
     hexagon_type_c_poset,
 )
-from strategies import valid_posets
+from strategies import algebras, valid_posets
 
 HALF = Fraction(1, 2)
 
@@ -116,6 +116,34 @@ class TestIndex:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             index(make_phi(1), trials=0)
+
+
+class TestFamilyProperties:
+    """Jacobi, the skew Kirillov rank and a seed-free index on generated
+    posets of all four families."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(algebras("ABCD"))
+    def test_jacobi(self, g):
+        assert check_jacobi(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_kirillov_rank_is_even(self, data):
+        g = data.draw(algebras("ABCD"))
+        coords = data.draw(st.lists(st.integers(-9, 9), min_size=g.dim, max_size=g.dim))
+        assert exactla.rank(eval_kirillov(g, Functional.from_list(coords))) % 2 == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(algebras("ABCD"))
+    def test_index_is_seed_free_and_read_off_the_root_block(self, g):
+        values = {index(g, seed=s).index for s in range(3)}
+        assert len(values) == 1
+        try:
+            B = block_form(g)
+        except BlockFormError:
+            return
+        assert values == {g.dim - 2 * exactla.rank(B)}
 
 
 class TestFrobeniusFunctional:

@@ -224,6 +224,8 @@ class TestCartanWeyl:
         )
         with pytest.raises(CartanWeylError):
             liealg.cartan_weyl_extract(bad)
+        with pytest.raises(CartanWeylError):
+            liealg.root_values(bad)
 
 
 class TestMakePhi:
