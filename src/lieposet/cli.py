@@ -9,6 +9,7 @@ reproducible.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -234,14 +235,12 @@ def build_parser():
     p = sub.add_parser("build", help="construct the algebra, report shape")
     common(p)
     p.add_argument("--dump-algebra", action="store_true")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("index", help="index certificate, Frobenius data")
     common(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--bound", type=int, default=10**6)
-    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("cohomology", help="Chevalley-Eilenberg dims at a degree")
     common(p)
@@ -249,18 +248,15 @@ def build_parser():
     p.add_argument("--max-dim", type=int, default=cohomology.DEFAULT_MAX_DIM)
     p.add_argument("--dump-complex", metavar="PATH",
                    help="write coboundary matrices as sparse triplets")
-    p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("classify", help="solvability class and normal form")
     common(p)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=suites.SUITES)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="height-one family-A posets up to iso")
     p.add_argument("--size", type=int, required=True)
@@ -268,15 +264,20 @@ def build_parser():
     p.add_argument("--variant", choices=("gl", "sl"), default="sl")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=cmd_enumerate)
 
     return top
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up per call, so a rebound cmd_* (a tracer, a test) is reached.
+        return globals()[f"cmd_{args.command}"](args)
     except CliInputError as e:
         _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, True)
         return EXIT_INPUT

@@ -1,10 +1,14 @@
 """Index, Frobenius functionals, block form, normalization, and spectra.
 
-The index is computed by evaluating the commutator tensor at functionals:
-an exactly nonsingular evaluation proves index 0 outright, while positive
-index claims are probabilistic (rank of a random evaluation can only
-undershoot the generic rank, off a hypersurface of functionals) and the
-certificate says so.
+On a two-step algebra (one whose root block ``block_form`` reads) the
+index is exact: in the Cartan-first basis the Kirillov matrix at f is
+[[0, B D_f], [-(B D_f)^T, 0]] with D_f = diag(f(e_t)), so
+ind g = dim - 2 rank(B), and the structured candidate attains that rank.
+Every other algebra is evaluated at random functionals: an exactly
+nonsingular evaluation proves index 0 outright, while a positive index is
+probabilistic (the rank of a random evaluation can only undershoot the
+generic rank, off a hypersurface of functionals), and the certificate says
+so and carries the Schwartz-Zippel bound on the chance that it is wrong.
 """
 
 import random
@@ -48,6 +52,8 @@ class Functional:
 class IndexCertificate:
     index: int
     witness: Functional
+    # Random trials allowed, all run unless one is nonsingular; 0 when the
+    # index was read off the root block.
     trials: int
     entry_bound: int
     seed: int
@@ -57,16 +63,36 @@ class IndexCertificate:
         """Index 0 is proved by the witness's exactly nonsingular evaluation."""
         return self.index == 0
 
+    @property
+    def error_bound(self):
+        """Schwartz-Zippel bound on the chance that a positive index from
+        random trials is too large; None when the index is exact (read off
+        the root block, or 0 as proved by the witness).
+
+        A trial undershoots the generic rank r only where an r x r minor,
+        a polynomial of degree r in f's coordinates, vanishes: with
+        probability at most r / (2 entry_bound + 1).  The rank is even and
+        at most dim, so r <= d, the largest even number <= dim.
+        """
+        if self.trials == 0 or self.index == 0:
+            return None
+        d = len(self.witness.coords) // 2 * 2
+        return Fraction(d, 2 * self.entry_bound + 1) ** self.trials
+
     def to_json(self):
-        return {
+        bound = self.error_bound
+        out = {
             "index": self.index,
             "witness": [[c.numerator, c.denominator] for c in self.witness.coords],
             "trials": self.trials,
             "entry_bound": self.entry_bound,
             "seed": self.seed,
             "certified_frobenius": self.certified_frobenius,
-            "claim": "exact" if self.index == 0 else "probabilistic-upper-rank",
+            "claim": "exact" if bound is None else "probabilistic-upper-rank",
         }
+        if bound is not None:
+            out["error_bound"] = f"{bound.numerator}/{bound.denominator}"
+        return out
 
 
 def eval_kirillov(g, f):
@@ -90,13 +116,30 @@ def _random_functional(dim, entry_bound, seed, trial):
 
 
 def index(g, trials=3, entry_bound=10**6, seed=0):
-    """Index certificate by randomized evaluation of the commutator tensor.
+    """Index certificate of g.
 
+    When block_form reads the root block B, the index is dim - 2 rank(B)
+    exactly, with the structured candidate as witness and no random trial
+    (``trials`` 0 in the certificate).  Otherwise the commutator tensor is
+    evaluated at up to ``trials`` random functionals with entries in
+    [-entry_bound, entry_bound], stopping at the first nonsingular one.
     Deterministic given (seed, trials, entry_bound); per-trial generators
     are derived from the seed by trial number, so trials are order-free.
     """
     if trials < 1:
         raise IndexError_("trials must be >= 1")
+    try:
+        B = block_form(g)
+    except (BlockFormError, liealg.CartanWeylError):
+        pass
+    else:
+        return IndexCertificate(
+            index=g.dim - 2 * exactla.rank(B),
+            witness=structured_candidate(g),
+            trials=0,
+            entry_bound=entry_bound,
+            seed=seed,
+        )
     best_rank, best_witness = -1, None
     for trial in range(trials):
         f = _random_functional(g.dim, entry_bound, seed, trial)
@@ -105,11 +148,8 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
             best_rank, best_witness = r, f
         if best_rank == g.dim:
             break
-    if g.dim == 0:
-        best_rank, best_witness = 0, Functional(coords=())
-    idx = g.dim - best_rank
     return IndexCertificate(
-        index=idx,
+        index=g.dim - best_rank,
         witness=best_witness,
         trials=trials,
         entry_bound=entry_bound,

@@ -127,27 +127,32 @@ class TestIndex:
             assert rep["results"]["frobenius_functional"] == [
                 f"{c.numerator}/{c.denominator}" for c in f.coords]
             assert (f == cand) != structured_singular
+            # The two-step hexagon's witness is the candidate itself, read
+            # off the root block; branch's is a random trial.
+            assert rep["results"]["certificate"]["trials"] == (3 if structured_singular else 0)
+            assert (cert.witness == cand) != structured_singular
 
-    @pytest.mark.parametrize("poset, variant, candidate_evaluations", (
-        ("hexagon", "gl", 1),
-        ("branch", "sl", 2),
+    @pytest.mark.parametrize("poset, variant, calls_in_index, candidate_evaluations", (
+        pytest.param("hexagon", "gl", {"eval_kirillov": 0, "rank": 1}, 1, id="hexagon-gl-1"),
+        pytest.param("branch", "sl", {"eval_kirillov": 1, "rank": 1}, 2, id="branch-sl-2"),
     ))
     def test_one_kirillov_matrix_per_functional(
-        self, capsys, request, monkeypatch, poset, variant, candidate_evaluations
+        self, capsys, request, monkeypatch, poset, variant, calls_in_index,
+        candidate_evaluations,
     ):
-        # After the index trials, the report evaluates the structured
-        # candidate once (and the witness once more if the candidate is
-        # singular), and never ranks it: one inversion decides and gives
-        # the principal element.
+        # index ranks the root block of the two-step hexagon once and
+        # evaluates no functional; branch is not two-step, so index evaluates
+        # and ranks random trials until one is nonsingular (the first, at
+        # seed 0).  The report then evaluates the structured candidate once
+        # (and the witness once more if the candidate is singular), and
+        # never ranks it: one inversion decides and gives the principal
+        # element.
         path = request.getfixturevalue(f"{poset}_file")
         P = hexagon_type_c_poset() if poset == "hexagon" else posets.branch_poset()
         g = build(P, variant)
-        trials = []
-        for trial in range(3):
-            f = indexfrob._random_functional(g.dim, 10**6, 0, trial)
-            trials.append(f)
-            if exactla.rank(indexfrob.eval_kirillov(g, f)) == g.dim:
-                break
+        if poset == "branch":
+            f = indexfrob._random_functional(g.dim, 10**6, 0, 0)
+            assert exactla.rank(indexfrob.eval_kirillov(g, f)) == g.dim
         calls = {"eval_kirillov": 0, "rank": 0}
 
         def counting(name, fn):
@@ -161,8 +166,10 @@ class TestIndex:
         monkeypatch.setattr(exactla, "rank", counting("rank", exactla.rank))
         code, rep = run(capsys, ["index", path, "--variant", variant, "--seed", "0"])
         assert code == 0 and rep["results"]["certificate"]["certified_frobenius"]
-        assert calls == {"eval_kirillov": len(trials) + candidate_evaluations,
-                         "rank": len(trials)}
+        assert calls == {
+            "eval_kirillov": calls_in_index["eval_kirillov"] + candidate_evaluations,
+            "rank": calls_in_index["rank"],
+        }
 
     @pytest.mark.parametrize("bound", ("0", "-3"))
     def test_bound_below_one_rejected(self, capsys, branch_file, bound):
@@ -192,6 +199,35 @@ class TestIndex:
         rep1.pop("wall_time_s")
         rep2.pop("wall_time_s")
         assert rep1 == rep2
+
+
+class TestDispatch:
+    def test_parser_is_built_once(self, capsys, monkeypatch, branch_file):
+        run(capsys, ["build", branch_file])
+
+        def no_rebuild():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli, "build_parser", no_rebuild)
+        code, rep = run(capsys, ["build", branch_file])
+        assert code == cli.EXIT_OK and rep["results"]["dim"] == 9
+
+    def test_rebound_command_is_reached_after_a_call(self, capsys, monkeypatch, branch_file):
+        # The command is looked up when called, so a cmd_* rebound after the
+        # parser exists (by a tracer or a test) is the one that runs.
+        code, _ = run(capsys, ["index", branch_file, "--seed", "0"])
+        assert code == cli.EXIT_OK
+        seen = []
+
+        def stub(args):
+            seen.append(args.seed)
+            raise cli.CliInputError("stub")
+
+        monkeypatch.setattr(cli, "cmd_index", stub)
+        code, rep = run(capsys, ["index", branch_file, "--seed", "4"])
+        assert seen == [4]
+        assert code == cli.EXIT_INPUT
+        assert rep == {"schema": cli.SCHEMA, "error": "stub", "kind": "input"}
 
 
 class TestInternalError:

@@ -92,11 +92,49 @@ class TestIndex:
             assert index(make_phi(n), seed=0).index == 0
 
     def test_chain2_gl(self):
-        # gl realization carries the central identity matrix: index 1
-        cert = index(build(chain_poset(2), "gl"), seed=0)
+        # gl realization carries the central identity matrix: index 1,
+        # read off the root block of this two-step algebra.
+        g = build(chain_poset(2), "gl")
+        cert = index(g, seed=0)
         assert cert.index == 1
         assert not cert.certified_frobenius
-        assert cert.to_json()["claim"] == "probabilistic-upper-rank"
+        assert cert.trials == 0 and cert.witness == structured_candidate(g)
+        assert cert.error_bound is None
+        assert cert.to_json()["claim"] == "exact"
+        assert "error_bound" not in cert.to_json()
+
+    def test_chain3_gl_is_probabilistic_with_schwartz_zippel_bound(self):
+        # Three-step, so the trial path: dim 6, d = 6, three trials.
+        g = build(chain_poset(3), "gl")
+        cert = index(g, trials=3, entry_bound=10, seed=0)
+        assert cert.index == 2 and cert.trials == 3
+        assert cert.error_bound == Fraction(6, 21) ** 3
+        doc = cert.to_json()
+        assert doc["claim"] == "probabilistic-upper-rank"
+        assert doc["error_bound"] == "8/343"
+
+    def test_error_bound_uses_largest_even_rank(self):
+        # branch gl has odd dim 9, so the rank is at most d = 8.  Entries in
+        # {-1, 0, 1} give a vacuous bound, and these trials do undershoot.
+        g = build(branch_poset(), "gl")
+        assert index(g, seed=0).index == 1
+        cert = index(g, trials=2, entry_bound=1, seed=0)
+        assert cert.index == 3
+        assert cert.to_json()["error_bound"] == "64/9"
+
+    def test_trial_path_frobenius_is_exact_without_bound(self):
+        g = build(branch_poset(), "sl")
+        cert = index(g, seed=0)
+        assert cert.index == 0 and cert.trials == 3
+        assert cert.to_json()["claim"] == "exact"
+        assert cert.error_bound is None and "error_bound" not in cert.to_json()
+
+    def test_algebra_without_cartan_weyl_form_takes_the_trial_path(self):
+        # [d, e] = d + e: no root block to read, yet index 0 by trials.
+        g = liealg.LieAlg(dim=2, basis_labels=("d", "e"),
+                          brackets={(0, 1): {0: ONE, 1: ONE}}, cartan_count=1)
+        cert = index(g, seed=0)
+        assert cert.index == 0 and cert.trials == 3
 
     def test_abelian_index_is_dim(self):
         g = build(antichain_poset(3), "gl")
@@ -118,6 +156,15 @@ class TestIndex:
             index(make_phi(1), trials=0)
 
 
+def trial_rank(g, trials=3):
+    """The largest Kirillov rank over ``trials`` random functionals, ranked
+    directly: an oracle for the index that never reads the root block."""
+    return max(
+        exactla.rank(eval_kirillov(g, indexfrob._random_functional(g.dim, 10**6, 0, t)))
+        for t in range(trials)
+    )
+
+
 class TestFamilyProperties:
     """Jacobi, the skew Kirillov rank and a seed-free index on generated
     posets of all four families."""
@@ -136,14 +183,29 @@ class TestFamilyProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(algebras("ABCD"))
-    def test_index_is_seed_free_and_read_off_the_root_block(self, g):
+    def test_index_is_seed_free(self, g):
         values = {index(g, seed=s).index for s in range(3)}
         assert len(values) == 1
-        try:
-            B = block_form(g)
-        except BlockFormError:
+
+    @settings(max_examples=100, deadline=None)
+    @given(algebras("ABCD"))
+    def test_exact_index_matches_random_trials_on_two_step(self, g):
+        # Two-step decided by the derived series, not by block_form.
+        if derived_series(g)[2] > 2:
             return
-        assert values == {g.dim - 2 * exactla.rank(B)}
+        cert = index(g, seed=0)
+        assert cert.to_json()["claim"] == "exact" and cert.trials == 0
+        assert g.dim - cert.index == trial_rank(g)
+        assert exactla.rank(eval_kirillov(g, cert.witness)) == g.dim - cert.index
+
+
+def test_exact_index_matches_random_trials_on_height_one():
+    # Every height-one class of sizes 1-7, gl and sl: all two-step.
+    for g in HEIGHT_ONE:
+        cert = index(g, seed=0)
+        assert cert.trials == 0 and cert.to_json()["claim"] == "exact"
+        assert g.dim - cert.index == trial_rank(g)
+        assert exactla.rank(eval_kirillov(g, cert.witness)) == g.dim - cert.index
 
 
 class TestFrobeniusFunctional:
@@ -198,10 +260,16 @@ class TestPrincipalElement:
 
     @staticmethod
     def _check_against_oracle(g):
+        # The certificate's witness is the structured candidate on two-step
+        # algebras, so a random functional is checked too when nonsingular.
         cert = index(g, seed=0)
         if cert.index != 0 or not g.dim:
             return False
-        for f in {frobenius_functional(g, cert), cert.witness}:
+        functionals = {frobenius_functional(g, cert), cert.witness}
+        f = indexfrob._random_functional(g.dim, 10**6, 0, 0)
+        if exactla.rank(eval_kirillov(g, f)) == g.dim:
+            functionals.add(f)
+        for f in functionals:
             assert principal_element(g, f) == principal_element_oracle(g, f)
         return True
 
