@@ -1,17 +1,19 @@
 """Sparse Gaussian elimination over the rationals, the package's one
 elimination kernel.
 
-Rows are dicts mapping column index -> nonzero Fraction.  ``exactla``
-builds rank, kernel, solve and inverse on ``eliminate``, and
-``liealg`` calls it directly for spans and the structure-constant
-factorization.  Every mode runs the same forward elimination; the reduced
-form is a back-substitution pass after it, and both are built from the
-one row operation ``_reduce_row``.
+Rows are dicts mapping column index -> nonzero Fraction or int; pivot
+rows are normalized by a Fraction reciprocal, so int input stays exact.
+``exactla`` builds rank, kernel, solve and inverse on ``eliminate``, and
+``liealg`` calls it directly for spans and for the rank of the Cartan
+diagonals in ``build``.  Every mode runs the same forward elimination;
+the reduced form is a back-substitution pass after it, and both are
+built from the one row operation ``_reduce_row``.
 """
 
 from fractions import Fraction
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def eliminate(rows, n_cols, pivot_limit=None, reduce_full=False):
@@ -42,7 +44,7 @@ def eliminate(rows, n_cols, pivot_limit=None, reduce_full=False):
         cols = [c for c in row if c < pivot_limit]
         if cols:
             piv = min(cols)
-            inv = 1 / row[piv]
+            inv = ONE / row[piv]
             pivot_rows[piv] = {c: v * inv for c, v in row.items()}
     pivots = sorted(pivot_rows)
     if reduce_full:

@@ -146,7 +146,15 @@ def cmd_classify(args):
     started = time.monotonic()
     P, digest = _read_poset(args.file)
     g = liealg.build(P, variant=args.variant)
-    _, derived_length, k_step = liealg.derived_series(g)
+    try:
+        indexfrob.block_form(g)
+    except (indexfrob.BlockFormError, liealg.CartanWeylError):
+        _, derived_length, k_step = liealg.derived_series(g)
+    else:
+        # A clean block-form scan puts [g, g] in the abelian span of the
+        # root vectors: g is two-step unless every bracket vanishes.
+        derived_length = 1 if any(g.brackets.values()) else 0
+        k_step = derived_length + 1
     cert = indexfrob.index(g, seed=args.seed)
     results = {
         "dim": g.dim,

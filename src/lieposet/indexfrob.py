@@ -52,8 +52,8 @@ class Functional:
 class IndexCertificate:
     index: int
     witness: Functional
-    # Random trials allowed, all run unless one is nonsingular; 0 when the
-    # index was read off the root block.
+    # Random trials run: all allowed unless one was nonsingular, where the
+    # loop stops; 0 when the index was read off the root block.
     trials: int
     entry_bound: int
     seed: int
@@ -122,9 +122,10 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
     exactly, with the structured candidate as witness and no random trial
     (``trials`` 0 in the certificate).  Otherwise the commutator tensor is
     evaluated at up to ``trials`` random functionals with entries in
-    [-entry_bound, entry_bound], stopping at the first nonsingular one.
-    Deterministic given (seed, trials, entry_bound); per-trial generators
-    are derived from the seed by trial number, so trials are order-free.
+    [-entry_bound, entry_bound], stopping at the first nonsingular one;
+    the certificate records the trials run.  Deterministic given (seed,
+    trials, entry_bound); per-trial generators are derived from the seed
+    by trial number, so trials are order-free.
     """
     if trials < 1:
         raise IndexError_("trials must be >= 1")
@@ -151,7 +152,7 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
     return IndexCertificate(
         index=g.dim - best_rank,
         witness=best_witness,
-        trials=trials,
+        trials=trial + 1,
         entry_bound=entry_bound,
         seed=seed,
     )

@@ -10,7 +10,9 @@ generators first, then root vectors.
 (d_1..d_n, e_1..e_n) and the single family of relations [d_i, e_i] = e_i.
 """
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from . import exactla
@@ -23,7 +25,8 @@ class LieAlgError(ValueError):
 
 
 class ClosureError(LieAlgError):
-    """Constructed basis not closed under the bracket (internal guard)."""
+    """Constructed basis dependent, not of the shape the structure constants
+    are read off, or not closed under the bracket (internal guard)."""
 
 
 class CartanWeylError(LieAlgError):
@@ -231,64 +234,81 @@ def _structure_constants(mats, labels):
     """brackets[(i, j)] = {k: c_k}, k ascending, with [M_i, M_j] = sum c_k M_k
     for every nonzero commutator of the basis matrices ``mats``.
 
-    One Gauss-Jordan elimination of the basis, taken as rows over matrix
-    positions and augmented by the identity, picks dim positions at which
-    the stacked basis is invertible and inverts that block in the same
-    pass; the coordinates of a commutator are the inverse applied to its
-    entries at those positions, and each is checked exactly by summing the
-    basis back.  Raises ClosureError when the basis is dependent or a
-    commutator falls outside its span.
+    No elimination: the coordinates are read off.  The basis must have the
+    shape of a Lie poset algebra's.  The diagonal matrices are the Cartan
+    generators.  Every other matrix, a root vector, has a private leading
+    slot: its first position in (row, column) order, off the diagonal and
+    nonzero in no other basis matrix.  So the root matrices are independent
+    of each other and of the Cartan ones, and the basis is independent when
+    the Cartan diagonals have full rank, the one rank computed here.  Every
+    commutator lies in the nilradical, the span of the root matrices, so
+    its coordinate on root vector k is its entry at k's slot over M_k's,
+    and each is checked exactly by summing the basis back.  The products
+    run on the entries as ints where they are integral (in ``build``, all
+    are) and only over the pairs in which a column of one matrix meets a
+    row of the other.
+
+    Raises ClosureError when a root matrix has no private off-diagonal
+    leading slot, when the basis is dependent, or when a commutator falls
+    outside the span of the root matrices.
     """
     dim = len(mats)
-    positions = sorted({p for M in mats for p in M.entries})
-    width = len(positions)
-    col_of = {p: c for c, p in enumerate(positions)}
-    rows = [{col_of[p]: v for p, v in M.entries.items()} for M in mats]
-    for k, row in enumerate(rows):
-        row[width + k] = ONE
-    pivots, red = exactla._elim.eliminate(
-        rows, width + dim, pivot_limit=width, reduce_full=True
-    )
-    if len(pivots) != dim:
-        raise ClosureError(
-            f"the {dim} basis matrices are dependent (rank {len(pivots)})"
-        )
-    pivot_of = {positions[c]: r for r, c in enumerate(pivots)}
-    # inverse_cols[r] = column r of the inverse of the pivot block, as
-    # {k: value}: past width, the reduced pivot row of position c holds it.
-    inverse_cols = [
-        {col - width: v for col, v in red[c].items() if col >= width}
-        for c in pivots
+    ents = [
+        {p: v.numerator if v.denominator == 1 else v for p, v in M.entries.items()}
+        for M in mats
     ]
-    by_row = [M.row_dicts() for M in mats]
-    rows_of = [{r for r, _ in M.entries} for M in mats]
-    cols_of = [{c for _, c in M.entries} for M in mats]
+    cartan, roots = [], []
+    for k, E in enumerate(ents):
+        (cartan if all(r == c for r, c in E) else roots).append(k)
+    touched = Counter(p for k in roots for p in ents[k])
+    slot_of = {}
+    for k in roots:
+        slot = min(ents[k])
+        if slot[0] == slot[1] or touched[slot] > 1:
+            raise ClosureError(
+                f"root matrix {labels[k]} has no private off-diagonal leading slot"
+            )
+        slot_of[slot] = k
+    size = mats[0].n_rows if mats else 0
+    diagonals = [{r: v for (r, _), v in mats[k].entries.items()} for k in cartan]
+    rank = len(roots) + len(exactla._elim.eliminate(diagonals, size)[0])
+    if rank != dim:
+        raise ClosureError(f"the {dim} basis matrices are dependent (rank {rank})")
+    by_row = []
+    row_to, col_to = defaultdict(set), defaultdict(set)
+    for k, E in enumerate(ents):
+        rows = defaultdict(dict)
+        for (r, c), v in E.items():
+            rows[r][c] = v
+            row_to[r].add(k)
+            col_to[c].add(k)
+        by_row.append(rows)
     brackets = {}
     for i in range(dim):
-        for j in range(i + 1, dim):
-            # M_i M_j is zero unless a column of M_i meets a row of M_j.
-            ij = not cols_of[i].isdisjoint(rows_of[j])
-            ji = not cols_of[j].isdisjoint(rows_of[i])
-            if not (ij or ji):
+        # M_i M_j needs a column of M_i to meet a row of M_j; M_j M_i the
+        # converse.
+        left = set().union(*(row_to[c] for _, c in ents[i]))
+        right = set().union(*(col_to[r] for r in by_row[i]))
+        for j in sorted(left | right):
+            if j <= i:
                 continue
-            comm = _product(mats[i], by_row[j]) if ij else {}
-            if ji:
-                for p, v in _product(mats[j], by_row[i]).items():
-                    comm[p] = comm.get(p, ZERO) - v
+            comm = _product(ents[i], by_row[j]) if j in left else {}
+            if j in right:
+                for p, v in _product(ents[j], by_row[i]).items():
+                    comm[p] = comm.get(p, 0) - v
             comm = {p: v for p, v in comm.items() if v}
             if not comm:
                 continue
             coords = {}
             for p, v in comm.items():
-                r = pivot_of.get(p)
-                if r is not None:
-                    for k, w in inverse_cols[r].items():
-                        coords[k] = coords.get(k, ZERO) + v * w
-            vec = {k: coords[k] for k in sorted(coords) if coords[k]}
+                k = slot_of.get(p)
+                if k is not None:
+                    coords[k] = Fraction(v, ents[k][p])
+            vec = {k: coords[k] for k in sorted(coords)}
             back = {}
             for k, c in vec.items():
-                for p, v in mats[k].entries.items():
-                    back[p] = back.get(p, ZERO) + c * v
+                for p, v in ents[k].items():
+                    back[p] = back.get(p, 0) + c * v
             if {p: v for p, v in back.items() if v} != comm:
                 raise ClosureError(
                     f"[{labels[i]}, {labels[j]}] falls outside the basis span"
@@ -298,11 +318,12 @@ def _structure_constants(mats, labels):
 
 
 def _product(A, B_rows):
-    """A B as {position: value}, zeros kept; B is given by its row dicts."""
+    """A B as {position: value}, zeros kept; A is given by its entries and
+    B by its row dicts."""
     out = {}
-    for (r, k), a in A.entries.items():
-        for c, b in B_rows[k].items():
-            out[(r, c)] = out.get((r, c), ZERO) + a * b
+    for (r, k), a in A.items():
+        for c, b in B_rows.get(k, {}).items():
+            out[(r, c)] = out.get((r, c), 0) + a * b
     return out
 
 
@@ -311,7 +332,8 @@ def build(P, variant="gl"):
 
     Family A uses the gl (default) or sl Cartan; families B/C/D ignore
     the variant.  Raises ClosureError if the constructed basis is
-    dependent or fails to close under the commutator (must not happen on
+    dependent, lacks the private leading slots the structure constants are
+    read at, or fails to close under the commutator (must not happen on
     valid input).
     """
     report = validate_family(P)

@@ -128,8 +128,9 @@ class TestIndex:
                 f"{c.numerator}/{c.denominator}" for c in f.coords]
             assert (f == cand) != structured_singular
             # The two-step hexagon's witness is the candidate itself, read
-            # off the root block; branch's is a random trial.
-            assert rep["results"]["certificate"]["trials"] == (3 if structured_singular else 0)
+            # off the root block; branch's is the first random trial, which
+            # is nonsingular at both seeds, so one trial ran.
+            assert rep["results"]["certificate"]["trials"] == (1 if structured_singular else 0)
             assert (cert.witness == cand) != structured_singular
 
     @pytest.mark.parametrize("poset, variant, calls_in_index, candidate_evaluations", (
@@ -306,6 +307,40 @@ class TestClassify:
         cls = rep["results"]["classification"]
         assert cls["applicable"] is False
         assert "index" in cls["reason"]
+
+    def test_step_count_matches_derived_series(self, capsys, monkeypatch, tmp_path):
+        # The step count is read off block_form; the derived series runs
+        # only where block_form fails, and both must agree with it.
+        cases = [(P, variant) for n in range(1, 7) for P in posets.enumerate_height_one(n)
+                 for variant in ("gl", "sl")]
+        chains = [(posets.chain_poset(n), variant) for n in range(2, 6) for variant in ("gl", "sl")]
+        branch = [(posets.branch_poset(), "gl"), (posets.branch_poset(), "sl")]
+        cases += chains + branch + [(hexagon_type_c_poset(), "gl")]
+        derived_series = liealg.derived_series
+        calls = []
+        monkeypatch.setattr(liealg, "derived_series", lambda g: calls.append(g) or derived_series(g))
+        path = tmp_path / "poset.json"
+        fallbacks, dims = [], set()
+        for P, variant in cases:
+            path.write_text(json.dumps(posets.poset_to_json(P)))
+            calls.clear()
+            code, rep = run(capsys, ["classify", str(path), "--variant", variant, "--seed", "0"])
+            assert code == 0
+            g = build(P, variant)
+            _, derived_length, k_step = derived_series(g)
+            res = rep["results"]
+            assert (res["derived_length"], res["k_step"]) == (derived_length, k_step)
+            try:
+                indexfrob.block_form(g)
+                fallback = False
+            except indexfrob.BlockFormError:
+                fallback = True
+                fallbacks.append((P, variant))
+            assert len(calls) == fallback
+            dims.add(g.dim)
+        # Only the three-step posets fall back: chain_poset(2) is two-step.
+        assert fallbacks == chains[2:] + branch
+        assert 0 in dims
 
 
 class TestVerify:

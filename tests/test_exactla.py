@@ -281,6 +281,27 @@ def test_augmented_column_never_pivots():
     assert red[1] == {1: Fraction(1), 2: Fraction(2)}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=1, max_size=5),
+       st.sampled_from((None, 2)))
+def test_int_rows_give_the_fraction_rows_results(rows, pivot_limit):
+    # Integer input must stay exact: every pivot row holds Fractions, equal
+    # to those of the same rows given as Fractions, in both modes.
+    ints = _sparse(rows)
+    fracs = [{c: Fraction(v) for c, v in r.items()} for r in ints]
+    for reduce_full in (False, True):
+        got = _elim_py.eliminate(ints, 4, pivot_limit, reduce_full=reduce_full)
+        assert got == _elim_py.eliminate(fracs, 4, pivot_limit, reduce_full=reduce_full)
+        assert all(type(v) is Fraction for r in got[1].values() for v in r.values())
+
+
+def test_int_pivot_is_inverted_exactly():
+    # 1 / 2 would be the float 0.5, and 1 / 3 an inexact one.
+    _, red = _elim_py.eliminate([{0: 2, 1: 1}, {0: 3, 1: 1}], 2)
+    assert red[0] == {0: 1, 1: Fraction(1, 2)} and type(red[0][1]) is Fraction
+    assert red[1] == {1: 1} and type(red[1][1]) is Fraction
+
+
 def test_names_the_benchmark_reads():
     # perfbench records lieposet.BACKEND and traces exactla._elim.eliminate.
     assert lieposet.BACKEND == "python"

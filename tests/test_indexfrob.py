@@ -104,7 +104,8 @@ class TestIndex:
         assert "error_bound" not in cert.to_json()
 
     def test_chain3_gl_is_probabilistic_with_schwartz_zippel_bound(self):
-        # Three-step, so the trial path: dim 6, d = 6, three trials.
+        # Three-step, so the trial path: dim 6, d = 6.  The index is
+        # positive, so no trial was nonsingular and all three ran.
         g = build(chain_poset(3), "gl")
         cert = index(g, trials=3, entry_bound=10, seed=0)
         assert cert.index == 2 and cert.trials == 3
@@ -123,9 +124,10 @@ class TestIndex:
         assert cert.to_json()["error_bound"] == "64/9"
 
     def test_trial_path_frobenius_is_exact_without_bound(self):
+        # The first functional is nonsingular, so one of three trials ran.
         g = build(branch_poset(), "sl")
         cert = index(g, seed=0)
-        assert cert.index == 0 and cert.trials == 3
+        assert cert.index == 0 and cert.trials == 1
         assert cert.to_json()["claim"] == "exact"
         assert cert.error_bound is None and "error_bound" not in cert.to_json()
 
@@ -134,7 +136,7 @@ class TestIndex:
         g = liealg.LieAlg(dim=2, basis_labels=("d", "e"),
                           brackets={(0, 1): {0: ONE, 1: ONE}}, cartan_count=1)
         cert = index(g, seed=0)
-        assert cert.index == 0 and cert.trials == 3
+        assert cert.index == 0 and cert.trials == 1
 
     def test_abelian_index_is_dim(self):
         g = build(antichain_poset(3), "gl")

@@ -273,6 +273,18 @@ class TestClosureInvariant:
                 [e11, e22, e11.add(e22)], ("e11", "e22", "e11+e22")
             )
 
+    @pytest.mark.parametrize("mats", (
+        # e12 + e13 leads at (0, 1), which e12 also touches.
+        [SparseMat(3, 3, {(0, 1): ONE}), SparseMat(3, 3, {(0, 1): ONE, (0, 2): ONE}),
+         SparseMat(3, 3, {(0, 2): ONE})],
+        # e11 + e12 is not diagonal, yet leads on the diagonal.
+        [SparseMat(2, 2, {(0, 0): ONE, (0, 1): ONE})],
+    ), ids=("shared", "diagonal"))
+    def test_root_matrix_without_private_leading_slot_rejected(self, mats):
+        labels = tuple(f"y{k}" for k in range(len(mats)))
+        with pytest.raises(ClosureError, match="no private off-diagonal leading slot"):
+            liealg._structure_constants(mats, labels)
+
     def test_closed_basis_accepted(self):
         e12 = SparseMat(3, 3, {(0, 1): ONE})
         e23 = SparseMat(3, 3, {(1, 2): ONE})
@@ -280,3 +292,7 @@ class TestClosureInvariant:
         assert liealg._structure_constants([e12, e23, e13], ("e12", "e23", "e13")) == {
             (0, 1): {2: ONE}
         }
+        # A coordinate is the slot entry over the root matrix's own there.
+        got = liealg._structure_constants(
+            [e12.add(e12), e23, e13.add(e13, scale=ONE * 2)], ("2e12", "e23", "3e13"))
+        assert got == {(0, 1): {2: Fraction(2, 3)}} and type(got[(0, 1)][2]) is Fraction
