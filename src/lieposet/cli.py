@@ -146,13 +146,11 @@ def cmd_classify(args):
     started = time.monotonic()
     P, digest = _read_poset(args.file)
     g = liealg.build(P, variant=args.variant)
-    try:
-        indexfrob.block_form(g)
-    except (indexfrob.BlockFormError, liealg.CartanWeylError):
+    if g.root_block is None:
         _, derived_length, k_step = liealg.derived_series(g)
     else:
-        # A clean block-form scan puts [g, g] in the abelian span of the
-        # root vectors: g is two-step unless every bracket vanishes.
+        # A root block puts [g, g] in the abelian span of the root
+        # vectors: g is two-step unless every bracket vanishes.
         derived_length = 1 if any(g.brackets.values()) else 0
         k_step = derived_length + 1
     cert = indexfrob.index(g, seed=args.seed)

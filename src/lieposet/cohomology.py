@@ -38,12 +38,6 @@ def cochain_dim(g, n):
     return math.comb(g.dim, n) * g.dim
 
 
-def _coords(dim, n):
-    combos = list(itertools.combinations(range(dim), n))
-    pos = {S: i for i, S in enumerate(combos)}
-    return combos, pos
-
-
 def coboundary_matrix(g, n):
     """Exact matrix of the degree-n differential C^n -> C^(n+1).
 
@@ -52,8 +46,9 @@ def coboundary_matrix(g, n):
     if not 0 <= n <= g.dim:
         raise DegreeError(f"degree {n} out of range for dim {g.dim}")
     dim = g.dim
-    combos_n, _ = _coords(dim, n)
-    combos_n1, pos_n1 = _coords(dim, n + 1)
+    combos_n = list(itertools.combinations(range(dim), n))
+    combos_n1 = list(itertools.combinations(range(dim), n + 1))
+    pos_n1 = {G: i for i, G in enumerate(combos_n1)}
     ents = _assemble(g, ((S, range(dim)) for S in combos_n), pos_n1)
     rows = math.comb(dim, n + 1) * dim
     cols = math.comb(dim, n) * dim
@@ -156,7 +151,7 @@ def _weight_keys(g):
     packing them in base 2 * (dim + 1) * M + 1 is additive and injective:
     a cochain has weight 0 exactly when its key sum is 0.
     """
-    roots = liealg.root_values(g)
+    roots = g.roots
     scale = math.lcm(*(v.denominator for alpha in roots.values() for v in alpha))
     ints = {t: [int(v * scale) for v in alpha] for t, alpha in roots.items()}
     bound = max((abs(v) for alpha in ints.values() for v in alpha), default=0)
@@ -192,16 +187,16 @@ def _weight0_rank(g, n, cells):
     """Exact rank of the weight-0 block of d^n, assembled column by column
     from the weight-0 cells of degree n; its rows are those of degree n + 1."""
     dim = g.dim
-    _, pos_n1 = _coords(dim, n + 1)
-    row_of = {}
-    for G, ts in cells[n + 1]:
-        base = pos_n1[G] * dim
+    # Tuples are numbered among the weight-0 cells only.
+    pos_n1, row_of = {}, {}
+    for i, (G, ts) in enumerate(cells[n + 1]):
+        pos_n1[G] = i
         for t in ts:
-            row_of[base + t] = len(row_of)
+            row_of[i * dim + t] = len(row_of)
     ents = _assemble(g, cells[n], pos_n1)
     n_cols = sum(len(ts) for _, ts in cells[n])
-    # A row outside row_of would be a weight the differential does not
-    # preserve; the KeyError stops the report rather than miscount.
+    # A row outside row_of or pos_n1 would be a weight the differential
+    # does not preserve; the KeyError stops the report rather than miscount.
     block = SparseMat(len(row_of), n_cols, {(row_of[r], c): v for (r, c), v in ents.items()})
     return exactla.rank(block)
 

@@ -1,7 +1,7 @@
 """Index, Frobenius functionals, block form, normalization, and spectra.
 
-On a two-step algebra (one whose root block ``block_form`` reads) the
-index is exact: in the Cartan-first basis the Kirillov matrix at f is
+On a two-step algebra (one with a ``root_block`` B) the index is exact:
+in the Cartan-first basis the Kirillov matrix at f is
 [[0, B D_f], [-(B D_f)^T, 0]] with D_f = diag(f(e_t)), so
 ind g = dim - 2 rank(B), and the structured candidate attains that rank.
 Every other algebra is evaluated at random functionals: an exactly
@@ -118,24 +118,20 @@ def _random_functional(dim, entry_bound, seed, trial):
 def index(g, trials=3, entry_bound=10**6, seed=0):
     """Index certificate of g.
 
-    When block_form reads the root block B, the index is dim - 2 rank(B)
-    exactly, with the structured candidate as witness and no random trial
-    (``trials`` 0 in the certificate).  Otherwise the commutator tensor is
-    evaluated at up to ``trials`` random functionals with entries in
-    [-entry_bound, entry_bound], stopping at the first nonsingular one;
-    the certificate records the trials run.  Deterministic given (seed,
+    When g has a root block B (``g.root_block``), the index is
+    dim - 2 rank(B) exactly, with the structured candidate as witness and
+    no random trial (``trials`` 0 in the certificate).  Otherwise the
+    commutator tensor is evaluated at up to ``trials`` random functionals
+    with entries in [-entry_bound, entry_bound], stopping at the first
+    nonsingular one; the certificate records the trials run.  Deterministic given (seed,
     trials, entry_bound); per-trial generators are derived from the seed
     by trial number, so trials are order-free.
     """
     if trials < 1:
         raise IndexError_("trials must be >= 1")
-    try:
-        B = block_form(g)
-    except (BlockFormError, liealg.CartanWeylError):
-        pass
-    else:
+    if g.root_block is not None:
         return IndexCertificate(
-            index=g.dim - 2 * exactla.rank(B),
+            index=g.dim - 2 * exactla.rank(g.root_block),
             witness=structured_candidate(g),
             trials=0,
             entry_bound=entry_bound,
@@ -255,34 +251,6 @@ def frobenius_spectrum(g, certificate):
     return f, spectrum(g, f, p_elt)
 
 
-def block_form(g):
-    """The root-value block B[k][t] = alpha_t(h_k) of a two-step algebra,
-    as a cartan_count x (dim - cartan_count) SparseMat.
-
-    This is the package's two-step test.  It scans the brackets once and
-    raises BlockFormError on a nonzero bracket between two Cartan
-    generators or between two root vectors.  Since every root vector is
-    an ad(h)-eigenvector ([h, x_t] = alpha_t(h) x_t, checked when the
-    roots are extracted), a clean scan puts [g, g] inside the abelian span
-    of the root vectors, so g is at most two-step solvable.  Conversely,
-    the roots of a Lie poset algebra are nonzero, so a nonzero root-root
-    bracket lies in [[g, g], [g, g]] and g is not two-step.
-    """
-    cc = g.cartan_count
-    for (i, j), vec in g.brackets.items():
-        if i < cc and j < cc and vec:
-            raise BlockFormError("nonzero bracket between Cartan generators")
-        if i >= cc and j >= cc and vec:
-            raise BlockFormError("nonzero bracket between two root vectors")
-    roots = liealg.root_values(g)
-    ents = {}
-    for t in g.root_indices():
-        for k, val in enumerate(roots[t]):
-            if val:
-                ents[(k, t - cc)] = val
-    return SparseMat(cc, g.dim - cc, ents)
-
-
 @dataclass(frozen=True)
 class NormalizeResult:
     n: int
@@ -294,16 +262,18 @@ def normalize_to_phi(g, certificate):
     """Constructive isomorphism onto the normal form.
 
     ``certificate`` is the index certificate of g and must certify index
-    0.  block_form(g) decides that g is two-step (BlockFormError
-    otherwise) and gives the root block B, which a Frobenius two-step g
-    has square.  Root vectors become e_1..e_n as-is, and row i of B^{-1}
+    0.  g must be two-step, with its root block B = ``g.root_block``
+    (BlockFormError when it has none), which a Frobenius two-step g has
+    square.  Root vectors become e_1..e_n as-is, and row i of B^{-1}
     holds the Cartan coefficients of d_i, so that alpha_j(d_i) = delta_ij.
     All bracket relations of the normal form are re-verified exactly under
     the change of basis.
     """
     if certificate.index != 0:
         raise NotFrobeniusError("algebra is not certified Frobenius")
-    B = block_form(g)
+    B = g.root_block
+    if B is None:
+        raise BlockFormError("not a two-step algebra in Cartan-Weyl form")
     if g.dim % 2:
         raise NotFrobeniusError("odd dimension cannot be Frobenius (skew rank)")
     cc = g.cartan_count

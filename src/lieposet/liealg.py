@@ -2,9 +2,11 @@
 
 ``build`` realizes the algebra generated by a poset inside gl/sl (family
 A) or inside the form algebra {X : X^T S + S X = 0} (families B, C, D),
-extracts exact structure constants, and verifies closure, the Jacobi
-identity and the Cartan-Weyl property.  Basis order is always Cartan
-generators first, then root vectors.
+reads off exact structure constants, and verifies closure and the
+Cartan-Weyl property (``check_jacobi`` tests the Jacobi identity
+separately).  Basis order is always Cartan generators first, then root
+vectors.  Each ``LieAlg`` derives its root values and, when it is
+two-step, its root block from its brackets on first use.
 
 ``make_phi`` builds the 2n-dimensional normal form with basis
 (d_1..d_n, e_1..e_n) and the single family of relations [d_i, e_i] = e_i.
@@ -52,7 +54,6 @@ class LieAlg:
     brackets: dict
     cartan_count: int
     realization: tuple = None  # optional SparseMat per basis element
-    roots: dict = None  # root-vector index t -> tuple of alpha_t(h_k)
 
     def structure(self, i, j):
         """[x_i, x_j] as a sparse dict, any index order."""
@@ -65,8 +66,9 @@ class LieAlg:
     def root_indices(self):
         return range(self.cartan_count, self.dim)
 
-    # The sparse structure index: built on first use, once per instance,
-    # from ``brackets`` alone, sharing its dicts (O(nnz), no copies).
+    # The sparse structure index and the root data: built on first use,
+    # once per instance, from ``brackets`` alone (the index shares its
+    # dicts: O(nnz), no copies).
 
     @cached_property
     def adjacency(self):
@@ -90,6 +92,56 @@ class LieAlg:
             for k, c in self.brackets[(a, b)].items():
                 producers[k].append((a, b, c))
         return tuple(tuple(p) for p in producers)
+
+    @cached_property
+    def roots(self):
+        """roots[t] = (alpha_t(h_1), ..., alpha_t(h_cc)) for every root vector
+        t, where [h_k, x_t] = alpha_t(h_k) x_t.
+
+        Raises CartanWeylError when two Cartan generators do not commute or
+        a root vector is not a simultaneous ad(h)-eigenvector."""
+        cc, labels = self.cartan_count, self.basis_labels
+        for k in range(cc):
+            for l in range(k + 1, cc):
+                if self.brackets.get((k, l)):
+                    raise CartanWeylError(
+                        f"Cartan generators {labels[k]}, {labels[l]} do not commute"
+                    )
+        roots = {}
+        for t in self.root_indices():
+            alpha = []
+            for k in range(cc):
+                vec = self.brackets.get((k, t), {})
+                if any(m != t for m in vec):
+                    raise CartanWeylError(
+                        f"[{labels[k]}, {labels[t]}] is not a multiple of {labels[t]}"
+                    )
+                alpha.append(vec.get(t, ZERO))
+            roots[t] = tuple(alpha)
+        return roots
+
+    @cached_property
+    def root_block(self):
+        """The root block B[k][t] = alpha_t(h_k), a cartan_count x
+        (dim - cartan_count) SparseMat, or None.
+
+        This is the package's two-step test.  B exists when no root-root
+        bracket is nonzero and ``roots`` passes its Cartan-Weyl check;
+        then [g, g] lies in the abelian span of the root vectors, so g is
+        at most two-step solvable.  Conversely, the roots of a Lie poset
+        algebra are nonzero, so a nonzero root-root bracket lies in
+        [[g, g], [g, g]] and g is not two-step.
+        """
+        cc = self.cartan_count
+        if any(vec for (i, _), vec in self.brackets.items() if i >= cc):
+            return None
+        try:
+            roots = self.roots
+        except CartanWeylError:
+            return None
+        return SparseMat(cc, self.dim - cc, {
+            (k, t - cc): v for t, alpha in roots.items() for k, v in enumerate(alpha) if v
+        })
 
 
 def bracket(g, x, y):
@@ -127,17 +179,7 @@ def make_phi(n):
         f"e{i}" for i in range(1, n + 1)
     )
     brackets = {(i, n + i): {n + i: ONE} for i in range(n)}
-    roots = {
-        n + i: tuple(ONE if k == i else ZERO for k in range(n)) for i in range(n)
-    }
-    return LieAlg(
-        dim=2 * n,
-        basis_labels=labels,
-        brackets=brackets,
-        cartan_count=n,
-        realization=None,
-        roots=roots,
-    )
+    return LieAlg(dim=2 * n, basis_labels=labels, brackets=brackets, cartan_count=n)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +375,8 @@ def build(P, variant="gl"):
     Family A uses the gl (default) or sl Cartan; families B/C/D ignore
     the variant.  Raises ClosureError if the constructed basis is
     dependent, lacks the private leading slots the structure constants are
-    read at, or fails to close under the commutator (must not happen on
+    read at, or fails to close under the commutator, and CartanWeylError
+    if a root vector is not an ad(h)-eigenvector (neither must happen on
     valid input).
     """
     report = validate_family(P)
@@ -344,49 +387,15 @@ def build(P, variant="gl"):
     else:
         mats, labels, cartan_count = _family_bcd_basis(P)
     labels = tuple(labels)
-    brackets = _structure_constants(mats, labels)
-    return LieAlg(
+    g = LieAlg(
         dim=len(mats),
         basis_labels=labels,
-        brackets=brackets,
+        brackets=_structure_constants(mats, labels),
         cartan_count=cartan_count,
         realization=tuple(mats),
-        roots=_root_values(brackets, cartan_count, labels),
     )
-
-
-def cartan_weyl_extract(g):
-    """Verify every non-Cartan basis element is a simultaneous ad(h)
-    eigenvector and return {t: (alpha_t(h_1), ..., alpha_t(h_cc))}.
-    """
-    return _root_values(g.brackets, g.cartan_count, g.basis_labels)
-
-
-def root_values(g):
-    """The root values of g: those ``build`` recorded, else extracted and
-    verified by cartan_weyl_extract."""
-    return g.roots if g.roots is not None else cartan_weyl_extract(g)
-
-
-def _root_values(brackets, cartan_count, labels):
-    for k in range(cartan_count):
-        for l in range(k + 1, cartan_count):
-            if brackets.get((k, l)):
-                raise CartanWeylError(
-                    f"Cartan generators {labels[k]}, {labels[l]} do not commute"
-                )
-    roots = {}
-    for t in range(cartan_count, len(labels)):
-        alpha = []
-        for k in range(cartan_count):
-            vec = brackets.get((k, t), {})
-            if any(m != t for m in vec):
-                raise CartanWeylError(
-                    f"[{labels[k]}, {labels[t]}] is not a multiple of {labels[t]}"
-                )
-            alpha.append(vec.get(t, ZERO))
-        roots[t] = tuple(alpha)
-    return roots
+    g.roots  # the Cartan-Weyl guard fails here, at build time
+    return g
 
 
 def check_jacobi(g):

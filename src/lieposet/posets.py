@@ -119,6 +119,8 @@ def parse_poset(document):
             doc = json.loads(document)
         except json.JSONDecodeError as e:
             raise PosetError(f"invalid JSON: {e}") from e
+        except RecursionError:
+            raise PosetError("invalid JSON: nested too deeply") from None
     else:
         doc = document
     if not isinstance(doc, dict):

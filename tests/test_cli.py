@@ -84,6 +84,19 @@ class TestBuild:
         assert code == cli.EXIT_INPUT
         assert "cycle" in rep["error"]
 
+    @pytest.mark.parametrize("wrap", (
+        lambda nested: nested,
+        lambda nested: f'{{"family": "A", "elements": [1], "relations": {nested}}}',
+    ), ids=("bare", "relations"))
+    def test_deeply_nested_json(self, capsys, tmp_path, wrap):
+        # Too deep for the JSON decoder's recursion: an input error, not a
+        # traceback with the verification-failure exit code.
+        p = tmp_path / "deep.json"
+        p.write_text(wrap("[" * 100000 + "]" * 100000))
+        code, rep = run(capsys, ["build", str(p)])
+        assert code == cli.EXIT_INPUT == 2
+        assert rep["kind"] == "input"
+
 
 class TestIndex:
     def test_hexagon(self, capsys, hexagon_file):
@@ -309,8 +322,8 @@ class TestClassify:
         assert "index" in cls["reason"]
 
     def test_step_count_matches_derived_series(self, capsys, monkeypatch, tmp_path):
-        # The step count is read off block_form; the derived series runs
-        # only where block_form fails, and both must agree with it.
+        # The step count is read off the root block; the derived series
+        # runs only where there is none, and both must agree with it.
         cases = [(P, variant) for n in range(1, 7) for P in posets.enumerate_height_one(n)
                  for variant in ("gl", "sl")]
         chains = [(posets.chain_poset(n), variant) for n in range(2, 6) for variant in ("gl", "sl")]
@@ -330,11 +343,8 @@ class TestClassify:
             _, derived_length, k_step = derived_series(g)
             res = rep["results"]
             assert (res["derived_length"], res["k_step"]) == (derived_length, k_step)
-            try:
-                indexfrob.block_form(g)
-                fallback = False
-            except indexfrob.BlockFormError:
-                fallback = True
+            fallback = g.root_block is None
+            if fallback:
                 fallbacks.append((P, variant))
             assert len(calls) == fallback
             dims.add(g.dim)

@@ -257,14 +257,21 @@ class TestWeightGradedReport:
             assert got == want
 
     def test_scaled_weights_stay_exact(self):
-        # Halving the roots changes no grading: the keys scale by the lcm
-        # of the denominators back to integers.
+        # Halving the Cartan generators halves the roots and changes no
+        # grading: the keys scale by the lcm of the denominators back to
+        # integers.
         g = build(hexagon_type_c_poset())
+        cc = g.cartan_count
         halved = liealg.LieAlg(
-            dim=g.dim, basis_labels=g.basis_labels, brackets=g.brackets,
-            cartan_count=g.cartan_count,
-            roots={t: tuple(v / 2 for v in alpha) for t, alpha in g.roots.items()},
+            dim=g.dim, basis_labels=g.basis_labels, cartan_count=cc,
+            brackets={
+                (i, j): {k: v / 2 for k, v in vec.items()} if i < cc else vec
+                for (i, j), vec in g.brackets.items()
+            },
         )
+        assert halved.roots == {
+            t: tuple(v / 2 for v in alpha) for t, alpha in g.roots.items()
+        }
         assert cohomology._weight0_cells(halved, 3) == cohomology._weight0_cells(g, 3)
 
     @pytest.mark.parametrize("name", ["chain4-gl", "branch-gl", "hexagon-C", "phi3"])

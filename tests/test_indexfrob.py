@@ -11,7 +11,6 @@ from lieposet.indexfrob import (
     BlockFormError,
     Functional,
     NotFrobeniusError,
-    block_form,
     compose_isomorphism,
     eval_kirillov,
     frobenius_functional,
@@ -192,7 +191,7 @@ class TestFamilyProperties:
     @settings(max_examples=100, deadline=None)
     @given(algebras("ABCD"))
     def test_exact_index_matches_random_trials_on_two_step(self, g):
-        # Two-step decided by the derived series, not by block_form.
+        # Two-step decided by the derived series, not by root_block.
         if derived_series(g)[2] > 2:
             return
         cert = index(g, seed=0)
@@ -335,26 +334,42 @@ class TestFrobeniusSpectrum:
 
 
 class TestBlockForm:
+    """The root block, ``g.root_block``."""
+
     def test_hexagon(self):
         g = build(hexagon_type_c_poset())
-        B = block_form(g)
+        B = g.root_block
         assert B.n_rows == 3 and B.n_cols == 3
         t = g.basis_labels.index("e[-2,1]+e[-1,2]") - g.cartan_count
         col = [B.entries.get((k, t), ZERO) for k in range(3)]
         assert col == [ONE, ONE, ZERO]
 
+    def test_cached(self):
+        g = build(hexagon_type_c_poset())
+        assert g.root_block is g.root_block
+
     def test_three_step_rejected(self):
+        assert build(chain_poset(3), "sl").root_block is None
+
+    def test_non_eigenvector_has_none(self):
+        # [d, e] = d + e: e is not an ad(d)-eigenvector, so no root block.
+        g = liealg.LieAlg(
+            dim=2, basis_labels=("d", "e"), brackets={(0, 1): {0: ONE, 1: ONE}},
+            cartan_count=1,
+        )
+        assert g.root_block is None
+        cert = index(g, seed=0)
+        assert cert.index == 0
         with pytest.raises(BlockFormError):
-            block_form(build(chain_poset(3), "sl"))
+            normalize_to_phi(g, cert)
 
     @staticmethod
     def _check_against_derived_series(g):
-        # The bracket scan decides two-step exactly as the derived series does.
+        # The root block decides two-step exactly as the derived series does.
         if derived_series(g)[2] > 2:
-            with pytest.raises(BlockFormError):
-                block_form(g)
+            assert g.root_block is None
             return
-        B = block_form(g)
+        B = g.root_block
         cc = g.cartan_count
         assert (B.n_rows, B.n_cols) == (cc, g.dim - cc)
         for t in g.root_indices():

@@ -223,9 +223,16 @@ class TestCartanWeyl:
             cartan_count=1,
         )
         with pytest.raises(CartanWeylError):
-            liealg.cartan_weyl_extract(bad)
+            bad.roots
+
+    def test_build_runs_the_guard(self, monkeypatch):
+        # build itself raises, not a later reader of the roots.
+        def non_eigenvector(mats, labels):
+            return {(0, len(mats) - 1): {0: ONE, len(mats) - 1: ONE}}
+
+        monkeypatch.setattr(liealg, "_structure_constants", non_eigenvector)
         with pytest.raises(CartanWeylError):
-            liealg.root_values(bad)
+            build(branch_poset(), "gl")
 
 
 class TestMakePhi:
