@@ -5,7 +5,8 @@ JSON reports only (``--pretty`` for indentation), schema
 2 input error, 3 guard violation, 4 internal error (a construction guard
 such as ``ClosureError`` or ``CartanWeylError`` failed on valid input).
 Randomized subcommands require an explicit ``--seed`` so certificates are
-reproducible.
+reproducible.  Each ``cmd_*`` returns ``(results, params, digest)``;
+``main`` alone assembles and emits the report and picks the exit code.
 """
 
 import argparse
@@ -46,16 +47,9 @@ def _read_poset(path):
     return P, hashlib.sha256(raw).hexdigest()
 
 
-def _report(command, results, digest=None, params=None, started=None):
-    rep = {"schema": SCHEMA, "command": command}
-    if digest is not None:
-        rep["input_sha256"] = digest
-    if params:
-        rep["params"] = params
-    rep["results"] = results
-    if started is not None:
-        rep["wall_time_s"] = round(time.monotonic() - started, 6)
-    return rep
+def _algebra(args):
+    P, digest = _read_poset(args.file)
+    return P, liealg.build(P, variant=args.variant), digest
 
 
 def _emit(rep, pretty):
@@ -67,14 +61,8 @@ def _frac_str(v):
     return f"{v.numerator}/{v.denominator}"
 
 
-def _poly_str(coeffs):
-    return [f"{c.numerator}/{c.denominator}" for c in coeffs]
-
-
 def cmd_build(args):
-    started = time.monotonic()
-    P, digest = _read_poset(args.file)
-    g = liealg.build(P, variant=args.variant)
+    P, g, digest = _algebra(args)
     pattern = sorted(liealg.sparsity_pattern(g))
     results = {
         "family": P.family,
@@ -85,19 +73,13 @@ def cmd_build(args):
     }
     if args.dump_algebra:
         results["algebra"] = liealg.algebra_to_json(g)
-    _emit(
-        _report("build", results, digest, {"variant": args.variant}, started),
-        args.pretty,
-    )
-    return EXIT_OK
+    return results, {"variant": args.variant}, digest
 
 
 def cmd_index(args):
-    started = time.monotonic()
     if args.bound < 1:
         raise CliInputError(f"--bound must be >= 1, got {args.bound}")
-    P, digest = _read_poset(args.file)
-    g = liealg.build(P, variant=args.variant)
+    _, g, digest = _algebra(args)
     cert = indexfrob.index(
         g, trials=args.trials, entry_bound=args.bound, seed=args.seed
     )
@@ -107,7 +89,7 @@ def cmd_index(args):
         results["frobenius_functional"] = [_frac_str(c) for c in f.coords]
         results["principal_element"] = [_frac_str(c) for c in sp.principal_element]
         results["spectrum"] = {
-            "char_poly": _poly_str(sp.char_poly),
+            "char_poly": [_frac_str(c) for c in sp.char_poly],
             "multiplicity_of_0": sp.multiplicity_of_0,
             "multiplicity_of_1": sp.multiplicity_of_1,
             "binary": sp.binary,
@@ -118,16 +100,16 @@ def cmd_index(args):
         "trials": args.trials,
         "bound": args.bound,
     }
-    _emit(_report("index", results, digest, params, started), args.pretty)
-    return EXIT_OK
+    return results, params, digest
 
 
 def cmd_cohomology(args):
-    started = time.monotonic()
-    P, digest = _read_poset(args.file)
-    g = liealg.build(P, variant=args.variant)
-    rep = cohomology.cohomology_report(g, args.degree, max_dim=args.max_dim)
-    results = {"degree": args.degree, "dims": rep}
+    for flag, value in (("--degree", args.degree), ("--max-dim", args.max_dim)):
+        if value < 0:
+            raise CliInputError(f"{flag} must be >= 0, got {value}")
+    _, g, digest = _algebra(args)
+    dims = cohomology.cohomology_report(g, args.degree, max_dim=args.max_dim)
+    results = {"degree": args.degree, "dims": dims}
     if args.dump_complex:
         try:
             fh = open(args.dump_complex, "w")
@@ -137,15 +119,11 @@ def cmd_cohomology(args):
             for n in range(min(args.degree + 1, g.dim) + 1):
                 cohomology.dump_complex(cohomology.coboundary_matrix(g, n), fh)
         results["dumped_to"] = args.dump_complex
-    params = {"variant": args.variant, "degree": args.degree}
-    _emit(_report("cohomology", results, digest, params, started), args.pretty)
-    return EXIT_OK
+    return results, {"variant": args.variant, "degree": args.degree}, digest
 
 
 def cmd_classify(args):
-    started = time.monotonic()
-    P, digest = _read_poset(args.file)
-    g = liealg.build(P, variant=args.variant)
+    _, g, digest = _algebra(args)
     if g.root_block is None:
         _, derived_length, k_step = liealg.derived_series(g)
     else:
@@ -177,24 +155,15 @@ def cmd_classify(args):
         if k_step != 2:
             reasons.append(f"{k_step}-step solvable")
         results["classification"] = {"applicable": False, "reason": "; ".join(reasons)}
-    params = {"variant": args.variant, "seed": args.seed}
-    _emit(_report("classify", results, digest, params, started), args.pretty)
-    return EXIT_OK
+    return results, {"variant": args.variant, "seed": args.seed}, digest
 
 
 def cmd_verify(args):
-    started = time.monotonic()
-    result = suites.run_suite(args.suite, seed=args.seed)
-    _emit(
-        _report("verify", result, params={"suite": args.suite, "seed": args.seed},
-                started=started),
-        args.pretty,
-    )
-    return EXIT_OK if result["passed"] else EXIT_VERIFY
+    results = suites.run_suite(args.suite, seed=args.seed)
+    return results, {"suite": args.suite, "seed": args.seed}, None
 
 
 def cmd_enumerate(args):
-    started = time.monotonic()
     all_posets = posets.enumerate_height_one(args.size)
     cases = []
     for i, P in enumerate(all_posets):
@@ -219,8 +188,7 @@ def cmd_enumerate(args):
         "variant": args.variant,
         "seed": args.seed,
     }
-    _emit(_report("enumerate", results, params=params, started=started), args.pretty)
-    return EXIT_OK
+    return results, params, None
 
 
 def build_parser():
@@ -230,12 +198,10 @@ def build_parser():
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, poset_file=True, variant=True):
-        if poset_file:
-            p.add_argument("file", help="poset JSON file")
-        if variant:
-            p.add_argument("--variant", choices=("gl", "sl"), default="gl",
-                           help="family-A realization (ignored for B/C/D)")
+    def common(p):
+        p.add_argument("file", help="poset JSON file")
+        p.add_argument("--variant", choices=("gl", "sl"), default="gl",
+                       help="family-A realization (ignored for B/C/D)")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
     p = sub.add_parser("build", help="construct the algebra, report shape")
@@ -281,9 +247,10 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    started = time.monotonic()
     try:
         # Looked up per call, so a rebound cmd_* (a tracer, a test) is reached.
-        return globals()[f"cmd_{args.command}"](args)
+        results, params, digest = globals()[f"cmd_{args.command}"](args)
     except CliInputError as e:
         _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, True)
         return EXIT_INPUT
@@ -296,6 +263,16 @@ def main(argv=None):
     except (liealg.LieAlgError, SingularMatrixError, ValueError) as e:
         _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, True)
         return EXIT_INPUT
+    rep = {"schema": SCHEMA, "command": args.command, "params": params, "results": results}
+    if digest is not None:
+        rep["input_sha256"] = digest
+    rep["wall_time_s"] = round(time.monotonic() - started, 6)
+    _emit(rep, args.pretty)
+    # Only a verification suite fails without an error: its report is
+    # printed in full, with exit code 1.
+    if args.command == "verify" and not results["passed"]:
+        return EXIT_VERIFY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

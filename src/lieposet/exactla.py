@@ -224,13 +224,6 @@ def poly_normalize(coeffs):
     return c
 
 
-def poly_eval(coeffs, x):
-    acc = ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def poly_divide_linear(coeffs, r):
     """Divide by (x - r); returns (quotient, remainder) by synthetic division."""
     if not coeffs:
@@ -251,8 +244,11 @@ def factor_binary(coeffs):
     while p and not p[0]:
         p = p[1:]
         a += 1
-    while len(p) > 1 and poly_eval(p, ONE) == 0:
-        p, _ = poly_divide_linear(p, ONE)
+    while len(p) > 1:
+        q, r = poly_divide_linear(p, ONE)
+        if r:
+            break
+        p = q
         b += 1
     return a, b, p
 

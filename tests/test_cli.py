@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import lieposet
-from lieposet import cli, exactla, indexfrob, liealg, posets
+from lieposet import cli, exactla, indexfrob, liealg, posets, suites
 from lieposet.liealg import build
 from lieposet.posets import hexagon_type_c_poset
 
@@ -215,6 +215,24 @@ class TestIndex:
         assert rep1 == rep2
 
 
+class TestReport:
+    @pytest.mark.parametrize("argv, has_input", (
+        pytest.param(["build", "{file}"], True, id="build"),
+        pytest.param(["index", "{file}", "--seed", "0"], True, id="index"),
+        pytest.param(["cohomology", "{file}", "--degree", "1"], True, id="cohomology"),
+        pytest.param(["classify", "{file}", "--seed", "0"], True, id="classify"),
+        pytest.param(["verify", "patterns", "--seed", "0"], False, id="verify"),
+        pytest.param(["enumerate", "--size", "3", "--seed", "0"], False, id="enumerate"),
+    ))
+    def test_envelope_keys(self, capsys, hexagon_file, argv, has_input):
+        # One envelope for every command; only the poset commands hash an input.
+        code, rep = run(capsys, [a.format(file=hexagon_file) for a in argv])
+        assert code == cli.EXIT_OK
+        keys = {"schema", "command", "params", "results", "wall_time_s"}
+        assert set(rep) == keys | ({"input_sha256"} if has_input else set())
+        assert rep["schema"] == cli.SCHEMA and rep["command"] == argv[0]
+
+
 class TestDispatch:
     def test_parser_is_built_once(self, capsys, monkeypatch, branch_file):
         run(capsys, ["build", branch_file])
@@ -283,6 +301,16 @@ class TestCohomology:
         }))
         code, rep = run(capsys, ["cohomology", str(p), "--degree", "2"])
         assert code == cli.EXIT_GUARD
+
+    @pytest.mark.parametrize("extra", (
+        ["--degree", "-1"],
+        ["--degree", "2", "--max-dim", "-1"],
+    ), ids=("degree", "max-dim"))
+    def test_negative_argument_rejected(self, capsys, hexagon_file, extra):
+        # Below zero is malformed input, not a guard violation.
+        code, rep = run(capsys, ["cohomology", hexagon_file, *extra])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input" and f"{extra[-2]} must be >= 0" in rep["error"]
 
     def test_dump_complex(self, capsys, hexagon_file, tmp_path):
         out = tmp_path / "complex.txt"
@@ -360,6 +388,16 @@ class TestVerify:
         assert code == 0
         assert rep["results"]["passed"]
         assert rep["results"]["cases"]
+
+    def test_failing_suite_exits_one(self, capsys, monkeypatch):
+        # A failed case is a verification failure: the full report, exit 1.
+        monkeypatch.setitem(suites.RUNNERS, "spectrum",
+                            lambda seed: [suites._case("broken", False, "detail")])
+        code, rep = run(capsys, ["verify", "spectrum", "--seed", "0"])
+        assert code == cli.EXIT_VERIFY == 1
+        assert rep["command"] == "verify" and rep["results"]["passed"] is False
+        assert rep["results"]["cases"] == [
+            {"name": "broken", "passed": False, "detail": "detail"}]
 
     def test_unknown_suite(self):
         with pytest.raises(SystemExit):
