@@ -252,16 +252,16 @@ def main(argv=None):
         # Looked up per call, so a rebound cmd_* (a tracer, a test) is reached.
         results, params, digest = globals()[f"cmd_{args.command}"](args)
     except CliInputError as e:
-        _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, True)
+        _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, args.pretty)
         return EXIT_INPUT
     except (GuardError, DegreeError) as e:
-        _emit({"schema": SCHEMA, "error": str(e), "kind": "guard"}, True)
+        _emit({"schema": SCHEMA, "error": str(e), "kind": "guard"}, args.pretty)
         return EXIT_GUARD
     except (liealg.ClosureError, liealg.CartanWeylError) as e:
-        _emit({"schema": SCHEMA, "error": str(e), "kind": "internal"}, True)
+        _emit({"schema": SCHEMA, "error": str(e), "kind": "internal"}, args.pretty)
         return EXIT_INTERNAL
     except (liealg.LieAlgError, SingularMatrixError, ValueError) as e:
-        _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, True)
+        _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, args.pretty)
         return EXIT_INPUT
     rep = {"schema": SCHEMA, "command": args.command, "params": params, "results": results}
     if digest is not None:

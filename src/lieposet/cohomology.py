@@ -264,11 +264,13 @@ def z2_shape_check_phi(n):
     g = liealg.make_phi(n)
     d2 = coboundary_matrix(g, 2)
     kernel = exactla.kernel_basis(d2.matrix)
+    d1 = coboundary_matrix(g, 1)
+    col_pos = {key: c for c, key in enumerate(d1.col_index)}
     d = list(range(n))  # indices of d_1..d_n
     e = [n + i for i in range(n)]  # indices of e_1..e_n
     for vec in kernel:
         F2 = _cochain_from_vector(d2, vec)
-        if not _shape_ok(F2, n, d, e) or not _recipe_cobounds(g, F2, n, d, e):
+        if not _shape_ok(F2, n, d, e) or not _recipe_cobounds(d1, col_pos, F2, n, d, e):
             return False, F2
     return True, None
 
@@ -300,8 +302,11 @@ def _shape_ok(F2, n, d, e):
     return True
 
 
-def _recipe_cobounds(g, F2, n, d, e):
-    """Build the 1-cochain from the closed-form recipe and check dF1 = F2."""
+def _recipe_cobounds(d1, col_pos, F2, n, d, e):
+    """Build the 1-cochain from the closed-form recipe and check dF1 = F2.
+
+    ``d1`` is the degree-1 differential and ``col_pos`` maps its column
+    keys to positions."""
     F1 = {}
 
     def put(src, tgt, val):
@@ -317,9 +322,7 @@ def _recipe_cobounds(g, F2, n, d, e):
             put(d[i], d[j], _coeff(F2, (d[i], e[j]), e[j]))
         put(e[i], d[i], -_coeff(F2, (d[i], e[i]), d[i]))
 
-    d1 = coboundary_matrix(g, 1)
     vec = [ZERO] * len(d1.col_index)
-    col_pos = {key: c for c, key in enumerate(d1.col_index)}
     for (src, tgt), val in F1.items():
         vec[col_pos[((src,), tgt)]] += val
     image = d1.matrix.mat_vec(vec)

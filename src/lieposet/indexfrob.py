@@ -215,13 +215,11 @@ def ad_matrix(g, v):
     return SparseMat(g.dim, g.dim, ents)
 
 
-def spectrum(g, f, p_elt=None):
-    """The principal element of f and the characteristic polynomial of its
-    adjoint, with the x^a (x-1)^b factorization pulled out; binary means
-    nothing is left.  ``p_elt``, when given, is f's principal element.
+def spectrum(g, p_elt):
+    """The principal element ``p_elt`` of a Frobenius functional and the
+    characteristic polynomial of its adjoint, with the x^a (x-1)^b
+    factorization pulled out; binary means nothing is left.
     """
-    if p_elt is None:
-        p_elt = principal_element(g, f)
     cp = exactla.char_poly(ad_matrix(g, p_elt))
     a, b, residual = exactla.factor_binary(cp)
     return SpectrumRecord(
@@ -235,7 +233,8 @@ def spectrum(g, f, p_elt=None):
 
 
 def frobenius_spectrum(g, certificate):
-    """(f, spectrum(g, f)) for f the functional frobenius_functional picks.
+    """(f, spectrum(g, principal_element(g, f))) for f the functional
+    frobenius_functional picks.
 
     One inversion of the structured candidate's Kirillov matrix both
     decides whether the candidate is Frobenius and gives its principal
@@ -248,7 +247,7 @@ def frobenius_spectrum(g, certificate):
     except NotFrobeniusError:
         f = certificate.witness
         p_elt = principal_element(g, f)
-    return f, spectrum(g, f, p_elt)
+    return f, spectrum(g, p_elt)
 
 
 @dataclass(frozen=True)

@@ -186,90 +186,56 @@ def make_phi(n):
 # Matrix realizations
 
 
-def _form_matrix(P):
-    """Defining bilinear form S for families B, C, D (antidiagonal)."""
+def _in_form_algebra(X, s):
+    """X^T S + S X == 0 for X given as {(a, b): value} on the poset's labels
+    and the antidiagonal form S[e, -e] = s[e].
+
+    Entry (r, c) of X^T S + S X is s[-c] X[-c, r] + s[r] X[-r, c].  It can
+    be nonzero only at the cells (b, -a) and (-a, b) of an entry (a, b) of
+    X, and as s[-e] = +-s[e] it is there +-(s[a] X[a, b] + s[b] X[-b, -a]).
+    """
+    return not any(s[a] * v + s[b] * X.get((-b, -a), 0) for (a, b), v in X.items())
+
+
+def _basis(P, variant):
+    """([(label, {(a, b): +-1}), ...], cartan_count): the basis matrices on
+    P's own labels, Cartan generators first.
+
+    Family A spans gl or sl plus E[a, b] per relation a < b.  Families
+    B, C, D lie in the form algebra of S[e, -e] = s_e (s_e = -1 only for
+    negative e in family C); every basis element is checked against it.
+    """
     elems = P.elements
-    size = len(elems)
-    idx = {e: t for t, e in enumerate(elems)}
-    ents = {}
-    for e in elems:
-        if e == 0:
-            ents[(idx[0], idx[0])] = ONE
+    if P.family == "A":
+        if variant == "gl":
+            cartan = [(f"e[{e},{e}]", {(e, e): ONE}) for e in elems]
+        elif variant == "sl":
+            cartan = [(f"e[{a},{a}]-e[{b},{b}]", {(a, a): ONE, (b, b): -ONE})
+                      for a, b in zip(elems, elems[1:])]
         else:
-            val = ONE if P.family in ("B", "D") else (ONE if e > 0 else -ONE)
-            ents[(idx[e], idx[-e])] = val
-    return SparseMat(size, size, ents)
-
-
-def _in_form_algebra(X, S):
-    return X.transpose().matmul(S).add(S.matmul(X)) == SparseMat(
-        X.n_rows, X.n_cols, {}
-    )
-
-
-def _family_a_basis(P, variant):
-    elems = P.elements
-    N = len(elems)
-    idx = {e: t for t, e in enumerate(elems)}
-    cartan, labels = [], []
-    if variant == "gl":
-        for e in elems:
-            cartan.append(SparseMat(N, N, {(idx[e], idx[e]): ONE}))
-            labels.append(f"e[{e},{e}]")
-    elif variant == "sl":
-        for a, b in zip(elems, elems[1:]):
-            cartan.append(
-                SparseMat(N, N, {(idx[a], idx[a]): ONE, (idx[b], idx[b]): -ONE})
-            )
-            labels.append(f"e[{a},{a}]-e[{b},{b}]")
-    else:
-        raise LieAlgError(f"unknown variant {variant!r} (expected gl or sl)")
-    roots, rlabels = [], []
-    for a, b in sorted(P.relation):
-        roots.append(SparseMat(N, N, {(idx[a], idx[b]): ONE}))
-        rlabels.append(f"e[{a},{b}]")
-    return cartan + roots, labels + rlabels, len(cartan)
-
-
-def _family_bcd_basis(P):
-    elems = P.elements
-    size = len(elems)
-    idx = {e: t for t, e in enumerate(elems)}
-    S = _form_matrix(P)
-    n = P.n
-    cartan, labels = [], []
-    for i in range(1, n + 1):
-        # Sign convention: +1 on the -i diagonal slot, so that root values
-        # on the Borel come out nonnegative with rows ordered -n..n.
-        h = SparseMat(size, size, {(idx[-i], idx[-i]): ONE, (idx[i], idx[i]): -ONE})
-        if not _in_form_algebra(h, S):
-            raise ClosureError(f"Cartan generator h{i} not in the form algebra")
-        cartan.append(h)
-        labels.append(f"h{i}")
+            raise LieAlgError(f"unknown variant {variant!r} (expected gl or sl)")
+        roots = [(f"e[{a},{b}]", {(a, b): ONE}) for a, b in sorted(P.relation)]
+        return cartan + roots, len(cartan)
+    s = {e: -ONE if P.family == "C" and e < 0 else ONE for e in elems}
+    # Sign convention: +1 on the -i diagonal slot, so that root values on
+    # the Borel come out nonnegative with rows ordered -n..n.
+    basis = [(f"h{i}", {(-i, -i): ONE, (i, i): -ONE}) for i in range(1, P.n + 1)]
     # One root vector per mirror orbit {(i, j), (-j, -i)}.
-    orbits = {}
-    for a, b in P.relation:
-        rep = min((a, b), (-b, -a))
-        orbits.setdefault(rep, (a, b))
-    roots, rlabels = [], []
+    orbits = {min((a, b), (-b, -a)) for a, b in P.relation}
     for a, b in sorted(orbits):
         if a == -b:
             # Self-paired long root, only possible in family C.
-            X = SparseMat(size, size, {(idx[a], idx[b]): ONE})
-            label = f"e[{a},{b}]"
+            basis.append((f"e[{a},{b}]", {(a, b): ONE}))
         else:
             # X = E[a,b] - sigma E[-b,-a]; the (-a, b) entry of
-            # X^T S + S X = 0 forces sigma = s_a s_b with s_e = S[e, -e].
-            sigma = S[(idx[a], idx[-a])] * S[(idx[b], idx[-b])]
-            X = SparseMat(
-                size, size, {(idx[a], idx[b]): ONE, (idx[-b], idx[-a]): -sigma}
-            )
-            label = f"e[{a},{b}]{'-' if sigma == ONE else '+'}e[{-b},{-a}]"
-        if not _in_form_algebra(X, S):
-            raise ClosureError(f"root vector {label} not in the form algebra")
-        roots.append(X)
-        rlabels.append(label)
-    return cartan + roots, labels + rlabels, n
+            # X^T S + S X = 0 forces sigma = s_a s_b.
+            sigma = s[a] * s[b]
+            basis.append((f"e[{a},{b}]{'-' if sigma == ONE else '+'}e[{-b},{-a}]",
+                          {(a, b): ONE, (-b, -a): -sigma}))
+    for label, X in basis:
+        if not _in_form_algebra(X, s):
+            raise ClosureError(f"{label} not in the form algebra")
+    return basis, P.n
 
 
 def _structure_constants(mats, labels):
@@ -382,17 +348,20 @@ def build(P, variant="gl"):
     report = validate_family(P)
     if not report.ok:
         raise LieAlgError(f"poset violates family axioms: {report.violations}")
-    if P.family == "A":
-        mats, labels, cartan_count = _family_a_basis(P, variant)
-    else:
-        mats, labels, cartan_count = _family_bcd_basis(P)
-    labels = tuple(labels)
+    basis, cartan_count = _basis(P, variant)
+    pos = {e: t for t, e in enumerate(P.elements)}
+    N = len(pos)
+    mats = tuple(
+        SparseMat(N, N, {(pos[a], pos[b]): v for (a, b), v in X.items()})
+        for _, X in basis
+    )
+    labels = tuple(label for label, _ in basis)
     g = LieAlg(
         dim=len(mats),
         basis_labels=labels,
         brackets=_structure_constants(mats, labels),
         cartan_count=cartan_count,
-        realization=tuple(mats),
+        realization=mats,
     )
     g.roots  # the Cartan-Weyl guard fails here, at build time
     return g

@@ -104,7 +104,7 @@ def run_spectrum(seed=0):
         f = indexfrob.structured_candidate(g)
         p = indexfrob.principal_element(g, f)
         want_p = [ONE] * n + [ZERO] * n
-        sp = indexfrob.spectrum(g, f, p)
+        sp = indexfrob.spectrum(g, p)
         cases.append(
             _case(
                 f"phi{n}",

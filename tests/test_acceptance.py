@@ -130,15 +130,15 @@ def test_6_spectrum():
         f = Functional(coords=tuple(
             ONE if i >= n else ZERO for i in range(2 * n)))
         p = indexfrob.principal_element(g, f)
-        sp = indexfrob.spectrum(g, f)
+        sp = indexfrob.spectrum(g, p)
         if p != [ONE] * n + [ZERO] * n:
             ok = False
         if not (sp.binary and sp.multiplicity_of_0 == n
                 and sp.multiplicity_of_1 == n):
             ok = False
     gc = liealg.build(posets.hexagon_type_c_poset())
-    spc = indexfrob.spectrum(
-        gc, indexfrob.frobenius_functional(gc, indexfrob.index(gc, seed=0)))
+    fc = indexfrob.frobenius_functional(gc, indexfrob.index(gc, seed=0))
+    spc = indexfrob.spectrum(gc, indexfrob.principal_element(gc, fc))
     ok = ok and spc.binary and (spc.multiplicity_of_0, spc.multiplicity_of_1) == (3, 3)
     _gate("6 binary principal-element spectra", ok,
           f"hexagon mults=({spc.multiplicity_of_0},{spc.multiplicity_of_1})")

@@ -75,6 +75,21 @@ class TestBuild:
         assert code == cli.EXIT_INPUT
         assert rep["kind"] == "input"
 
+    @pytest.mark.parametrize("pretty", (False, True), ids=("plain", "pretty"))
+    def test_error_report_follows_pretty(self, capsys, tmp_path, pretty):
+        # An error report is one line like any other report, indented only
+        # under --pretty.
+        argv = ["build", str(tmp_path / "nope.json")] + (["--pretty"] if pretty else [])
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_INPUT
+        assert json.loads(out)["kind"] == "input"
+        lines = out.splitlines()
+        if pretty:
+            assert len(lines) > 1 and lines[1].startswith("  ")
+        else:
+            assert len(lines) == 1
+
     def test_cycle_diagnostic(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(

@@ -287,19 +287,18 @@ class TestSpectrum:
     def test_phi(self):
         for n in range(1, 6):
             g = make_phi(n)
-            sp = spectrum(g, structured_candidate(g))
+            sp = spectrum(g, principal_element(g, structured_candidate(g)))
             assert sp.binary
             assert (sp.multiplicity_of_0, sp.multiplicity_of_1) == (n, n)
             assert sp.principal_element == [ONE] * n + [ZERO] * n
 
     def test_hexagon(self):
         g = build(hexagon_type_c_poset())
-        sp = spectrum(g, structured_candidate(g))
+        sp = spectrum(g, principal_element(g, structured_candidate(g)))
         # x^3 (x-1)^3
         assert sp.binary
         assert (sp.multiplicity_of_0, sp.multiplicity_of_1) == (3, 3)
         assert sp.char_poly == [0, 0, 0, -1, 3, -3, 1]
-        assert sp.principal_element == principal_element(g, structured_candidate(g))
 
 
 class TestFrobeniusSpectrum:
@@ -315,7 +314,7 @@ class TestFrobeniusSpectrum:
             return False
         f, sp = frobenius_spectrum(g, cert)
         assert f == frobenius_functional(g, cert)
-        assert sp == spectrum(g, f)
+        assert sp == spectrum(g, principal_element(g, f))
         return True
 
     def test_matches_functional_then_spectrum_on_height_one_and_branch(self):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from lieposet import liealg
@@ -103,16 +103,70 @@ class TestBuild:
     @given(st.sampled_from("BCD").flatmap(valid_posets))
     def test_root_sign_is_the_only_one(self, P):
         # The closed-form sign sigma = s_a s_b puts each two-entry root
-        # vector in the form algebra, and the opposite sign does not.
-        g = build(P)
-        S = liealg._form_matrix(P)
-        for X in g.realization[g.cartan_count:]:
-            assert liealg._in_form_algebra(X, S)
-            if len(X.entries) == 2:
-                first, second = sorted(X.entries)
-                flipped = SparseMat(X.n_rows, X.n_cols,
-                                    {first: X[first], second: -X[second]})
-                assert not liealg._in_form_algebra(flipped, S)
+        # vector E[a,b] - sigma E[-b,-a] in the form algebra, and the
+        # opposite sign does not.
+        basis, cartan_count = liealg._basis(P, "gl")
+        s = form_signs(P.family, P.elements)
+        for _, X in basis[cartan_count:]:
+            assert liealg._in_form_algebra(X, s)
+            if len(X) == 2:
+                (a, b), mirror = X
+                assert X[(a, b)] == ONE and X[mirror] == -s[a] * s[b]
+                flipped = {(a, b): ONE, mirror: s[a] * s[b]}
+                assert not liealg._in_form_algebra(flipped, s)
+
+
+def form_signs(family, elems):
+    """s_e = S[e, -e] of the antidiagonal form: -1 only for negative e in C."""
+    return {e: -ONE if family == "C" and e < 0 else ONE for e in elems}
+
+
+def in_form_algebra_oracle(family, elems, X):
+    """X^T S + S X == 0 by SparseMat arithmetic on the positions of
+    ``elems``, with the form matrix S spelled out entry by entry."""
+    idx = {e: t for t, e in enumerate(elems)}
+    size = len(elems)
+    S = SparseMat(size, size, {
+        (idx[e], idx[-e]): ONE if e == 0 or family in ("B", "D") or e > 0 else -ONE
+        for e in elems
+    })
+    M = SparseMat(size, size, {(idx[a], idx[b]): v for (a, b), v in X.items()})
+    return M.transpose().matmul(S).add(S.matmul(M)) == SparseMat(size, size, {})
+
+
+@st.composite
+def form_matrices(draw):
+    """(family, elems, X): a B/C/D label set of rank 1..3 and a sparse X on
+    it as {(a, b): value}.  X is a few mirror pairs X[a, b] = v,
+    X[-b, -a] = +-v plus at most one stray entry, so it lies in the form
+    algebra often but not always."""
+    family = draw(st.sampled_from("BCD"))
+    n = draw(st.integers(1, 3))
+    elems = [e for e in range(-n, n + 1) if e or family == "B"]
+    cell = st.tuples(st.sampled_from(elems), st.sampled_from(elems))
+    value = st.integers(-2, 2).map(Fraction)
+    X = {}
+    for (a, b), v, flip in draw(st.lists(st.tuples(cell, value, st.booleans()), max_size=3)):
+        X[(a, b)] = X.get((a, b), ZERO) + v
+        X[(-b, -a)] = X.get((-b, -a), ZERO) + (v if flip else -v)
+    for p, v in draw(st.dictionaries(cell, value, max_size=1)).items():
+        X[p] = X.get(p, ZERO) + v
+    return family, elems, {p: v for p, v in X.items() if v}
+
+
+class TestFormAlgebra:
+    @settings(max_examples=300, deadline=None)
+    @given(form_matrices())
+    def test_entrywise_check_matches_matrix_products(self, fx):
+        family, elems, X = fx
+        assert liealg._in_form_algebra(X, form_signs(family, elems)) == \
+            in_form_algebra_oracle(family, elems, X)
+
+    @pytest.mark.parametrize("outcome", (True, False))
+    def test_both_outcomes_occur(self, outcome):
+        # A nonzero matrix inside the form algebra and one outside it.
+        find(form_matrices(), lambda fx: bool(fx[2]) and liealg._in_form_algebra(
+            fx[2], form_signs(fx[0], fx[1])) is outcome)
 
 
 class TestBracket:
