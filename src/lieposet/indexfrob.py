@@ -14,12 +14,14 @@ so and carries the Schwartz-Zippel bound on the chance that it is wrong.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import exactla, liealg
 from .exactla import ONE, ZERO, SparseMat
-# derived_series is not called here; it is re-exported because perfbench's
-# self-test traces its binding as indexfrob.derived_series.
-from .liealg import basis_vector, bracket, derived_series  # noqa: F401
+# bracket and derived_series are not called here; they are re-exported
+# because perfbench's self-test traces their bindings as indexfrob.bracket
+# and indexfrob.derived_series.
+from .liealg import bracket, derived_series  # noqa: F401
 
 
 class IndexError_(ValueError):
@@ -206,12 +208,11 @@ class SpectrumRecord:
 
 def ad_matrix(g, v):
     """Matrix of ad(v) in the basis: column j = [v, x_j]."""
+    x = liealg._support(v)
     ents = {}
     for j in range(g.dim):
-        col = bracket(g, v, basis_vector(g, j))
-        for i, c in enumerate(col):
-            if c:
-                ents[(i, j)] = c
+        for i, c in liealg._bracket(g, x, {j: ONE}).items():
+            ents[(i, j)] = c
     return SparseMat(g.dim, g.dim, ents)
 
 
@@ -296,25 +297,18 @@ def normalize_to_phi(g, certificate):
     return NormalizeResult(n=n, change_of_basis=P, verified=verified)
 
 
-def _columns(M):
-    cols = [[ZERO] * M.n_rows for _ in range(M.n_cols)]
-    for (i, j), v in M.entries.items():
-        cols[j][i] = v
-    return cols
-
-
 def _verify_isomorphism(g, P, h):
     """Check P maps h's structure onto g's: [P u_i, P u_j]_g = P [u_i, u_j]_h."""
-    cols = _columns(P)
-    for i in range(h.dim):
-        for j in range(i + 1, h.dim):
-            lhs = bracket(g, cols[i], cols[j])
-            rhs = [ZERO] * g.dim
-            for k, c in h.structure(i, j).items():
-                for r in range(g.dim):
-                    rhs[r] += c * cols[k][r]
-            if lhs != rhs:
-                return False
+    cols = [{} for _ in range(P.n_cols)]
+    for (r, k), v in P.entries.items():
+        cols[k][r] = v
+    for i, j in combinations(range(h.dim), 2):
+        rhs = {}
+        for k, c in h.structure(i, j).items():
+            for r, v in cols[k].items():
+                rhs[r] = rhs.get(r, ZERO) + c * v
+        if liealg._bracket(g, cols[i], cols[j]) != {r: v for r, v in rhs.items() if v}:
+            return False
     return True
 
 

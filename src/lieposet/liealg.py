@@ -16,6 +16,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from . import exactla
 from .exactla import ONE, ZERO, SparseMat
@@ -144,25 +145,38 @@ class LieAlg:
         })
 
 
-def bracket(g, x, y):
-    """Bilinear extension of the structure tensor to coordinate vectors.
+def _bracket(g, x, y):
+    """[x, y] for sparse coordinate vectors {basis index: coefficient}, as
+    such a dict with its zero coefficients dropped (the elimination kernel
+    would pivot on an explicit zero).
 
     Walks only the support of x and, per i there, the nonzero brackets
     [x_i, x_j]."""
-    if len(x) != g.dim or len(y) != g.dim:
-        raise exactla.DimensionError("coordinate vector length mismatch")
-    out = [ZERO] * g.dim
+    out = {}
     adjacency = g.adjacency
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
+    for i, xi in x.items():
         for j, vec in adjacency[i].items():
-            yj = y[j]
+            yj = y.get(j)
             if yj:
                 c = xi * yj if i < j else -xi * yj
                 for k, v in vec.items():
-                    out[k] += c * v
+                    out[k] = out.get(k, ZERO) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def bracket(g, x, y):
+    """Bilinear extension of the structure tensor to dense coordinate
+    vectors: ``_bracket`` on their supports."""
+    if len(x) != g.dim or len(y) != g.dim:
+        raise exactla.DimensionError("coordinate vector length mismatch")
+    out = [ZERO] * g.dim
+    for k, v in _bracket(g, _support(x), _support(y)).items():
+        out[k] = v
     return out
+
+
+def _support(vec):
+    return {i: v for i, v in enumerate(vec) if v}
 
 
 def basis_vector(g, i):
@@ -369,26 +383,25 @@ def build(P, variant="gl"):
 
 def check_jacobi(g):
     """Exact Jacobi identity over all basis triples."""
-    basis = [basis_vector(g, i) for i in range(g.dim)]
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k in range(j + 1, g.dim):
-                s = bracket(g, basis[i], bracket(g, basis[j], basis[k]))
-                t = bracket(g, basis[j], bracket(g, basis[k], basis[i]))
-                u = bracket(g, basis[k], bracket(g, basis[i], basis[j]))
-                if any(a + b + c for a, b, c in zip(s, t, u)):
-                    return False
+    for i, j, k in combinations(range(g.dim), 3):
+        total = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, v in _bracket(g, {a: ONE}, g.structure(b, c)).items():
+                total[m] = total.get(m, ZERO) + v
+        if any(total.values()):
+            return False
     return True
 
 
 def check_realization(g):
-    """Matrix commutators agree with the structure constants."""
+    """Matrix commutators agree with the structure constants, for every
+    pair of basis elements (a pair absent from ``brackets`` must commute)."""
     if g.realization is None:
         return True
     mats = g.realization
-    for (i, j), vec in g.brackets.items():
-        expected = SparseMat(mats[0].n_rows, mats[0].n_cols, {})
-        for k, c in vec.items():
+    for i, j in combinations(range(g.dim), 2):
+        expected = SparseMat(mats[i].n_rows, mats[i].n_cols, {})
+        for k, c in g.structure(i, j).items():
             expected = expected.add(mats[k], scale=c)
         comm = mats[i].matmul(mats[j]).add(mats[j].matmul(mats[i]), scale=-ONE)
         if comm != expected:
@@ -396,37 +409,24 @@ def check_realization(g):
     return True
 
 
-def _span(g, vectors):
-    rows = [
-        {i: v for i, v in enumerate(vec) if v} for vec in vectors
-    ]
-    pivots, red = exactla._elim.eliminate(rows, g.dim, reduce_full=True)
-    basis = []
-    for p in pivots:
-        vec = [ZERO] * g.dim
-        for c, v in red[p].items():
-            vec[c] = v
-        basis.append(tuple(vec))
-    return Subspace(ambient_dim=g.dim, basis=tuple(basis))
-
-
 def derived_series(g):
     """(subspaces g^0 >= g^1 >= ... >= 0, derived_length, k_step).
 
     derived_length is the last k with g^k != 0; k_step = derived_length + 1
     ("(k+1)-step solvable").  Lie poset algebras are always solvable, so
-    the series reaches zero.
+    the series reaches zero.  Each g^k is spanned by the brackets of the
+    reduced echelon basis of g^(k-1), the pivot rows of one elimination.
     """
-    series = [_span(g, [basis_vector(g, i) for i in range(g.dim)])]
-    while series[-1].dim:
-        prev = series[-1].basis
-        gens = []
-        for i in range(len(prev)):
-            for j in range(i + 1, len(prev)):
-                gens.append(bracket(g, prev[i], prev[j]))
-        series.append(_span(g, gens))
-        if series[-1].dim >= series[-2].dim and series[-1].dim:
+    series, rows = [], [{i: ONE} for i in range(g.dim)]
+    while not series or series[-1].dim:
+        pivots, red = exactla._elim.eliminate(rows, g.dim, reduce_full=True)
+        basis = [red[p] for p in pivots]
+        series.append(Subspace(ambient_dim=g.dim, basis=tuple(
+            tuple(row.get(c, ZERO) for c in range(g.dim)) for row in basis
+        )))
+        if len(series) > 1 and 0 < series[-1].dim >= series[-2].dim:
             raise LieAlgError("derived series does not decrease: not solvable")
+        rows = [_bracket(g, x, y) for x, y in combinations(basis, 2)]
     derived_length = len(series) - 2 if g.dim else 0
     return series, max(derived_length, 0), max(derived_length, 0) + 1
 

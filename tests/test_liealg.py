@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -357,3 +358,28 @@ class TestClosureInvariant:
         got = liealg._structure_constants(
             [e12.add(e12), e23, e13.add(e13, scale=ONE * 2)], ("2e12", "e23", "3e13"))
         assert got == {(0, 1): {2: Fraction(2, 3)}} and type(got[(0, 1)][2]) is Fraction
+
+
+class TestRealization:
+    def test_dropped_bracket_detected(self):
+        # [e12, e23] = e13 as matrices; with no listed bracket the commutator
+        # must still be compared with g.structure, which is then zero.
+        g = build(chain_poset(3), "gl")
+        assert check_realization(g)
+        assert not check_realization(dataclasses.replace(g, brackets={}))
+        pair = next(iter(g.brackets))
+        rest = {p: vec for p, vec in g.brackets.items() if p != pair}
+        assert not check_realization(dataclasses.replace(g, brackets=rest))
+
+    def test_changed_coefficient_detected(self):
+        g = build(hexagon_type_c_poset())
+        (i, j), vec = next(iter(g.brackets.items()))
+        doctored = dict(g.brackets)
+        doctored[(i, j)] = {k: 2 * c for k, c in vec.items()}
+        assert not check_realization(dataclasses.replace(g, brackets=doctored))
+
+    def test_empty_and_abstract(self):
+        g = build(chain_poset(1), "sl")
+        assert g.dim == 0 and g.realization == ()
+        assert check_realization(g)
+        assert check_realization(make_phi(2))

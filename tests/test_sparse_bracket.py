@@ -1,0 +1,285 @@
+"""The structure operations on sparse vectors against the dense formulas
+they replaced.
+
+``check_jacobi``, ``derived_series``, ``indexfrob.ad_matrix`` and
+``indexfrob._verify_isomorphism`` bracket ``{index: coefficient}`` vectors
+through ``liealg._bracket``.  The oracles below are the earlier dense
+versions: every vector is a full coordinate list, bracketed by the dense
+walk over ``adjacency``.  Both sides must agree exactly on random valid
+posets of families A-D, on every height-one class up to size 7, and on
+doctored copies with one bracket coefficient perturbed, on which the Jacobi
+identity, solvability and the isomorphism onto the normal form can fail.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lieposet import exactla, indexfrob, liealg, posets
+from lieposet.exactla import ONE, ZERO, SparseMat
+from strategies import algebras
+
+HEIGHT_ONE = [
+    liealg.build(P, variant)
+    for n in range(1, 8)
+    for P in posets.enumerate_height_one(n)
+    for variant in ("gl", "sl")
+]
+
+
+def dense_bracket(g, x, y):
+    out = [ZERO] * g.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, vec in g.adjacency[i].items():
+            yj = y[j]
+            if yj:
+                c = xi * yj if i < j else -xi * yj
+                for k, v in vec.items():
+                    out[k] += c * v
+    return out
+
+
+def jacobi_oracle(g):
+    basis = [liealg.basis_vector(g, i) for i in range(g.dim)]
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            for k in range(j + 1, g.dim):
+                s = dense_bracket(g, basis[i], dense_bracket(g, basis[j], basis[k]))
+                t = dense_bracket(g, basis[j], dense_bracket(g, basis[k], basis[i]))
+                u = dense_bracket(g, basis[k], dense_bracket(g, basis[i], basis[j]))
+                if any(a + b + c for a, b, c in zip(s, t, u)):
+                    return False
+    return True
+
+
+def span_oracle(g, vectors):
+    rows = [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
+    pivots, red = exactla._elim.eliminate(rows, g.dim, reduce_full=True)
+    basis = []
+    for p in pivots:
+        vec = [ZERO] * g.dim
+        for c, v in red[p].items():
+            vec[c] = v
+        basis.append(tuple(vec))
+    return liealg.Subspace(ambient_dim=g.dim, basis=tuple(basis))
+
+
+def derived_series_oracle(g):
+    series = [span_oracle(g, [liealg.basis_vector(g, i) for i in range(g.dim)])]
+    while series[-1].dim:
+        prev = series[-1].basis
+        gens = []
+        for i in range(len(prev)):
+            for j in range(i + 1, len(prev)):
+                gens.append(dense_bracket(g, prev[i], prev[j]))
+        series.append(span_oracle(g, gens))
+        if series[-1].dim >= series[-2].dim and series[-1].dim:
+            raise liealg.LieAlgError("derived series does not decrease: not solvable")
+    derived_length = len(series) - 2 if g.dim else 0
+    return series, max(derived_length, 0), max(derived_length, 0) + 1
+
+
+def ad_matrix_oracle(g, v):
+    ents = {}
+    for j in range(g.dim):
+        col = dense_bracket(g, v, liealg.basis_vector(g, j))
+        for i, c in enumerate(col):
+            if c:
+                ents[(i, j)] = c
+    return SparseMat(g.dim, g.dim, ents)
+
+
+def verify_isomorphism_oracle(g, P, h):
+    cols = [[ZERO] * P.n_rows for _ in range(P.n_cols)]
+    for (i, j), v in P.entries.items():
+        cols[j][i] = v
+    for i in range(h.dim):
+        for j in range(i + 1, h.dim):
+            lhs = dense_bracket(g, cols[i], cols[j])
+            rhs = [ZERO] * g.dim
+            for k, c in h.structure(i, j).items():
+                for r in range(g.dim):
+                    rhs[r] += c * cols[k][r]
+            if lhs != rhs:
+                return False
+    return True
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the LieAlgError it raised."""
+    try:
+        return fn(*args)
+    except liealg.LieAlgError as e:
+        return type(e), str(e)
+
+
+def doctor(g, rng):
+    """A copy of g whose one bracket coefficient, at a random pair and
+    basis index, is moved by +-1 or +-2 (a zero result is dropped)."""
+    pair = rng.choice(sorted(g.brackets))
+    vec = dict(g.brackets[pair])
+    k = rng.randrange(g.dim)
+    vec[k] = vec.get(k, ZERO) + rng.choice((-2, -1, 1, 2))
+    brackets = dict(g.brackets)
+    brackets[pair] = {m: vec[m] for m in sorted(vec) if vec[m]}
+    return dataclasses.replace(g, brackets=brackets, realization=None)
+
+
+def doctored_height_one():
+    rng = random.Random(15)
+    return [doctor(g, rng) for g in HEIGHT_ONE if g.brackets]
+
+
+@st.composite
+def doctored(draw, g):
+    return doctor(g, random.Random(draw(st.integers(0, 2**32))))
+
+
+class TestJacobi:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_dense_on_generated(self, data):
+        g = data.draw(algebras("ABCD"))
+        assert liealg.check_jacobi(g) is jacobi_oracle(g) is True
+        if g.brackets:
+            d = data.draw(doctored(g))
+            assert liealg.check_jacobi(d) is jacobi_oracle(d)
+
+    def test_height_one_satisfies_it(self):
+        for g in HEIGHT_ONE:
+            assert liealg.check_jacobi(g)
+
+    def test_matches_dense_on_doctored_height_one(self):
+        verdicts = []
+        for d in doctored_height_one():
+            verdicts.append(liealg.check_jacobi(d))
+            assert verdicts[-1] is jacobi_oracle(d)
+        # A doctored copy may still be a Lie algebra; both verdicts occur.
+        assert True in verdicts and False in verdicts
+
+
+class TestDerivedSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_dense_on_generated(self, data):
+        g = data.draw(algebras("ABCD"))
+        assert outcome(liealg.derived_series, g) == outcome(derived_series_oracle, g)
+        if g.brackets:
+            d = data.draw(doctored(g))
+            assert outcome(liealg.derived_series, d) == outcome(derived_series_oracle, d)
+
+    def test_matches_dense_on_height_one(self):
+        for g in HEIGHT_ONE:
+            assert outcome(liealg.derived_series, g) == outcome(derived_series_oracle, g)
+
+    def test_matches_dense_on_doctored_height_one(self):
+        for d in doctored_height_one():
+            assert outcome(liealg.derived_series, d) == outcome(derived_series_oracle, d)
+
+    def test_bases_are_dense_tuples(self):
+        series, _, _ = liealg.derived_series(liealg.build(posets.chain_poset(4), "gl"))
+        for s in series:
+            for vec in s.basis:
+                assert type(vec) is tuple and len(vec) == s.ambient_dim
+                assert all(type(c) is Fraction for c in vec)
+
+    def test_does_not_decrease(self):
+        sl2 = liealg.LieAlg(
+            dim=3, basis_labels=("h", "e", "f"), cartan_count=1,
+            brackets={(0, 1): {1: Fraction(2)}, (0, 2): {2: Fraction(-2)}, (1, 2): {0: ONE}},
+        )
+        assert liealg.check_jacobi(sl2)
+        want = (liealg.LieAlgError, "derived series does not decrease: not solvable")
+        assert outcome(liealg.derived_series, sl2) == outcome(derived_series_oracle, sl2) == want
+
+
+def vectors(dim):
+    coeff = st.one_of(st.just(ZERO), st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    return st.lists(coeff, min_size=dim, max_size=dim)
+
+
+class TestAdMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_dense_on_generated(self, data):
+        g = data.draw(algebras("ABCD"))
+        v = data.draw(vectors(g.dim))
+        assert indexfrob.ad_matrix(g, v) == ad_matrix_oracle(g, v)
+        if g.brackets:
+            d = data.draw(doctored(g))
+            assert indexfrob.ad_matrix(d, v) == ad_matrix_oracle(d, v)
+
+    def test_matches_dense_on_height_one(self):
+        rng = random.Random(7)
+        for g in HEIGHT_ONE:
+            v = [Fraction(rng.randint(-3, 3)) for _ in range(g.dim)]
+            assert indexfrob.ad_matrix(g, v) == ad_matrix_oracle(g, v)
+            f = indexfrob.structured_candidate(g)
+            if exactla.rank(indexfrob.eval_kirillov(g, f)) == g.dim:
+                p = indexfrob.principal_element(g, f)
+                assert indexfrob.ad_matrix(g, p) == ad_matrix_oracle(g, p)
+
+
+class TestVerifyIsomorphism:
+    @staticmethod
+    def _normalized():
+        out = []
+        for g in HEIGHT_ONE:
+            cert = indexfrob.index(g, seed=0)
+            if g.dim and cert.index == 0 and g.root_block is not None:
+                out.append((g, indexfrob.normalize_to_phi(g, cert)))
+        return out
+
+    def test_matches_dense_on_height_one(self):
+        rng = random.Random(3)
+        normalized = self._normalized()
+        assert normalized
+        for g, res in normalized:
+            P, phi = res.change_of_basis, liealg.make_phi(res.n)
+            assert res.verified
+            assert indexfrob._verify_isomorphism(g, P, phi) is verify_isomorphism_oracle(g, P, phi)
+            ents = dict(P.entries)
+            key = (rng.randrange(P.n_rows), rng.randrange(P.n_cols))
+            ents[key] = ents.get(key, ZERO) + ONE
+            Q = SparseMat(P.n_rows, P.n_cols, ents)
+            assert indexfrob._verify_isomorphism(g, Q, phi) is verify_isomorphism_oracle(g, Q, phi)
+
+    def test_rejects_perturbed_change_of_basis(self):
+        # d_1 + h_k with alpha_1(h_k) != 0 gives [d_1, e_1] = (1 + alpha_1(h_k)) e_1.
+        for g, res in self._normalized():
+            P, phi = res.change_of_basis, liealg.make_phi(res.n)
+            k = min(k for k, t in g.root_block.entries if t == 0)
+            ents = dict(P.entries)
+            ents[(k, 0)] = ents.get((k, 0), ZERO) + ONE
+            Q = SparseMat(P.n_rows, P.n_cols, ents)
+            assert indexfrob._verify_isomorphism(g, Q, phi) is False
+            assert verify_isomorphism_oracle(g, Q, phi) is False
+
+    def test_composition_matches_dense(self):
+        by_n = {}
+        for g, res in self._normalized():
+            by_n.setdefault(res.n, []).append((g, res))
+        for pairs in by_n.values():
+            for (g1, r1), (g2, r2) in zip(pairs, pairs[1:]):
+                M, ok = indexfrob.compose_isomorphism(g1, r1, g2, r2)
+                assert ok is verify_isomorphism_oracle(g2, M, g1) is True
+
+
+@pytest.mark.parametrize("x, y, want", [
+    ({}, {0: ONE}, {}),
+    ({0: ONE}, {1: ONE}, {1: ONE}),
+    ({1: ONE}, {0: 2 * ONE}, {1: -2 * ONE}),
+    # [d + e, d + e] = e - e: the cancelled coefficient leaves no entry.
+    ({0: ONE, 1: ONE}, {0: ONE, 1: ONE}, {}),
+])
+def test_sparse_bracket_drops_zeros(x, y, want):
+    g = liealg.make_phi(1)  # basis (d, e), [d, e] = e
+    assert liealg._bracket(g, x, y) == want
+    assert liealg.bracket(g, [x.get(k, ZERO) for k in range(2)],
+                          [y.get(k, ZERO) for k in range(2)]) == [want.get(k, ZERO) for k in range(2)]
