@@ -264,8 +264,11 @@ def normalize_to_phi(g, certificate):
     ``certificate`` is the index certificate of g and must certify index
     0.  g must be two-step, with its root block B = ``g.root_block``
     (BlockFormError when it has none), which a Frobenius two-step g has
-    square.  Root vectors become e_1..e_n as-is, and row i of B^{-1}
-    holds the Cartan coefficients of d_i, so that alpha_j(d_i) = delta_ij.
+    square.  BlockFormError also when g has no root vector: the zero
+    algebra (sl of a one-element poset) has index 0 but is not two-step,
+    and there is no normal form Phi_0.  Root vectors become e_1..e_n
+    as-is, and row i of B^{-1} holds the Cartan coefficients of d_i, so
+    that alpha_j(d_i) = delta_ij.
     All bracket relations of the normal form are re-verified exactly under
     the change of basis.
     """
@@ -274,6 +277,8 @@ def normalize_to_phi(g, certificate):
     B = g.root_block
     if B is None:
         raise BlockFormError("not a two-step algebra in Cartan-Weyl form")
+    if not B.n_cols:
+        raise BlockFormError("no root vector: not a two-step algebra")
     if g.dim % 2:
         raise NotFrobeniusError("odd dimension cannot be Frobenius (skew rank)")
     cc = g.cartan_count

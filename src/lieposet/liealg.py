@@ -213,7 +213,8 @@ def _in_form_algebra(X, s):
 
 def _basis(P, variant):
     """([(label, {(a, b): +-1}), ...], cartan_count): the basis matrices on
-    P's own labels, Cartan generators first.
+    P's own labels, Cartan generators first.  The entries are ints, the
+    one scalar type of the basis from here to ``_structure_constants``.
 
     Family A spans gl or sl plus E[a, b] per relation a < b.  Families
     B, C, D lie in the form algebra of S[e, -e] = s_e (s_e = -1 only for
@@ -222,63 +223,60 @@ def _basis(P, variant):
     elems = P.elements
     if P.family == "A":
         if variant == "gl":
-            cartan = [(f"e[{e},{e}]", {(e, e): ONE}) for e in elems]
+            cartan = [(f"e[{e},{e}]", {(e, e): 1}) for e in elems]
         elif variant == "sl":
-            cartan = [(f"e[{a},{a}]-e[{b},{b}]", {(a, a): ONE, (b, b): -ONE})
+            cartan = [(f"e[{a},{a}]-e[{b},{b}]", {(a, a): 1, (b, b): -1})
                       for a, b in zip(elems, elems[1:])]
         else:
             raise LieAlgError(f"unknown variant {variant!r} (expected gl or sl)")
-        roots = [(f"e[{a},{b}]", {(a, b): ONE}) for a, b in sorted(P.relation)]
+        roots = [(f"e[{a},{b}]", {(a, b): 1}) for a, b in sorted(P.relation)]
         return cartan + roots, len(cartan)
-    s = {e: -ONE if P.family == "C" and e < 0 else ONE for e in elems}
+    s = {e: -1 if P.family == "C" and e < 0 else 1 for e in elems}
     # Sign convention: +1 on the -i diagonal slot, so that root values on
     # the Borel come out nonnegative with rows ordered -n..n.
-    basis = [(f"h{i}", {(-i, -i): ONE, (i, i): -ONE}) for i in range(1, P.n + 1)]
+    basis = [(f"h{i}", {(-i, -i): 1, (i, i): -1}) for i in range(1, P.n + 1)]
     # One root vector per mirror orbit {(i, j), (-j, -i)}.
     orbits = {min((a, b), (-b, -a)) for a, b in P.relation}
     for a, b in sorted(orbits):
         if a == -b:
             # Self-paired long root, only possible in family C.
-            basis.append((f"e[{a},{b}]", {(a, b): ONE}))
+            basis.append((f"e[{a},{b}]", {(a, b): 1}))
         else:
             # X = E[a,b] - sigma E[-b,-a]; the (-a, b) entry of
             # X^T S + S X = 0 forces sigma = s_a s_b.
             sigma = s[a] * s[b]
-            basis.append((f"e[{a},{b}]{'-' if sigma == ONE else '+'}e[{-b},{-a}]",
-                          {(a, b): ONE, (-b, -a): -sigma}))
+            basis.append((f"e[{a},{b}]{'-' if sigma == 1 else '+'}e[{-b},{-a}]",
+                          {(a, b): 1, (-b, -a): -sigma}))
     for label, X in basis:
         if not _in_form_algebra(X, s):
             raise ClosureError(f"{label} not in the form algebra")
     return basis, P.n
 
 
-def _structure_constants(mats, labels):
+def _structure_constants(ents, labels, size):
     """brackets[(i, j)] = {k: c_k}, k ascending, with [M_i, M_j] = sum c_k M_k
-    for every nonzero commutator of the basis matrices ``mats``.
+    for every nonzero commutator of the size x size basis matrices given by
+    their nonzero integer entries ``ents``, {(row, col): value} each; the
+    coefficients are Fractions.
 
     No elimination: the coordinates are read off.  The basis must have the
     shape of a Lie poset algebra's.  The diagonal matrices are the Cartan
     generators.  Every other matrix, a root vector, has a private leading
-    slot: its first position in (row, column) order, off the diagonal and
-    nonzero in no other basis matrix.  So the root matrices are independent
-    of each other and of the Cartan ones, and the basis is independent when
-    the Cartan diagonals have full rank, the one rank computed here.  Every
-    commutator lies in the nilradical, the span of the root matrices, so
-    its coordinate on root vector k is its entry at k's slot over M_k's,
-    and each is checked exactly by summing the basis back.  The products
-    run on the entries as ints where they are integral (in ``build``, all
-    are) and only over the pairs in which a column of one matrix meets a
-    row of the other.
+    slot: its first position in (row, column) order, off the diagonal,
+    nonzero in no other basis matrix, and of entry +-1.  So the root
+    matrices are independent of each other and of the Cartan ones, and the
+    basis is independent when the Cartan diagonals have full rank, the one
+    rank computed here.  Every commutator lies in the nilradical, the span
+    of the root matrices, so its coordinate on root vector k is its entry
+    at k's slot times M_k's +-1 there, an int, and each is checked exactly
+    by summing the basis back.  The products run only over the pairs in
+    which a column of one matrix meets a row of the other.
 
     Raises ClosureError when a root matrix has no private off-diagonal
-    leading slot, when the basis is dependent, or when a commutator falls
-    outside the span of the root matrices.
+    leading slot of entry +-1, when the basis is dependent, or when a
+    commutator falls outside the span of the root matrices.
     """
-    dim = len(mats)
-    ents = [
-        {p: v.numerator if v.denominator == 1 else v for p, v in M.entries.items()}
-        for M in mats
-    ]
+    dim = len(ents)
     cartan, roots = [], []
     for k, E in enumerate(ents):
         (cartan if all(r == c for r, c in E) else roots).append(k)
@@ -286,13 +284,13 @@ def _structure_constants(mats, labels):
     slot_of = {}
     for k in roots:
         slot = min(ents[k])
-        if slot[0] == slot[1] or touched[slot] > 1:
+        if slot[0] == slot[1] or touched[slot] > 1 or ents[k][slot] not in (1, -1):
             raise ClosureError(
                 f"root matrix {labels[k]} has no private off-diagonal leading slot"
+                " of entry +-1"
             )
         slot_of[slot] = k
-    size = mats[0].n_rows if mats else 0
-    diagonals = [{r: v for (r, _), v in mats[k].entries.items()} for k in cartan]
+    diagonals = [{r: v for (r, _), v in ents[k].items()} for k in cartan]
     rank = len(roots) + len(exactla._elim.eliminate(diagonals, size)[0])
     if rank != dim:
         raise ClosureError(f"the {dim} basis matrices are dependent (rank {rank})")
@@ -325,17 +323,16 @@ def _structure_constants(mats, labels):
             for p, v in comm.items():
                 k = slot_of.get(p)
                 if k is not None:
-                    coords[k] = Fraction(v, ents[k][p])
-            vec = {k: coords[k] for k in sorted(coords)}
+                    coords[k] = v * ents[k][p]
             back = {}
-            for k, c in vec.items():
+            for k, c in coords.items():
                 for p, v in ents[k].items():
                     back[p] = back.get(p, 0) + c * v
             if {p: v for p, v in back.items() if v} != comm:
                 raise ClosureError(
                     f"[{labels[i]}, {labels[j]}] falls outside the basis span"
                 )
-            brackets[(i, j)] = vec
+            brackets[(i, j)] = {k: Fraction(coords[k]) for k in sorted(coords)}
     return brackets
 
 
@@ -365,17 +362,14 @@ def build(P, variant="gl"):
     basis, cartan_count = _basis(P, variant)
     pos = {e: t for t, e in enumerate(P.elements)}
     N = len(pos)
-    mats = tuple(
-        SparseMat(N, N, {(pos[a], pos[b]): v for (a, b), v in X.items()})
-        for _, X in basis
-    )
+    ents = [{(pos[a], pos[b]): v for (a, b), v in X.items()} for _, X in basis]
     labels = tuple(label for label, _ in basis)
     g = LieAlg(
-        dim=len(mats),
+        dim=len(ents),
         basis_labels=labels,
-        brackets=_structure_constants(mats, labels),
+        brackets=_structure_constants(ents, labels, N),
         cartan_count=cartan_count,
-        realization=mats,
+        realization=tuple(SparseMat(N, N, E) for E in ents),
     )
     g.roots  # the Cartan-Weyl guard fails here, at build time
     return g

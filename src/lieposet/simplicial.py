@@ -12,7 +12,10 @@ def coboundary_matrices(P):
 
     (delta f)(sigma) = sum_i (-1)^i f(sigma with vertex i removed).
     """
-    complex_ = nerve(P)
+    return _coboundaries(nerve(P))
+
+
+def _coboundaries(complex_):
     by_dim = complex_.simplices_by_dim
     out = []
     for k in range(len(by_dim) - 1):
@@ -37,7 +40,7 @@ def simplicial_cohomology_dim(P, k):
     n_k = complex_.n_simplices(k)
     if n_k == 0:
         return 0
-    deltas = coboundary_matrices(P)
+    deltas = _coboundaries(complex_)
     rank_k = exactla.rank(deltas[k]) if k < len(deltas) else 0
     rank_km1 = exactla.rank(deltas[k - 1]) if 1 <= k <= len(deltas) else 0
     return n_k - rank_k - rank_km1

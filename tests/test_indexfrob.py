@@ -419,12 +419,12 @@ class TestNormalize:
             normalize_to_phi(g, cert)
 
     def test_dim_zero_rejected(self):
-        # The one-element poset in sl has dimension 0 and index 0; there is
-        # no normal form Phi_0, so normalization must raise, not return.
+        # The one-element poset in sl has dimension 0 and index 0; it is not
+        # two-step and there is no normal form Phi_0.
         g = build(chain_poset(1), "sl")
         cert = index(g, seed=0)
         assert g.dim == 0 and cert.index == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(BlockFormError, match="no root vector"):
             normalize_to_phi(g, cert)
 
     def test_phi_fixed_point(self):

@@ -282,8 +282,8 @@ class TestCartanWeyl:
 
     def test_build_runs_the_guard(self, monkeypatch):
         # build itself raises, not a later reader of the roots.
-        def non_eigenvector(mats, labels):
-            return {(0, len(mats) - 1): {0: ONE, len(mats) - 1: ONE}}
+        def non_eigenvector(ents, labels, size):
+            return {(0, len(ents) - 1): {0: ONE, len(ents) - 1: ONE}}
 
         monkeypatch.setattr(liealg, "_structure_constants", non_eigenvector)
         with pytest.raises(CartanWeylError):
@@ -321,43 +321,39 @@ class TestClosureInvariant:
 
     def test_unclosed_basis_rejected(self):
         # e12 and e23 without e13: [e12, e23] = e13 leaves the span.
-        e12 = SparseMat(3, 3, {(0, 1): ONE})
-        e23 = SparseMat(3, 3, {(1, 2): ONE})
         with pytest.raises(ClosureError, match="outside the basis span"):
-            liealg._structure_constants([e12, e23], ("e12", "e23"))
+            liealg._structure_constants([{(0, 1): 1}, {(1, 2): 1}], ("e12", "e23"), 3)
 
     def test_dependent_basis_rejected(self):
         # Closed (all three commute) but dependent: coordinates are not unique.
-        e11 = SparseMat(2, 2, {(0, 0): ONE})
-        e22 = SparseMat(2, 2, {(1, 1): ONE})
         with pytest.raises(ClosureError, match="dependent"):
             liealg._structure_constants(
-                [e11, e22, e11.add(e22)], ("e11", "e22", "e11+e22")
+                [{(0, 0): 1}, {(1, 1): 1}, {(0, 0): 1, (1, 1): 1}],
+                ("e11", "e22", "e11+e22"), 2,
             )
 
-    @pytest.mark.parametrize("mats", (
+    @pytest.mark.parametrize("ents", (
         # e12 + e13 leads at (0, 1), which e12 also touches.
-        [SparseMat(3, 3, {(0, 1): ONE}), SparseMat(3, 3, {(0, 1): ONE, (0, 2): ONE}),
-         SparseMat(3, 3, {(0, 2): ONE})],
+        [{(0, 1): 1}, {(0, 1): 1, (0, 2): 1}, {(0, 2): 1}],
         # e11 + e12 is not diagonal, yet leads on the diagonal.
-        [SparseMat(2, 2, {(0, 0): ONE, (0, 1): ONE})],
-    ), ids=("shared", "diagonal"))
-    def test_root_matrix_without_private_leading_slot_rejected(self, mats):
-        labels = tuple(f"y{k}" for k in range(len(mats)))
-        with pytest.raises(ClosureError, match="no private off-diagonal leading slot"):
-            liealg._structure_constants(mats, labels)
+        [{(0, 0): 1, (0, 1): 1}],
+        # 2 e12 leads at a private slot, but its entry there is not +-1.
+        [{(0, 1): 2}, {(1, 2): 1}, {(0, 2): 1}],
+    ), ids=("shared", "diagonal", "non-unit"))
+    def test_root_matrix_without_private_leading_slot_rejected(self, ents):
+        labels = tuple(f"y{k}" for k in range(len(ents)))
+        with pytest.raises(ClosureError,
+                           match=r"no private off-diagonal leading slot of entry \+-1"):
+            liealg._structure_constants(ents, labels, 3)
 
     def test_closed_basis_accepted(self):
-        e12 = SparseMat(3, 3, {(0, 1): ONE})
-        e23 = SparseMat(3, 3, {(1, 2): ONE})
-        e13 = SparseMat(3, 3, {(0, 2): ONE})
-        assert liealg._structure_constants([e12, e23, e13], ("e12", "e23", "e13")) == {
-            (0, 1): {2: ONE}
-        }
-        # A coordinate is the slot entry over the root matrix's own there.
         got = liealg._structure_constants(
-            [e12.add(e12), e23, e13.add(e13, scale=ONE * 2)], ("2e12", "e23", "3e13"))
-        assert got == {(0, 1): {2: Fraction(2, 3)}} and type(got[(0, 1)][2]) is Fraction
+            [{(0, 1): 1}, {(1, 2): 1}, {(0, 2): 1}], ("e12", "e23", "e13"), 3)
+        assert got == {(0, 1): {2: ONE}} and type(got[(0, 1)][2]) is Fraction
+        # A coordinate is the slot entry times the root matrix's +-1 there.
+        got = liealg._structure_constants(
+            [{(0, 1): 1}, {(1, 2): 1}, {(0, 2): -1}], ("e12", "e23", "-e13"), 3)
+        assert got == {(0, 1): {2: -ONE}} and type(got[(0, 1)][2]) is Fraction
 
 
 class TestRealization:

@@ -112,8 +112,9 @@ def test_structure_constants_match_per_pair_solve_in_mixed_basis(data):
                 cartan_only &= j < g.cartan_count
         mixed.append(M)
     labels = tuple(f"y{k}" for k in range(len(mixed)))
+    ents = [{p: int(v) for p, v in M.entries.items()} for M in mixed]
     try:
-        got = liealg._structure_constants(mixed, labels)
+        got = liealg._structure_constants(ents, labels, mats[0].n_rows if mats else 0)
     except liealg.ClosureError:
         assert not cartan_only
     else:
