@@ -8,6 +8,9 @@ is no floating point anywhere in this package.
 Every rank, kernel, solve and inverse runs through one sparse elimination
 kernel, ``_elim_py.eliminate``, reached here as ``_elim.eliminate``.
 ``BACKEND`` names it; it is a constant, kept for reports that record it.
+The functions here call it over Q; the same kernel also takes int rows
+with a prime ``modulus``, where its entries are int residues mod p, which
+is how ``indexfrob.index`` ranks its random trials.
 """
 
 from fractions import Fraction

@@ -4,13 +4,15 @@ On a two-step algebra (one with a ``root_block`` B) the index is exact:
 in the Cartan-first basis the Kirillov matrix at f is
 [[0, B D_f], [-(B D_f)^T, 0]] with D_f = diag(f(e_t)), so
 ind g = dim - 2 rank(B), and the structured candidate attains that rank.
-Every other algebra is evaluated at random functionals: an exactly
-nonsingular evaluation proves index 0 outright, while a positive index is
+Every other algebra is evaluated at random functionals, ranked modulo a
+prime above the coefficients of every minor (``_modulus``): a nonsingular
+evaluation proves index 0 outright, while a positive index is
 probabilistic (the rank of a random evaluation can only undershoot the
 generic rank, off a hypersurface of functionals), and the certificate says
 so and carries the Schwartz-Zippel bound on the chance that it is wrong.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,8 +75,10 @@ class IndexCertificate:
 
         A trial undershoots the generic rank r only where an r x r minor,
         a polynomial of degree r in f's coordinates, vanishes: with
-        probability at most r / (2 entry_bound + 1).  The rank is even and
-        at most dim, so r <= d, the largest even number <= dim.
+        probability at most r / (2 entry_bound + 1).  That holds for a
+        trial ranked mod p too, since ``_modulus`` picks p above every
+        coefficient of every minor and above 2 entry_bound + 1.  The rank
+        is even and at most dim, so r <= d, the largest even number <= dim.
         """
         if self.trials == 0 or self.index == 0:
             return None
@@ -97,17 +101,71 @@ class IndexCertificate:
         return out
 
 
+def _kirillov_rows(g, coords):
+    """Rows of the skew-symmetric matrix with (i, j) entry f([x_i, x_j]),
+    f the functional with coordinates ``coords``: one dict per row, zero
+    entries left out.
+
+    The entries are ints when the coordinates are ints and the structure
+    constants integers (``g.integral``), and Fractions otherwise.
+    """
+    ints = all(type(c) is int for c in coords) and g.integral
+    rows = [{} for _ in range(g.dim)]
+    for (i, j), vec in g.brackets.items():
+        if ints:
+            val = sum(coords[k] * v.numerator for k, v in vec.items())
+        else:
+            val = sum((coords[k] * v for k, v in vec.items()), ZERO)
+        if val:
+            rows[i][j] = val
+            rows[j][i] = -val
+    return rows
+
+
 def eval_kirillov(g, f):
-    """Skew-symmetric matrix with (i, j) entry f([x_i, x_j])."""
+    """Skew-symmetric matrix with (i, j) entry f([x_i, x_j]): the
+    ``_kirillov_rows`` of f as a SparseMat."""
     if len(f.coords) != g.dim:
         raise exactla.DimensionError("functional length mismatch")
-    ents = {}
+    rows = _kirillov_rows(g, f.coords)
+    return SparseMat(g.dim, g.dim, {
+        (i, j): v for i, row in enumerate(rows) for j, v in row.items()
+    })
+
+
+# Exponents e of the Mersenne primes 2^e - 1 that the random trials of
+# ``index`` may be ranked modulo, smallest first.
+MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279)
+
+
+def _modulus(g, entry_bound):
+    """The prime the random trials of ``index`` are ranked modulo: the
+    smallest Mersenne prime 2^e - 1, e in MERSENNE_EXPONENTS, above both
+    2 entry_bound + 1 and C = prod a_i over the nonzero rows i of the
+    Kirillov matrix K, where a_i = sum_j sum_k |c_ijk|.  None, so that the
+    trials are ranked exactly over Q, when a structure constant is not an
+    integer or no listed prime is large enough.
+
+    Why a trial ranked mod p certifies what an exact one would:
+    - K(f) is an integer matrix at an integer f, so rank_p <= rank_Q, and
+      a trial of full rank mod p proves index 0 exactly;
+    - a nonzero r x r minor of K is a polynomial in f whose coefficients
+      are at most the product of a_i over its rows (all nonzero, so each
+      a_i >= 1), hence at most C < p, in absolute value: a minor nonzero
+      over Q stays nonzero mod p;
+    - [-entry_bound, entry_bound] injects into F_p, so by Schwartz-Zippel
+      over F_p a trial misses the generic rank with probability at most
+      r / (2 entry_bound + 1), the bound ``error_bound`` states.
+    """
+    if not g.integral:
+        return None
+    weight = [0] * g.dim
     for (i, j), vec in g.brackets.items():
-        val = sum((f.coords[k] * v for k, v in vec.items()), ZERO)
-        if val:
-            ents[(i, j)] = val
-            ents[(j, i)] = -val
-    return SparseMat(g.dim, g.dim, ents)
+        a = sum(abs(v.numerator) for v in vec.values())
+        weight[i] += a
+        weight[j] += a
+    floor = max(math.prod(a for a in weight if a), 2 * entry_bound + 1)
+    return next((p for p in ((1 << e) - 1 for e in MERSENNE_EXPONENTS) if p > floor), None)
 
 
 def _random_functional(dim, entry_bound, seed, trial):
@@ -125,9 +183,11 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
     no random trial (``trials`` 0 in the certificate).  Otherwise the
     commutator tensor is evaluated at up to ``trials`` random functionals
     with entries in [-entry_bound, entry_bound], stopping at the first
-    nonsingular one; the certificate records the trials run.  Deterministic given (seed,
-    trials, entry_bound); per-trial generators are derived from the seed
-    by trial number, so trials are order-free.
+    nonsingular one; the certificate records the trials run.  Each trial
+    is ranked modulo the prime ``_modulus`` picks (exactly when it picks
+    none), which keeps index 0 proved and ``error_bound`` a proven bound.
+    Deterministic given (seed, trials, entry_bound); per-trial generators
+    are derived from the seed by trial number, so trials are order-free.
     """
     if trials < 1:
         raise IndexError_("trials must be >= 1")
@@ -139,10 +199,12 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
             entry_bound=entry_bound,
             seed=seed,
         )
+    p = _modulus(g, entry_bound)
     best_rank, best_witness = -1, None
     for trial in range(trials):
         f = _random_functional(g.dim, entry_bound, seed, trial)
-        r = exactla.rank(eval_kirillov(g, f))
+        rows = _kirillov_rows(g, [c.numerator for c in f.coords])
+        r = len(exactla._elim.eliminate(rows, g.dim, modulus=p)[0])
         if r > best_rank:
             best_rank, best_witness = r, f
         if best_rank == g.dim:

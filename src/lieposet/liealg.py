@@ -95,6 +95,11 @@ class LieAlg:
         return tuple(tuple(p) for p in producers)
 
     @cached_property
+    def integral(self):
+        """True when every structure constant is an integer."""
+        return all(v.denominator == 1 for vec in self.brackets.values() for v in vec.values())
+
+    @cached_property
     def roots(self):
         """roots[t] = (alpha_t(h_1), ..., alpha_t(h_cc)) for every root vector
         t, where [h_k, x_t] = alpha_t(h_k) x_t.

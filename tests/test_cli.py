@@ -162,8 +162,8 @@ class TestIndex:
             assert (cert.witness == cand) != structured_singular
 
     @pytest.mark.parametrize("poset, variant, calls_in_index, candidate_evaluations", (
-        pytest.param("hexagon", "gl", {"eval_kirillov": 0, "rank": 1}, 1, id="hexagon-gl-1"),
-        pytest.param("branch", "sl", {"eval_kirillov": 1, "rank": 1}, 2, id="branch-sl-2"),
+        pytest.param("hexagon", "gl", {"_kirillov_rows": 0, "rank": 1}, 1, id="hexagon-gl-1"),
+        pytest.param("branch", "sl", {"_kirillov_rows": 1, "rank": 0}, 2, id="branch-sl-2"),
     ))
     def test_one_kirillov_matrix_per_functional(
         self, capsys, request, monkeypatch, poset, variant, calls_in_index,
@@ -171,18 +171,19 @@ class TestIndex:
     ):
         # index ranks the root block of the two-step hexagon once and
         # evaluates no functional; branch is not two-step, so index evaluates
-        # and ranks random trials until one is nonsingular (the first, at
-        # seed 0).  The report then evaluates the structured candidate once
-        # (and the witness once more if the candidate is singular), and
-        # never ranks it: one inversion decides and gives the principal
-        # element.
+        # random trials until one is nonsingular (the first, at seed 0) and
+        # ranks them mod p in the kernel, not through exactla.rank.  The
+        # report then evaluates the structured candidate once (and the
+        # witness once more if the candidate is singular), and never ranks
+        # it: one inversion decides and gives the principal element.
+        # _kirillov_rows is the one evaluator; eval_kirillov wraps it.
         path = request.getfixturevalue(f"{poset}_file")
         P = hexagon_type_c_poset() if poset == "hexagon" else posets.branch_poset()
         g = build(P, variant)
         if poset == "branch":
             f = indexfrob._random_functional(g.dim, 10**6, 0, 0)
             assert exactla.rank(indexfrob.eval_kirillov(g, f)) == g.dim
-        calls = {"eval_kirillov": 0, "rank": 0}
+        calls = {"_kirillov_rows": 0, "rank": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -190,13 +191,13 @@ class TestIndex:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(indexfrob, "eval_kirillov",
-                            counting("eval_kirillov", indexfrob.eval_kirillov))
+        monkeypatch.setattr(indexfrob, "_kirillov_rows",
+                            counting("_kirillov_rows", indexfrob._kirillov_rows))
         monkeypatch.setattr(exactla, "rank", counting("rank", exactla.rank))
         code, rep = run(capsys, ["index", path, "--variant", variant, "--seed", "0"])
         assert code == 0 and rep["results"]["certificate"]["certified_frobenius"]
         assert calls == {
-            "eval_kirillov": calls_in_index["eval_kirillov"] + candidate_evaluations,
+            "_kirillov_rows": calls_in_index["_kirillov_rows"] + candidate_evaluations,
             "rank": calls_in_index["rank"],
         }
 

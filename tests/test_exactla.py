@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import lieposet
@@ -215,24 +215,25 @@ def _sparse(rows):
     return [{j: v for j, v in enumerate(r) if v} for r in rows]
 
 
-def _check_kernel_against_rref(rows, n_cols, pivot_limit, want):
+def _check_kernel_against_rref(rows, n_cols, pivot_limit, want, modulus=None):
     # Both modes pick the same pivots, the reduced mode's rows are the
     # unique RREF dict for dict, and neither mode touches its input.
     snapshot = [dict(r) for r in rows]
-    pivots, red = _elim_py.eliminate(rows, n_cols, pivot_limit, reduce_full=True)
+    pivots, red = _elim_py.eliminate(rows, n_cols, pivot_limit, reduce_full=True,
+                                     modulus=modulus)
     assert red == want
     assert pivots == sorted(want)
-    rank_pivots, _ = _elim_py.eliminate(rows, n_cols, pivot_limit)
+    rank_pivots, echelon = _elim_py.eliminate(rows, n_cols, pivot_limit, modulus=modulus)
     assert rank_pivots == pivots
     assert rows == snapshot
-    return pivots, red
+    return pivots, red, echelon
 
 
 @settings(max_examples=100, deadline=None)
 @given(fraction_matrices())
 def test_eliminate_against_dense_oracle(rows):
     n_cols = len(rows[0])
-    pivots, red = _check_kernel_against_rref(_sparse(rows), n_cols, None, dense_rref(rows))
+    pivots, red, _ = _check_kernel_against_rref(_sparse(rows), n_cols, None, dense_rref(rows))
     assert len(pivots) == dense_rank_oracle(rows)
     assert pivots == sorted(red)
     # Reduced echelon form: pivot entry 1, no other pivot column in its row.
@@ -300,6 +301,76 @@ def test_int_pivot_is_inverted_exactly():
     _, red = _elim_py.eliminate([{0: 2, 1: 1}, {0: 3, 1: 1}], 2)
     assert red[0] == {0: 1, 1: Fraction(1, 2)} and type(red[0][1]) is Fraction
     assert red[1] == {1: 1} and type(red[1][1]) is Fraction
+
+
+PRIMES = (3, 5, 7, 2**61 - 1)
+
+
+def dense_rref_mod(rows, p):
+    """Naive dense Gauss-Jordan elimination over F_p, written independently
+    of the sparse kernel: {pivot col: {col: residue in 1..p-1}}."""
+    m = [[v % p for v in r] for r in rows]
+    n_cols = len(m[0]) if m else 0
+    pivots = []
+    for col in range(n_cols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col]
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+        pivots.append(col)
+    return {p_: {c: v for c, v in enumerate(m[r]) if v} for r, p_ in enumerate(pivots)}
+
+
+@st.composite
+def int_matrices(draw, entry=st.integers(-10, 10)):
+    """Dense rows of ints, about a third of the entries zero."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), entry)
+    return [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+
+
+def _rank_mod(rows, p):
+    return len(_elim_py.eliminate(_sparse(rows), len(rows[0]), modulus=p)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(st.one_of(st.integers(-10, 10), st.integers(-2**70, 2**70))),
+       st.sampled_from(PRIMES))
+def test_eliminate_mod_p_against_dense_oracle(rows, p):
+    n_cols = len(rows[0])
+    want = dense_rref_mod(rows, p)
+    _, _, echelon = _check_kernel_against_rref(_sparse(rows), n_cols, None, want, modulus=p)
+    # Rank mode: residues with pivot entry 1 and nothing left of the pivot,
+    # spanning the same row space mod p.
+    for c, row in echelon.items():
+        assert row[c] == 1 and min(row) == c
+        assert all(type(v) is int and 0 < v < p for v in row.values())
+    dense = [[row.get(j, 0) for j in range(n_cols)] for row in echelon.values()]
+    assert dense_rref_mod(dense, p) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(), st.sampled_from(PRIMES))
+def test_rank_mod_p_at_most_rank_over_q(rows, p):
+    assert _rank_mod(rows, p) <= dense_rank_oracle(rows)
+
+
+@pytest.mark.parametrize("p", PRIMES[:3])
+def test_rank_mod_small_p_can_fall_below_rank_over_q(p):
+    # Both cases occur, so the inequality above is not vacuous; any
+    # example will do, so find skips shrinking.
+    for holds in (lambda a, b: a < b, lambda a, b: a == b):
+        find(int_matrices(), lambda rows: holds(_rank_mod(rows, p), dense_rank_oracle(rows)),
+             settings=settings(database=None, max_examples=2000,
+                               phases=(Phase.generate,)))
 
 
 def test_names_the_benchmark_reads():

@@ -73,6 +73,18 @@ class TestKirillov:
         # f([d, e]) = f(e) = 5
         assert M.entries == {(0, 1): Fraction(5), (1, 0): Fraction(-5)}
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rows_are_the_kirillov_matrix_with_int_entries_when_integral(self, data):
+        g = data.draw(algebras("ABCD"))
+        g = data.draw(st.sampled_from((g, scaled(g, HALF), scaled(g, -3))))
+        coords = data.draw(st.lists(st.integers(-9, 9), min_size=g.dim, max_size=g.dim))
+        rows = indexfrob._kirillov_rows(g, coords)
+        M = eval_kirillov(g, Functional.from_list(coords))
+        assert {(i, j): v for i, row in enumerate(rows) for j, v in row.items()} == M.entries
+        kind = int if g.integral else Fraction
+        assert all(type(v) is kind for row in rows for v in row.values())
+
     def test_length_mismatch(self):
         g = make_phi(1)
         with pytest.raises(exactla.DimensionError):
@@ -207,6 +219,107 @@ def test_exact_index_matches_random_trials_on_height_one():
         assert cert.trials == 0 and cert.to_json()["claim"] == "exact"
         assert g.dim - cert.index == trial_rank(g)
         assert exactla.rank(eval_kirillov(g, cert.witness)) == g.dim - cert.index
+
+
+def exact_index(g, trials=3, entry_bound=10**6, seed=0):
+    """index with every random trial ranked exactly over Q, as
+    exactla.rank(eval_kirillov(g, f)): the oracle for the trials ranked mod
+    p.  The root-block path ranks nothing at random and is index's own."""
+    if g.root_block is not None:
+        return index(g, trials, entry_bound, seed)
+    best_rank, best_witness = -1, None
+    for trial in range(trials):
+        f = indexfrob._random_functional(g.dim, entry_bound, seed, trial)
+        r = exactla.rank(eval_kirillov(g, f))
+        if r > best_rank:
+            best_rank, best_witness = r, f
+        if best_rank == g.dim:
+            break
+    return indexfrob.IndexCertificate(index=g.dim - best_rank, witness=best_witness,
+                                      trials=trial + 1, entry_bound=entry_bound, seed=seed)
+
+
+CHAINS = [build(chain_poset(N), v) for N in range(1, 9) for v in ("gl", "sl")]
+MERSENNE = [(1 << e) - 1 for e in indexfrob.MERSENNE_EXPONENTS]
+
+
+def coefficient_bound(g):
+    """C = prod a_i over the nonzero rows i of the Kirillov matrix, where
+    a_i = sum_j sum_k |c_ijk|, read through g.structure."""
+    C = 1
+    for i in range(g.dim):
+        a = sum(abs(v) for j in range(g.dim) for v in g.structure(i, j).values())
+        C *= a or 1
+    return C
+
+
+def scaled(g, c):
+    """g with every structure constant times c, still a Lie algebra."""
+    return dataclasses.replace(g, brackets={
+        key: {k: c * v for k, v in vec.items()} for key, vec in g.brackets.items()
+    })
+
+
+class TestModularTrials:
+    """index ranks its random trials mod p; the certificates must be those
+    of the exact trials."""
+
+    @staticmethod
+    def _check(g, **kw):
+        for seed in (0, 1):
+            cert = index(g, seed=seed, **kw)
+            assert cert == exact_index(g, seed=seed, **kw)
+            if cert.certified_frobenius:
+                assert exactla.rank(eval_kirillov(g, cert.witness)) == g.dim
+
+    @pytest.mark.parametrize("kw", ({}, {"trials": 2, "entry_bound": 3}))
+    def test_equals_exact_trials_on_height_one_and_chains(self, kw):
+        for g in HEIGHT_ONE + CHAINS:
+            self._check(g, **kw)
+
+    @settings(max_examples=100, deadline=None)
+    @given(algebras("ABCD"), st.sampled_from(({}, {"trials": 2, "entry_bound": 3})))
+    def test_equals_exact_trials_on_generated(self, g, kw):
+        self._check(g, **kw)
+
+    def test_listed_moduli_pass_a_fermat_test(self):
+        assert all(pow(3, p - 1, p) == 1 for p in MERSENNE)
+
+    @staticmethod
+    def _check_modulus(g, entry_bound):
+        floor = max(coefficient_bound(g), 2 * entry_bound + 1)
+        p = indexfrob._modulus(g, entry_bound)
+        assert p in MERSENNE and p > floor
+        assert all(q <= floor for q in MERSENNE if q < p)
+        return p
+
+    @settings(max_examples=100, deadline=None)
+    @given(algebras("ABCD"), st.sampled_from((1, 3, 10**6, 2**100, 2**1000)))
+    def test_modulus_is_smallest_listed_prime_above_both_bounds(self, g, entry_bound):
+        self._check_modulus(g, entry_bound)
+
+    def test_modulus_above_the_coefficient_bound_of_chains(self):
+        # From chain 7 on, C exceeds 2^61, so the coefficients pick p.
+        primes = {self._check_modulus(g, 10**6) for g in CHAINS}
+        assert {2**61 - 1, 2**89 - 1, 2**107 - 1} <= primes
+
+    def test_no_modulus_for_a_fraction_constant(self):
+        g = scaled(build(chain_poset(4), "gl"), HALF)
+        assert not g.integral and indexfrob._modulus(g, 10**6) is None
+        self._check(g)
+        self._check(g, trials=2, entry_bound=3)
+
+    def test_no_modulus_above_the_largest_listed_prime(self):
+        g = build(chain_poset(4), "gl")
+        assert indexfrob._modulus(g, 2**1300) is None
+        self._check(g, entry_bound=2**1300)
+
+    def test_large_coefficients_pick_a_larger_prime(self):
+        g = scaled(build(chain_poset(4), "gl"), 2**31)
+        assert coefficient_bound(g) > 2**61
+        assert indexfrob._modulus(g, 10**6) >= 2**89 - 1
+        self._check(g)
+        self._check(g, trials=2, entry_bound=3)
 
 
 class TestFrobeniusFunctional:
