@@ -111,13 +111,13 @@ def cmd_cohomology(args):
     dims = cohomology.cohomology_report(g, args.degree, max_dim=args.max_dim)
     results = {"degree": args.degree, "dims": dims}
     if args.dump_complex:
+        # Opening, writing and the closing flush can each fail.
         try:
-            fh = open(args.dump_complex, "w")
+            with open(args.dump_complex, "w") as fh:
+                for n in range(min(args.degree + 1, g.dim) + 1):
+                    cohomology.dump_complex(cohomology.coboundary_matrix(g, n), fh)
         except OSError as e:
             raise CliInputError(f"cannot write {args.dump_complex}: {e}") from e
-        with fh:
-            for n in range(min(args.degree + 1, g.dim) + 1):
-                cohomology.dump_complex(cohomology.coboundary_matrix(g, n), fh)
         results["dumped_to"] = args.dump_complex
     return results, {"variant": args.variant, "degree": args.degree}, digest
 

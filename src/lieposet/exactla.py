@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: sparse matrices, rank, kernels, solves,
-and characteristic polynomials.
+"""Exact rational linear algebra: sparse matrices, rank, kernels, solves
+and inverses.
 
 Scalars are ``fractions.Fraction`` throughout (canonical reduced form,
 positive denominator), so every rank and dimension below is exact; there
@@ -214,63 +214,3 @@ def invert(M):
             if c >= n:
                 ents[(p, c - n)] = v
     return SparseMat(n, n, ents)
-
-
-# ---------------------------------------------------------------------------
-# Polynomials (lists of Fractions, lowest degree first)
-
-
-def poly_normalize(coeffs):
-    c = [_rat(v) for v in coeffs]
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def poly_divide_linear(coeffs, r):
-    """Divide by (x - r); returns (quotient, remainder) by synthetic division."""
-    if not coeffs:
-        return [], ZERO
-    q = [ZERO] * (len(coeffs) - 1)
-    acc = ZERO
-    for k in range(len(coeffs) - 1, -1, -1):
-        acc = acc * r + coeffs[k]
-        if k:
-            q[k - 1] = acc
-    return q, acc
-
-
-def factor_binary(coeffs):
-    """Split p = x^a (x-1)^b * residual; returns (a, b, residual)."""
-    p = poly_normalize(coeffs)
-    a = b = 0
-    while p and not p[0]:
-        p = p[1:]
-        a += 1
-    while len(p) > 1:
-        q, r = poly_divide_linear(p, ONE)
-        if r:
-            break
-        p = q
-        b += 1
-    return a, b, p
-
-
-def char_poly(M):
-    """det(xI - M), exact, via Faddeev-LeVerrier over the rationals.
-
-    Returns coefficients lowest degree first (monic of degree n).
-    """
-    if M.n_rows != M.n_cols:
-        raise DimensionError("characteristic polynomial of non-square matrix")
-    n = M.n_rows
-    coeffs = [ONE]  # c_0 = 1 for x^n
-    N = SparseMat.identity(n)
-    for k in range(1, n + 1):
-        MN = M.matmul(N)
-        tr = sum((MN[(i, i)] for i in range(n)), ZERO)
-        ck = -tr / k
-        coeffs.append(ck)
-        if k < n:
-            N = MN.add(SparseMat.identity(n), scale=ck)
-    return list(reversed(coeffs))

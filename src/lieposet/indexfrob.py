@@ -268,30 +268,49 @@ class SpectrumRecord:
     residual_factor: list
 
 
-def ad_matrix(g, v):
-    """Matrix of ad(v) in the basis: column j = [v, x_j]."""
-    x = liealg._support(v)
-    ents = {}
-    for j in range(g.dim):
-        for i, c in liealg._bracket(g, x, {j: ONE}).items():
-            ents[(i, j)] = c
-    return SparseMat(g.dim, g.dim, ents)
+def _expand(values):
+    """Coefficients of prod (x - v) over ``values``, lowest degree first."""
+    coeffs = [ONE]
+    for v in values:
+        coeffs = [a - v * b for a, b in zip([ZERO] + coeffs, coeffs + [ZERO])]
+    return coeffs
 
 
 def spectrum(g, p_elt):
     """The principal element ``p_elt`` of a Frobenius functional and the
     characteristic polynomial of its adjoint, with the x^a (x-1)^b
     factorization pulled out; binary means nothing is left.
+
+    The polynomial is read off the root data, with no elimination:
+    det(x - ad p) = x^cc prod_t (x - alpha_t(p_h)), where p_h is p's
+    Cartan part, so alpha_t(p_h) = sum_k p_k alpha_t(h_k) (``g.roots``).
+    The identity needs g solvable, which ``build`` and ``make_phi``
+    always give.  Proof: by Lie's theorem ad(g) is triangular on some
+    flag, and its diagonal characters vanish on [g, g].  Every root
+    alpha_t is nonzero, so x_t = [h, x_t] / alpha_t(h) lies in [g, g] for
+    an h with alpha_t(h) != 0, hence p - p_h does too, and ad(p) has the
+    characteristic polynomial of ad(p_h), which is diagonal in the basis.
+
+    Raises DimensionError when ``p_elt`` does not have g.dim coordinates,
+    ValueError when a root is zero, where the proof fails, and
+    CartanWeylError (from ``g.roots``) when ad(p_h) is not diagonal.
     """
-    cp = exactla.char_poly(ad_matrix(g, p_elt))
-    a, b, residual = exactla.factor_binary(cp)
+    if len(p_elt) != g.dim:
+        raise exactla.DimensionError("principal element length mismatch")
+    cc = g.cartan_count
+    values = []
+    for t, alpha in g.roots.items():
+        if not any(alpha):
+            raise ValueError(f"the root of {g.basis_labels[t]} is zero")
+        values.append(sum((a * p for a, p in zip(alpha, p_elt) if a), ZERO))
+    residual = [v for v in values if v not in (0, 1)]
     return SpectrumRecord(
         principal_element=p_elt,
-        char_poly=cp,
-        multiplicity_of_0=a,
-        multiplicity_of_1=b,
-        binary=(len(residual) <= 1),
-        residual_factor=residual,
+        char_poly=_expand([ZERO] * cc + values),
+        multiplicity_of_0=cc + values.count(0),
+        multiplicity_of_1=values.count(1),
+        binary=not residual,
+        residual_factor=_expand(residual),
     )
 
 

@@ -1,0 +1,59 @@
+"""Characteristic polynomials by Faddeev-LeVerrier, the test-side oracle of
+``indexfrob.spectrum``.
+
+``spectrum`` reads det(x - ad p) off the root data; these compute it from
+the matrix of ad(p) with no structure assumed, and split off the
+x^a (x-1)^b factor by synthetic division.  Polynomials are lists of
+Fractions, lowest degree first.
+"""
+
+from lieposet.exactla import ONE, ZERO, DimensionError, SparseMat
+
+
+def char_poly(M):
+    """det(xI - M), exact, via Faddeev-LeVerrier over the rationals.
+
+    Returns coefficients lowest degree first (monic of degree n).
+    """
+    if M.n_rows != M.n_cols:
+        raise DimensionError("characteristic polynomial of non-square matrix")
+    n = M.n_rows
+    coeffs = [ONE]  # c_0 = 1 for x^n
+    N = SparseMat.identity(n)
+    for k in range(1, n + 1):
+        MN = M.matmul(N)
+        tr = sum((MN[(i, i)] for i in range(n)), ZERO)
+        ck = -tr / k
+        coeffs.append(ck)
+        if k < n:
+            N = MN.add(SparseMat.identity(n), scale=ck)
+    return list(reversed(coeffs))
+
+
+def _divide_linear(coeffs, r):
+    """Divide by (x - r); returns (quotient, remainder) by synthetic division."""
+    q = [ZERO] * (len(coeffs) - 1)
+    acc = ZERO
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc = acc * r + coeffs[k]
+        if k:
+            q[k - 1] = acc
+    return q, acc
+
+
+def factor_binary(coeffs):
+    """Split p = x^a (x-1)^b * residual; returns (a, b, residual)."""
+    p = list(coeffs)
+    while p and not p[-1]:
+        p.pop()
+    a = b = 0
+    while p and not p[0]:
+        p = p[1:]
+        a += 1
+    while len(p) > 1:
+        q, r = _divide_linear(p, ONE)
+        if r:
+            break
+        p = q
+        b += 1
+    return a, b, p

@@ -348,6 +348,30 @@ class TestCohomology:
         assert code == cli.EXIT_INPUT
         assert rep["kind"] == "input" and "cannot write" in rep["error"]
 
+    def test_dump_complex_write_fails(self, capsys, hexagon_file, tmp_path, monkeypatch):
+        # A failed write is an input error, not a traceback with the
+        # verification-failure exit code.
+        def fail(cm, stream):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.cohomology, "dump_complex", fail)
+        code, rep = run(capsys, [
+            "cohomology", hexagon_file, "--degree", "1",
+            "--dump-complex", str(tmp_path / "complex.txt"),
+        ])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input" and "No space left" in rep["error"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_dump_complex_close_fails(self, capsys, hexagon_file):
+        # The triplets of a small complex stay buffered until the close,
+        # whose flush is what fails on /dev/full.
+        code, rep = run(capsys, [
+            "cohomology", hexagon_file, "--degree", "1", "--dump-complex", "/dev/full",
+        ])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input" and "cannot write /dev/full" in rep["error"]
+
 
 class TestClassify:
     def test_hexagon(self, capsys, hexagon_file):

@@ -413,6 +413,18 @@ class TestSpectrum:
         assert (sp.multiplicity_of_0, sp.multiplicity_of_1) == (3, 3)
         assert sp.char_poly == [0, 0, 0, -1, 3, -3, 1]
 
+    @pytest.mark.parametrize("length", (3, 5))
+    def test_length_mismatch(self, length):
+        g = make_phi(2)
+        with pytest.raises(exactla.DimensionError):
+            spectrum(g, [ONE] * length)
+
+    def test_zero_root(self):
+        # e2 commutes with everything: x_t = [h, x_t] / alpha_t(h) fails.
+        g = dataclasses.replace(make_phi(2), brackets={(0, 2): {2: ONE}})
+        with pytest.raises(ValueError, match="root of e2 is zero"):
+            spectrum(g, [ONE, ONE, ZERO, ZERO])
+
 
 class TestFrobeniusSpectrum:
     @staticmethod

@@ -1,14 +1,15 @@
 """The structure operations on sparse vectors against the dense formulas
-they replaced.
+they replaced, and ``indexfrob.spectrum`` against Faddeev-LeVerrier on the
+dense ad(p).
 
-``check_jacobi``, ``derived_series``, ``indexfrob.ad_matrix`` and
-``indexfrob._verify_isomorphism`` bracket ``{index: coefficient}`` vectors
-through ``liealg._bracket``.  The oracles below are the earlier dense
-versions: every vector is a full coordinate list, bracketed by the dense
-walk over ``adjacency``.  Both sides must agree exactly on random valid
-posets of families A-D, on every height-one class up to size 7, and on
-doctored copies with one bracket coefficient perturbed, on which the Jacobi
-identity, solvability and the isomorphism onto the normal form can fail.
+``check_jacobi``, ``derived_series`` and ``indexfrob._verify_isomorphism``
+bracket ``{index: coefficient}`` vectors through ``liealg._bracket``.  The
+oracles below are the earlier dense versions: every vector is a full
+coordinate list, bracketed by the dense walk over ``adjacency``.  Both
+sides must agree exactly on random valid posets of families A-D, on every
+height-one class up to size 7, and on doctored copies with one bracket
+coefficient perturbed, on which the Jacobi identity, solvability and the
+isomorphism onto the normal form can fail.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from lieposet import exactla, indexfrob, liealg, posets
 from lieposet.exactla import ONE, ZERO, SparseMat
+from oracles import char_poly, factor_binary
 from strategies import algebras
 
 HEIGHT_ONE = [
@@ -204,26 +206,74 @@ def vectors(dim):
     return st.lists(coeff, min_size=dim, max_size=dim)
 
 
-class TestAdMatrix:
-    @settings(max_examples=60, deadline=None)
+def spectrum_oracle(g, p):
+    """The SpectrumRecord of p from Faddeev-LeVerrier on the dense ad(p)."""
+    cp = char_poly(ad_matrix_oracle(g, p))
+    a, b, residual = factor_binary(cp)
+    return indexfrob.SpectrumRecord(
+        principal_element=p,
+        char_poly=cp,
+        multiplicity_of_0=a,
+        multiplicity_of_1=b,
+        binary=len(residual) <= 1,
+        residual_factor=residual,
+    )
+
+
+def check_spectrum(g, p):
+    got, want = indexfrob.spectrum(g, p), spectrum_oracle(g, p)
+    for field in dataclasses.fields(indexfrob.SpectrumRecord):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    assert all(type(c) is Fraction for c in got.char_poly + got.residual_factor)
+    return got
+
+
+def principal_elements(g):
+    """The principal elements of the structured candidate and of the index
+    certificate's witness, those of the two that are Frobenius."""
+    out = []
+    for f in {indexfrob.structured_candidate(g), indexfrob.index(g, seed=0).witness}:
+        try:
+            out.append(indexfrob.principal_element(g, f))
+        except indexfrob.NotFrobeniusError:
+            pass
+    return out
+
+
+def random_element(g, rng):
+    return [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(g.dim)]
+
+
+class TestSpectrum:
+    """The closed form read off the roots against Faddeev-LeVerrier on the
+    dense ad(p), at random p (root-vector parts included) and at the
+    principal elements."""
+
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_matches_dense_on_generated(self, data):
         g = data.draw(algebras("ABCD"))
-        v = data.draw(vectors(g.dim))
-        assert indexfrob.ad_matrix(g, v) == ad_matrix_oracle(g, v)
-        if g.brackets:
-            d = data.draw(doctored(g))
-            assert indexfrob.ad_matrix(d, v) == ad_matrix_oracle(d, v)
+        for p in [data.draw(vectors(g.dim))] + principal_elements(g):
+            check_spectrum(g, p)
 
     def test_matches_dense_on_height_one(self):
-        rng = random.Random(7)
+        rng = random.Random(11)
+        binary = 0
         for g in HEIGHT_ONE:
-            v = [Fraction(rng.randint(-3, 3)) for _ in range(g.dim)]
-            assert indexfrob.ad_matrix(g, v) == ad_matrix_oracle(g, v)
-            f = indexfrob.structured_candidate(g)
-            if exactla.rank(indexfrob.eval_kirillov(g, f)) == g.dim:
-                p = indexfrob.principal_element(g, f)
-                assert indexfrob.ad_matrix(g, p) == ad_matrix_oracle(g, p)
+            for p in [random_element(g, rng)] + principal_elements(g):
+                binary += check_spectrum(g, p).binary
+        assert binary
+
+    def test_matches_dense_on_named(self):
+        rng = random.Random(5)
+        named = [liealg.build(P, variant)
+                 for P in [posets.chain_poset(n) for n in range(1, 9)] + [posets.branch_poset()]
+                 for variant in ("gl", "sl")]
+        named.append(liealg.build(posets.hexagon_type_c_poset()))
+        for g in named:
+            nilpotent = [ZERO] * g.cartan_count + random_element(g, rng)[g.cartan_count:]
+            for p in [random_element(g, rng), nilpotent] + principal_elements(g):
+                check_spectrum(g, p)
 
 
 class TestVerifyIsomorphism:
