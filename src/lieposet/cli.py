@@ -2,14 +2,16 @@
 
 JSON reports only (``--pretty`` for indentation), schema
 ``lieposet-report/1``.  Exit codes: 0 ok, 1 verification failure,
-2 input error, 3 guard violation, 4 internal error (a construction guard
-such as ``ClosureError`` or ``CartanWeylError`` failed on valid input).
+2 input error (or a report that cannot be written), 3 guard violation,
+4 internal error (a construction guard such as ``ClosureError`` or
+``CartanWeylError`` failed on valid input).
 Randomized subcommands require an explicit ``--seed`` so certificates are
 reproducible.  Each ``cmd_*`` returns ``(results, params, digest)``;
 ``main`` alone assembles and emits the report and picks the exit code.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -50,11 +52,6 @@ def _read_poset(path):
 def _algebra(args):
     P, digest = _read_poset(args.file)
     return P, liealg.build(P, variant=args.variant), digest
-
-
-def _emit(rep, pretty):
-    json.dump(rep, sys.stdout, indent=2 if pretty else None, sort_keys=True)
-    sys.stdout.write("\n")
 
 
 def _frac_str(v):
@@ -138,8 +135,8 @@ def cmd_classify(args):
         "k_step": k_step,
         "certificate": cert.to_json(),
     }
-    if cert.certified_frobenius and k_step == 2 and g.dim:
-        res = indexfrob.normalize_to_phi(g, certificate=cert)
+    if cert.certified_frobenius and k_step == 2:
+        res = indexfrob.normalize_to_phi(g)
         results["classification"] = {
             "phi_n": res.n,
             "verified": res.verified,
@@ -252,27 +249,35 @@ def main(argv=None):
         # Looked up per call, so a rebound cmd_* (a tracer, a test) is reached.
         results, params, digest = globals()[f"cmd_{args.command}"](args)
     except CliInputError as e:
-        _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, args.pretty)
-        return EXIT_INPUT
+        code, rep = EXIT_INPUT, {"error": str(e), "kind": "input"}
     except (GuardError, DegreeError) as e:
-        _emit({"schema": SCHEMA, "error": str(e), "kind": "guard"}, args.pretty)
-        return EXIT_GUARD
+        code, rep = EXIT_GUARD, {"error": str(e), "kind": "guard"}
     except (liealg.ClosureError, liealg.CartanWeylError) as e:
-        _emit({"schema": SCHEMA, "error": str(e), "kind": "internal"}, args.pretty)
-        return EXIT_INTERNAL
+        code, rep = EXIT_INTERNAL, {"error": str(e), "kind": "internal"}
     except (liealg.LieAlgError, SingularMatrixError, ValueError) as e:
-        _emit({"schema": SCHEMA, "error": str(e), "kind": "input"}, args.pretty)
+        code, rep = EXIT_INPUT, {"error": str(e), "kind": "input"}
+    else:
+        rep = {"command": args.command, "params": params, "results": results}
+        if digest is not None:
+            rep["input_sha256"] = digest
+        rep["wall_time_s"] = round(time.monotonic() - started, 6)
+        # Only a verification suite fails without an error: its report is
+        # printed in full, with exit code 1.
+        failed = args.command == "verify" and not results["passed"]
+        code = EXIT_VERIFY if failed else EXIT_OK
+    rep["schema"] = SCHEMA
+    try:
+        json.dump(rep, sys.stdout, indent=2 if args.pretty else None, sort_keys=True)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except OSError as e:
+        print(f"lieposet: cannot write the report: {e}", file=sys.stderr)
+        # The unwritten report stays buffered; closing the stream keeps the
+        # interpreter from flushing it again at exit and exiting with 120.
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
         return EXIT_INPUT
-    rep = {"schema": SCHEMA, "command": args.command, "params": params, "results": results}
-    if digest is not None:
-        rep["input_sha256"] = digest
-    rep["wall_time_s"] = round(time.monotonic() - started, 6)
-    _emit(rep, args.pretty)
-    # Only a verification suite fails without an error: its report is
-    # printed in full, with exit code 1.
-    if args.command == "verify" and not results["passed"]:
-        return EXIT_VERIFY
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

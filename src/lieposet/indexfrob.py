@@ -227,20 +227,6 @@ def structured_candidate(g):
     )
 
 
-def frobenius_functional(g, certificate):
-    """A functional with exactly nonsingular Kirillov matrix, or None.
-
-    The structured candidate (sum of root-vector coordinate functionals)
-    is preferred, so Frobenius witnesses stay readable.  Otherwise the
-    witness of the index ``certificate`` is returned when it certifies
-    index 0, and None when it does not.
-    """
-    cand = structured_candidate(g)
-    if exactla.rank(eval_kirillov(g, cand)) == g.dim:
-        return cand
-    return certificate.witness if certificate.certified_frobenius else None
-
-
 def principal_element(g, f):
     """The unique p with f([p, x]) = f(x) for all x; needs f Frobenius.
 
@@ -315,13 +301,14 @@ def spectrum(g, p_elt):
 
 
 def frobenius_spectrum(g, certificate):
-    """(f, spectrum(g, principal_element(g, f))) for f the functional
-    frobenius_functional picks.
+    """(f, spectrum(g, principal_element(g, f))) for a Frobenius
+    functional f: the structured candidate, so that Frobenius witnesses
+    stay readable, when its Kirillov matrix is nonsingular, and the index
+    ``certificate``'s witness otherwise.
 
-    One inversion of the structured candidate's Kirillov matrix both
-    decides whether the candidate is Frobenius and gives its principal
-    element; when it is singular, the index ``certificate``'s witness is
-    used instead, and NotFrobeniusError means that one is singular too.
+    One inversion of the candidate's Kirillov matrix both decides which
+    and gives its principal element; NotFrobeniusError means the witness
+    is singular too.
     """
     f = structured_candidate(g)
     try:
@@ -339,44 +326,42 @@ class NormalizeResult:
     verified: bool
 
 
-def normalize_to_phi(g, certificate):
-    """Constructive isomorphism onto the normal form.
+def normalize_to_phi(g):
+    """Constructive isomorphism onto the normal form Phi_n.
 
-    ``certificate`` is the index certificate of g and must certify index
-    0.  g must be two-step, with its root block B = ``g.root_block``
-    (BlockFormError when it has none), which a Frobenius two-step g has
-    square.  BlockFormError also when g has no root vector: the zero
-    algebra (sl of a one-element poset) has index 0 but is not two-step,
-    and there is no normal form Phi_0.  Root vectors become e_1..e_n
-    as-is, and row i of B^{-1} holds the Cartan coefficients of d_i, so
-    that alpha_j(d_i) = delta_ij.
+    g must be two-step, with its root block B = ``g.root_block``
+    (BlockFormError when it has none).  Since ind g = dim - 2 rank(B), g
+    is Frobenius exactly when B is square and invertible, so the one
+    inversion of B decides it (NotFrobeniusError when B is not square or
+    singular) and gives the change of basis: root vectors become
+    e_1..e_n as-is, and row i of B^{-1} holds the Cartan coefficients of
+    d_i, so that alpha_j(d_i) = delta_ij.  BlockFormError also when g has
+    no root vector: the zero algebra (sl of a one-element poset) has index
+    0 but is not two-step, and there is no normal form Phi_0.
     All bracket relations of the normal form are re-verified exactly under
     the change of basis.
     """
-    if certificate.index != 0:
-        raise NotFrobeniusError("algebra is not certified Frobenius")
     B = g.root_block
     if B is None:
         raise BlockFormError("not a two-step algebra in Cartan-Weyl form")
-    if not B.n_cols:
-        raise BlockFormError("no root vector: not a two-step algebra")
-    if g.dim % 2:
-        raise NotFrobeniusError("odd dimension cannot be Frobenius (skew rank)")
-    cc = g.cartan_count
-    n = g.dim - cc
-    if cc != n:
+    n = B.n_cols
+    if B.n_rows != n:
         raise NotFrobeniusError(
-            "Cartan and root-vector counts differ; Frobenius two-step input"
-            " must split evenly (internal inconsistency)"
+            f"root block is {B.n_rows} x {n}, not square: not Frobenius"
         )
-    C = exactla.invert(B)  # row i = Cartan coefficients of d_i
+    if not n:
+        raise BlockFormError("no root vector: not a two-step algebra")
+    try:
+        C = exactla.invert(B)  # row i = Cartan coefficients of d_i
+    except exactla.SingularMatrixError:
+        raise NotFrobeniusError("root block is singular: not Frobenius") from None
     ents = {}
     for i in range(n):
-        for k in range(cc):
+        for k in range(n):
             v = C[(i, k)]
             if v:
                 ents[(k, i)] = v
-        ents[(cc + i, n + i)] = ONE
+        ents[(n + i, n + i)] = ONE
     P = SparseMat(g.dim, g.dim, ents)
     phi = liealg.make_phi(n)
     verified = _verify_isomorphism(g, P, phi)

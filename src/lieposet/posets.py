@@ -75,13 +75,16 @@ def transitive_closure(elements, pairs):
 
 
 def _expected_elements(family, elements):
-    n = max((abs(e) for e in elements), default=0)
+    """The label set ``family`` requires of a poset with this many
+    ``elements``, or None when their count already rules it out: B needs
+    2n + 1 labels and C, D need 2n, n the largest |label|, so a lone huge
+    label is rejected before any range of that length is built."""
     if family == "A":
         return tuple(range(1, len(elements) + 1))
-    signed = tuple(e for e in range(-n, n + 1) if e != 0)
-    if family == "B":
-        return tuple(range(-n, n + 1))
-    return signed
+    n = max(abs(e) for e in elements)
+    if len(elements) != 2 * n + (family == "B"):
+        return None
+    return tuple(e for e in range(-n, n + 1) if e or family == "B")
 
 
 def make_poset(elements, relations, family="A"):

@@ -58,10 +58,7 @@ def run_classification(seed=0, max_elements=6):
             name = f"n{n}-poset{idx_p}"
             if cert.index != 0:
                 continue
-            if g.dim % 2:
-                cases.append(_case(f"{name}-even-dim", False, f"dim={g.dim}"))
-                continue
-            res = indexfrob.normalize_to_phi(g, certificate=cert)
+            res = indexfrob.normalize_to_phi(g)
             cases.append(
                 _case(f"{name}-phi{res.n}", res.verified and 2 * res.n == g.dim)
             )

@@ -91,7 +91,7 @@ def test_4_classification():
             if g.dim % 2:
                 ok = False
                 continue
-            res = indexfrob.normalize_to_phi(g, certificate=cert)
+            res = indexfrob.normalize_to_phi(g)
             ok = ok and res.verified and 2 * res.n == g.dim
             by_dim.setdefault(g.dim, []).append((g, res))
     composed = 0
@@ -137,7 +137,7 @@ def test_6_spectrum():
                 and sp.multiplicity_of_1 == n):
             ok = False
     gc = liealg.build(posets.hexagon_type_c_poset())
-    fc = indexfrob.frobenius_functional(gc, indexfrob.index(gc, seed=0))
+    fc = indexfrob.frobenius_spectrum(gc, indexfrob.index(gc, seed=0))[0]
     spc = indexfrob.spectrum(gc, indexfrob.principal_element(gc, fc))
     ok = ok and spc.binary and (spc.multiplicity_of_0, spc.multiplicity_of_1) == (3, 3)
     _gate("6 binary principal-element spectra", ok,

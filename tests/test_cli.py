@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -39,12 +40,15 @@ def run(capsys, argv):
     return code, json.loads(out)
 
 
+def _src_env():
+    """The environment of a child interpreter that imports this lieposet."""
+    return dict(os.environ, PYTHONPATH=str(Path(lieposet.__file__).resolve().parent.parent))
+
+
 def test_import_loads_no_networkx():
     # networkx is a test-only oracle; the CLI must not pay for its import.
-    src = str(Path(lieposet.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
     code = 'import sys, lieposet.cli; assert "networkx" not in sys.modules'
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
 
 
 class TestBuild:
@@ -128,7 +132,7 @@ class TestIndex:
         code, rep = run(capsys, ["index", hexagon_file, "--seed", "0"])
         assert code == 0
         g = build(hexagon_type_c_poset())
-        f = indexfrob.frobenius_functional(g, indexfrob.index(g, seed=0))
+        f = indexfrob.frobenius_spectrum(g, indexfrob.index(g, seed=0))[0]
         want = [f"{c.numerator}/{c.denominator}" for c in indexfrob.principal_element(g, f)]
         assert rep["results"]["principal_element"] == want
 
@@ -151,7 +155,7 @@ class TestIndex:
                                      "--seed", str(seed), "--bound", "1000"])
             assert code == 0
             cert = indexfrob.index(g, trials=3, entry_bound=1000, seed=seed)
-            f = indexfrob.frobenius_functional(g, cert)
+            f = indexfrob.frobenius_spectrum(g, cert)[0]
             assert rep["results"]["frobenius_functional"] == [
                 f"{c.numerator}/{c.denominator}" for c in f.coords]
             assert (f == cand) != structured_singular
@@ -247,6 +251,31 @@ class TestReport:
         keys = {"schema", "command", "params", "results", "wall_time_s"}
         assert set(rep) == keys | ({"input_sha256"} if has_input else set())
         assert rep["schema"] == cli.SCHEMA and rep["command"] == argv[0]
+
+    def test_unwritable_stdout(self, capsys, monkeypatch, hexagon_file):
+        # A report that cannot be written is one stderr line and exit 2,
+        # not a traceback with exit 1, the code of a failed verification.
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        code = cli.main(["index", hexagon_file, "--seed", "0"])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT == 2
+        assert err.count("\n") == 1 and "cannot write the report" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_stdout_exit_status(self, hexagon_file):
+        # In a real process the failed flush leaves the report buffered, and
+        # the interpreter would flush it again at exit and exit with 120.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lieposet.cli", "index", hexagon_file, "--seed", "0"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120,
+            )
+        assert proc.returncode == cli.EXIT_INPUT
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestDispatch:

@@ -13,7 +13,6 @@ from lieposet.indexfrob import (
     NotFrobeniusError,
     compose_isomorphism,
     eval_kirillov,
-    frobenius_functional,
     frobenius_spectrum,
     index,
     normalize_to_phi,
@@ -323,14 +322,17 @@ class TestModularTrials:
 
 
 class TestFrobeniusFunctional:
+    """The functional ``frobenius_spectrum`` picks."""
+
     def test_structured_preferred(self):
         g = build(hexagon_type_c_poset())
-        f = frobenius_functional(g, index(g, seed=0))
+        f = frobenius_spectrum(g, index(g, seed=0))[0]
         assert f == structured_candidate(g)
 
     def test_none_when_not_frobenius(self):
         g = build(antichain_poset(2), "gl")
-        assert frobenius_functional(g, index(g, seed=0)) is None
+        with pytest.raises(NotFrobeniusError):
+            frobenius_spectrum(g, index(g, seed=0))
 
     def test_certificate_witness_stands_in_for_trials(self):
         # The structured candidate of branch (sl) is singular, so the
@@ -340,7 +342,7 @@ class TestFrobeniusFunctional:
         for seed in range(5):
             cert = index(g, trials=3, entry_bound=50, seed=seed)
             assert cert.certified_frobenius
-            f = frobenius_functional(g, cert)
+            f = frobenius_spectrum(g, cert)[0]
             assert f == cert.witness
             assert exactla.rank(eval_kirillov(g, f)) == g.dim
 
@@ -361,7 +363,7 @@ class TestPrincipalElement:
     def test_defining_identity(self):
         # f([p, x]) = f(x) on every basis vector
         for g in (build(hexagon_type_c_poset()), make_phi(3)):
-            f = frobenius_functional(g, index(g, seed=0))
+            f = frobenius_spectrum(g, index(g, seed=0))[0]
             p = principal_element(g, f)
             for j in range(g.dim):
                 x = liealg.basis_vector(g, j)
@@ -379,7 +381,7 @@ class TestPrincipalElement:
         cert = index(g, seed=0)
         if cert.index != 0 or not g.dim:
             return False
-        functionals = {frobenius_functional(g, cert), cert.witness}
+        functionals = {frobenius_spectrum(g, cert)[0], cert.witness}
         f = indexfrob._random_functional(g.dim, 10**6, 0, 0)
         if exactla.rank(eval_kirillov(g, f)) == g.dim:
             functionals.add(f)
@@ -429,7 +431,8 @@ class TestSpectrum:
 class TestFrobeniusSpectrum:
     @staticmethod
     def _check_against_functional_then_spectrum(g):
-        # The functional frobenius_functional picks, with spectrum() of it.
+        # The structured candidate when its Kirillov matrix has full rank,
+        # else the certificate's witness, with spectrum() of it.
         cert = index(g, seed=0)
         if not g.dim:
             return False
@@ -438,7 +441,8 @@ class TestFrobeniusSpectrum:
                 frobenius_spectrum(g, cert)
             return False
         f, sp = frobenius_spectrum(g, cert)
-        assert f == frobenius_functional(g, cert)
+        cand = structured_candidate(g)
+        assert f == (cand if exactla.rank(eval_kirillov(g, cand)) == g.dim else cert.witness)
         assert sp == spectrum(g, principal_element(g, f))
         return True
 
@@ -482,10 +486,9 @@ class TestBlockForm:
             cartan_count=1,
         )
         assert g.root_block is None
-        cert = index(g, seed=0)
-        assert cert.index == 0
+        assert index(g, seed=0).index == 0
         with pytest.raises(BlockFormError):
-            normalize_to_phi(g, cert)
+            normalize_to_phi(g)
 
     @staticmethod
     def _check_against_derived_series(g):
@@ -512,27 +515,27 @@ class TestBlockForm:
 class TestNormalize:
     def test_chain2_sl(self):
         g = build(chain_poset(2), "sl")
-        res = normalize_to_phi(g, index(g, seed=0))
+        res = normalize_to_phi(g)
         assert res.n == 1 and res.verified
         # d = h/2 since [h, e] = 2e for the traceless Cartan generator
         assert res.change_of_basis.entries[(0, 0)] == HALF
 
     def test_hexagon(self):
         g = build(hexagon_type_c_poset())
-        res = normalize_to_phi(g, index(g, seed=0))
+        res = normalize_to_phi(g)
         assert res.n == 3 and res.verified
 
     def test_not_frobenius_rejected(self):
         with pytest.raises(NotFrobeniusError):
             g = build(chain_poset(2), "gl")
-            normalize_to_phi(g, index(g, seed=0))
+            normalize_to_phi(g)
 
     def test_not_two_step_rejected(self):
         # the three-element chain in sl is Frobenius but three-step
         g = build(chain_poset(3), "sl")
         if index(g, seed=0).index == 0:
             with pytest.raises(BlockFormError):
-                normalize_to_phi(g, index(g, seed=0))
+                normalize_to_phi(g)
 
     def test_frobenius_three_step_rejected(self):
         # 1 < 2 < 3 and 2 < 4 in sl: index 0, but [e12, e23] = e13.
@@ -541,7 +544,7 @@ class TestNormalize:
         cert = index(g, seed=0)
         assert cert.index == 0 and derived_series(g)[2] == 3
         with pytest.raises(BlockFormError):
-            normalize_to_phi(g, cert)
+            normalize_to_phi(g)
 
     def test_dim_zero_rejected(self):
         # The one-element poset in sl has dimension 0 and index 0; it is not
@@ -550,20 +553,61 @@ class TestNormalize:
         cert = index(g, seed=0)
         assert g.dim == 0 and cert.index == 0
         with pytest.raises(BlockFormError, match="no root vector"):
-            normalize_to_phi(g, cert)
+            normalize_to_phi(g)
 
     def test_phi_fixed_point(self):
         g = make_phi(2)
-        res = normalize_to_phi(g, index(g, seed=0))
+        res = normalize_to_phi(g)
         assert res.change_of_basis == exactla.SparseMat.identity(4)
+
+    def test_singular_square_root_block_rejected(self):
+        # e1 and e2 share the root alpha = (1, 0): B = [[1, 1], [0, 0]] is
+        # square but singular, so the index is 4 - 2 rank(B) = 2.
+        g = liealg.LieAlg(
+            dim=4, basis_labels=("h1", "h2", "e1", "e2"),
+            brackets={(0, 2): {2: ONE}, (0, 3): {3: ONE}}, cartan_count=2,
+        )
+        B = g.root_block
+        assert (B.n_rows, B.n_cols) == (2, 2) and exactla.rank(B) == 1
+        assert index(g, seed=0).index == 2
+        with pytest.raises(NotFrobeniusError, match="singular"):
+            normalize_to_phi(g)
+
+    @staticmethod
+    def _check_decides_frobenius(g):
+        # The inversion of the root block decides Frobenius exactly as the
+        # index does; the zero algebra, of index 0 and with no root vector,
+        # is rejected as not two-step.  Returns whether g was normalized.
+        if g.root_block is None:
+            return False
+        if not g.dim:
+            with pytest.raises(BlockFormError, match="no root vector"):
+                normalize_to_phi(g)
+            return False
+        if index(g, seed=0).index != 0:
+            with pytest.raises(NotFrobeniusError):
+                normalize_to_phi(g)
+            return False
+        res = normalize_to_phi(g)
+        assert res.verified and 2 * res.n == g.dim
+        return True
+
+    def test_succeeds_exactly_at_index_zero_on_height_one(self):
+        normalized = [self._check_decides_frobenius(g) for g in HEIGHT_ONE]
+        assert any(normalized) and not all(normalized)
+
+    @settings(max_examples=100, deadline=None)
+    @given(algebras("ABCD"))
+    def test_succeeds_exactly_at_index_zero_on_generated(self, g):
+        self._check_decides_frobenius(g)
 
 
 class TestCompose:
     def test_hexagon_vs_phi3(self):
         g1 = build(hexagon_type_c_poset())
         g2 = make_phi(3)
-        r1 = normalize_to_phi(g1, index(g1, seed=0))
-        r2 = normalize_to_phi(g2, index(g2, seed=0))
+        r1 = normalize_to_phi(g1)
+        r2 = normalize_to_phi(g2)
         M, ok = compose_isomorphism(g1, r1, g2, r2)
         assert ok
         assert exactla.rank(M) == 6
@@ -573,8 +617,8 @@ class TestCompose:
         # [d_1, e_1] = e_1, so the composed map no longer intertwines.
         g1 = build(hexagon_type_c_poset())
         g2 = make_phi(3)
-        r1 = normalize_to_phi(g1, index(g1, seed=0))
-        r2 = normalize_to_phi(g2, index(g2, seed=0))
+        r1 = normalize_to_phi(g1)
+        r2 = normalize_to_phi(g2)
         P = r2.change_of_basis
         doubled = exactla.SparseMat(P.n_rows, P.n_cols, {
             (i, j): 2 * v if j == 0 else v for (i, j), v in P.entries.items()
@@ -586,7 +630,7 @@ class TestCompose:
         assert exactla.rank(M) == 6
 
     def test_mismatched_n(self):
-        r1 = normalize_to_phi(make_phi(1), index(make_phi(1), seed=0))
-        r2 = normalize_to_phi(make_phi(2), index(make_phi(2), seed=0))
+        r1 = normalize_to_phi(make_phi(1))
+        r2 = normalize_to_phi(make_phi(2))
         with pytest.raises(ValueError):
             compose_isomorphism(make_phi(1), r1, make_phi(2), r2)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -57,6 +58,20 @@ class TestParse:
         # B requires the 0 element
         with pytest.raises(PosetError, match="shape"):
             parse_poset({"family": "B", "elements": [-1, 1], "relations": []})
+
+    @pytest.mark.parametrize("family", "BCD")
+    def test_huge_label_rejected_in_little_memory(self, family):
+        # Two labels are never a B, C or D label set, so the count rejects
+        # them before a range up to the largest label is built.
+        doc = {"family": family, "elements": [1, 10**6], "relations": []}
+        tracemalloc.start()
+        try:
+            with pytest.raises(PosetError, match="wrong shape"):
+                parse_poset(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_malformed(self):
         with pytest.raises(PosetError):
