@@ -19,10 +19,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def eliminate(rows, n_cols, pivot_limit=None, reduce_full=False, modulus=None):
+def eliminate(rows, reduce_full=False, modulus=None):
     """Row-reduce sparse rows, returning ``(pivot_cols, pivot_rows)``.
 
-    pivot_cols: sorted list of pivot column indices (all < pivot_limit).
+    pivot_cols: sorted list of pivot column indices.
     pivot_rows: dict pivot col -> row dict, normalized so the pivot entry
     is 1, in the order the pivots were found.
 
@@ -41,25 +41,23 @@ def eliminate(rows, n_cols, pivot_limit=None, reduce_full=False, modulus=None):
     reduced entry by entry; a row is reduced once, when it has been
     cleared of the pivot columns found so far.
 
-    Entries at columns >= pivot_limit (e.g. an augmented right-hand side)
-    are carried along but never pivoted on.  Rows are consumed in order of
-    increasing sparsity; within a row the smallest eligible column becomes
-    the pivot.  The input rows are not modified.
+    Rows are consumed in order of increasing sparsity; a row's smallest
+    column left after the reduction becomes its pivot.  Every column may
+    pivot: a caller with an augmented block reads from where the pivots land
+    whether the block was needed (``exactla.solve``, ``exactla.invert``).
+    The input rows are not modified.
     """
-    if pivot_limit is None:
-        pivot_limit = n_cols
     if modulus is None:
         rows = (dict(r) for r in rows if r)
     else:
         rows = (r for r in (_residues(r, modulus) for r in rows) if r)
     pivot_rows = {}
     for row in sorted(rows, key=len):
-        _reduce_row(row, pivot_rows, pivot_limit, modulus)
+        _reduce_row(row, pivot_rows, modulus)
         if modulus is not None:
             row = _residues(row, modulus)
-        cols = [c for c in row if c < pivot_limit]
-        if cols:
-            piv = min(cols)
+        if row:
+            piv = min(row)
             if modulus is None:
                 inv = ONE / row[piv]
                 pivot_rows[piv] = {c: v * inv for c, v in row.items()}
@@ -71,7 +69,7 @@ def eliminate(rows, n_cols, pivot_limit=None, reduce_full=False, modulus=None):
         done = {}
         for p in reversed(pivots):
             row = pivot_rows[p]
-            _reduce_row(row, done, pivot_limit, modulus)
+            _reduce_row(row, done, modulus)
             if modulus is not None:
                 row = pivot_rows[p] = _residues(row, modulus)
             done[p] = row
@@ -83,7 +81,7 @@ def _residues(row, modulus):
     return {c: r for c, v in row.items() if (r := v % modulus)}
 
 
-def _reduce_row(row, pivot_rows, pivot_limit, modulus=None):
+def _reduce_row(row, pivot_rows, modulus=None):
     """Subtract multiples of ``pivot_rows`` from ``row`` in place until it
     holds none of their pivot columns.
 
@@ -94,7 +92,7 @@ def _reduce_row(row, pivot_rows, pivot_limit, modulus=None):
     while True:
         hit = -1
         for c in row:
-            if c < pivot_limit and c in pivot_rows and (hit < 0 or c < hit):
+            if c in pivot_rows and (hit < 0 or c < hit):
                 hit = c
         if hit < 0:
             return

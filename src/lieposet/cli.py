@@ -74,8 +74,9 @@ def cmd_build(args):
 
 
 def cmd_index(args):
-    if args.bound < 1:
-        raise CliInputError(f"--bound must be >= 1, got {args.bound}")
+    for flag, value in (("--trials", args.trials), ("--bound", args.bound)):
+        if value < 1:
+            raise CliInputError(f"{flag} must be >= 1, got {value}")
     _, g, digest = _algebra(args)
     cert = indexfrob.index(
         g, trials=args.trials, entry_bound=args.bound, seed=args.seed
@@ -83,7 +84,7 @@ def cmd_index(args):
     results = {"certificate": cert.to_json()}
     if cert.certified_frobenius and g.dim:
         f, sp = indexfrob.frobenius_spectrum(g, cert)
-        results["frobenius_functional"] = [_frac_str(c) for c in f.coords]
+        results["frobenius_functional"] = [_frac_str(c) for c in f]
         results["principal_element"] = [_frac_str(c) for c in sp.principal_element]
         results["spectrum"] = {
             "char_poly": [_frac_str(c) for c in sp.char_poly],

@@ -150,7 +150,7 @@ class SparseMat:
 
 def rank(M):
     """Exact rank over the rationals."""
-    pivots, _ = _elim.eliminate(M.row_dicts(), M.n_cols)
+    pivots, _ = _elim.eliminate(M.row_dicts())
     return len(pivots)
 
 
@@ -160,7 +160,7 @@ def kernel_basis(M):
     Returns one tuple of Fractions per free column, with a 1 in that
     column, so len(result) = n_cols - rank(M).
     """
-    pivots, rows = _elim.eliminate(M.row_dicts(), M.n_cols, reduce_full=True)
+    pivots, rows = _elim.eliminate(M.row_dicts(), reduce_full=True)
     pivot_set = set(pivots)
     basis = []
     for j in range(M.n_cols):
@@ -177,7 +177,14 @@ def kernel_basis(M):
 
 
 def solve(A, b):
-    """Some exact solution x of A*x = b, or None when none exists."""
+    """Some exact solution x of A*x = b, or None when none exists.
+
+    The system is inconsistent exactly when a pivot of [A | b] lands on
+    the augmented column: some combination of the rows is 0 on A and not
+    on b.  Otherwise x is read off the reduced echelon form and checked
+    against A*x = b all the same: one exact product, so a returned x is a
+    verified solution, not one taken on trust from the elimination.
+    """
     if len(b) != A.n_rows:
         raise DimensionError("rhs length mismatch")
     aug = A.n_cols
@@ -186,27 +193,32 @@ def solve(A, b):
         v = _rat(v)
         if v:
             rows[i][aug] = v
-    pivots, red = _elim.eliminate(rows, aug + 1, pivot_limit=aug, reduce_full=True)
+    pivots, red = _elim.eliminate(rows, reduce_full=True)
+    if pivots and pivots[-1] == aug:
+        return None
     x = [ZERO] * A.n_cols
     for p in pivots:
         x[p] = red[p].get(aug, ZERO)
-    # Verify: cheap relative to elimination, and catches the inconsistent
-    # case where the contradiction row was discarded as pivotless.
     if A.mat_vec(x) != [_rat(v) for v in b]:
         return None
     return x
 
 
 def invert(M):
-    """Exact inverse of a square matrix; raises SingularMatrixError."""
+    """Exact inverse of a square matrix; raises SingularMatrixError.
+
+    [M | I] has rank n whatever M is, so M is invertible exactly when all
+    n pivots lie in M's columns; then row p of the reduced echelon form is
+    [e_p | row p of M^{-1}].
+    """
     if M.n_rows != M.n_cols:
         raise DimensionError("inverse of non-square matrix")
     n = M.n_rows
     rows = M.row_dicts()
     for i in range(n):
         rows[i][n + i] = ONE
-    pivots, red = _elim.eliminate(rows, 2 * n, pivot_limit=n, reduce_full=True)
-    if len(pivots) != n:
+    pivots, red = _elim.eliminate(rows, reduce_full=True)
+    if pivots and pivots[-1] >= n:
         raise SingularMatrixError("matrix is singular")
     ents = {}
     for p in pivots:

@@ -26,10 +26,6 @@ from .exactla import ONE, ZERO, SparseMat
 from .liealg import bracket, derived_series  # noqa: F401
 
 
-class IndexError_(ValueError):
-    pass
-
-
 class NotFrobeniusError(ValueError):
     pass
 
@@ -39,23 +35,9 @@ class BlockFormError(ValueError):
 
 
 @dataclass(frozen=True)
-class Functional:
-    """A vector in the dual space: value on each basis element."""
-
-    coords: tuple
-
-    def __call__(self, vec):
-        return sum((c * v for c, v in zip(self.coords, vec) if v), ZERO)
-
-    @classmethod
-    def from_list(cls, values):
-        return cls(coords=tuple(Fraction(v) for v in values))
-
-
-@dataclass(frozen=True)
 class IndexCertificate:
     index: int
-    witness: Functional
+    witness: tuple  # a functional's coordinates, one int per basis element
     # Random trials run: all allowed unless one was nonsingular, where the
     # loop stops; 0 when the index was read off the root block.
     trials: int
@@ -82,14 +64,14 @@ class IndexCertificate:
         """
         if self.trials == 0 or self.index == 0:
             return None
-        d = len(self.witness.coords) // 2 * 2
+        d = len(self.witness) // 2 * 2
         return Fraction(d, 2 * self.entry_bound + 1) ** self.trials
 
     def to_json(self):
         bound = self.error_bound
         out = {
             "index": self.index,
-            "witness": [[c.numerator, c.denominator] for c in self.witness.coords],
+            "witness": [[c.numerator, c.denominator] for c in self.witness],
             "trials": self.trials,
             "entry_bound": self.entry_bound,
             "seed": self.seed,
@@ -123,11 +105,11 @@ def _kirillov_rows(g, coords):
 
 
 def eval_kirillov(g, f):
-    """Skew-symmetric matrix with (i, j) entry f([x_i, x_j]): the
-    ``_kirillov_rows`` of f as a SparseMat."""
-    if len(f.coords) != g.dim:
+    """Skew-symmetric matrix with (i, j) entry f([x_i, x_j]), f given by
+    its coordinates: the ``_kirillov_rows`` of f as a SparseMat."""
+    if len(f) != g.dim:
         raise exactla.DimensionError("functional length mismatch")
-    rows = _kirillov_rows(g, f.coords)
+    rows = _kirillov_rows(g, f)
     return SparseMat(g.dim, g.dim, {
         (i, j): v for i, row in enumerate(rows) for j, v in row.items()
     })
@@ -170,9 +152,7 @@ def _modulus(g, entry_bound):
 
 def _random_functional(dim, entry_bound, seed, trial):
     gen = random.Random(f"{seed}:{trial}")
-    return Functional(
-        coords=tuple(Fraction(gen.randint(-entry_bound, entry_bound)) for _ in range(dim))
-    )
+    return tuple(gen.randint(-entry_bound, entry_bound) for _ in range(dim))
 
 
 def index(g, trials=3, entry_bound=10**6, seed=0):
@@ -190,7 +170,7 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
     are derived from the seed by trial number, so trials are order-free.
     """
     if trials < 1:
-        raise IndexError_("trials must be >= 1")
+        raise ValueError("trials must be >= 1")
     if g.root_block is not None:
         return IndexCertificate(
             index=g.dim - 2 * exactla.rank(g.root_block),
@@ -203,8 +183,7 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
     best_rank, best_witness = -1, None
     for trial in range(trials):
         f = _random_functional(g.dim, entry_bound, seed, trial)
-        rows = _kirillov_rows(g, [c.numerator for c in f.coords])
-        r = len(exactla._elim.eliminate(rows, g.dim, modulus=p)[0])
+        r = len(exactla._elim.eliminate(_kirillov_rows(g, f), modulus=p)[0])
         if r > best_rank:
             best_rank, best_witness = r, f
         if best_rank == g.dim:
@@ -220,11 +199,7 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
 
 def structured_candidate(g):
     """1 on every root-vector (non-Cartan) coordinate, 0 on the Cartan."""
-    return Functional(
-        coords=tuple(
-            ONE if i >= g.cartan_count else ZERO for i in range(g.dim)
-        )
-    )
+    return (0,) * g.cartan_count + (1,) * (g.dim - g.cartan_count)
 
 
 def principal_element(g, f):
@@ -241,7 +216,7 @@ def principal_element(g, f):
         raise NotFrobeniusError(
             "Kirillov matrix is singular at this functional"
         ) from None
-    return [-v for v in inverse.mat_vec(f.coords)]
+    return [-v for v in inverse.mat_vec(f)]
 
 
 @dataclass(frozen=True)

@@ -258,9 +258,9 @@ def _basis(P, variant):
     return basis, P.n
 
 
-def _structure_constants(ents, labels, size):
+def _structure_constants(ents, labels):
     """brackets[(i, j)] = {k: c_k}, k ascending, with [M_i, M_j] = sum c_k M_k
-    for every nonzero commutator of the size x size basis matrices given by
+    for every nonzero commutator of the square basis matrices given by
     their nonzero integer entries ``ents``, {(row, col): value} each; the
     coefficients are Fractions.
 
@@ -296,7 +296,7 @@ def _structure_constants(ents, labels, size):
             )
         slot_of[slot] = k
     diagonals = [{r: v for (r, _), v in ents[k].items()} for k in cartan]
-    rank = len(roots) + len(exactla._elim.eliminate(diagonals, size)[0])
+    rank = len(roots) + len(exactla._elim.eliminate(diagonals)[0])
     if rank != dim:
         raise ClosureError(f"the {dim} basis matrices are dependent (rank {rank})")
     by_row = []
@@ -372,7 +372,7 @@ def build(P, variant="gl"):
     g = LieAlg(
         dim=len(ents),
         basis_labels=labels,
-        brackets=_structure_constants(ents, labels, N),
+        brackets=_structure_constants(ents, labels),
         cartan_count=cartan_count,
         realization=tuple(SparseMat(N, N, E) for E in ents),
     )
@@ -418,7 +418,7 @@ def derived_series(g):
     """
     series, rows = [], [{i: ONE} for i in range(g.dim)]
     while not series or series[-1].dim:
-        pivots, red = exactla._elim.eliminate(rows, g.dim, reduce_full=True)
+        pivots, red = exactla._elim.eliminate(rows, reduce_full=True)
         basis = [red[p] for p in pivots]
         series.append(Subspace(ambient_dim=g.dim, basis=tuple(
             tuple(row.get(c, ZERO) for c in range(g.dim)) for row in basis

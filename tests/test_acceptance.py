@@ -10,7 +10,6 @@ import math
 
 from lieposet import cohomology, indexfrob, liealg, posets, simplicial, suites
 from lieposet.exactla import ONE, ZERO
-from lieposet.indexfrob import Functional
 
 
 def _gate(name, ok, detail=""):
@@ -127,8 +126,7 @@ def test_6_spectrum():
     ok = True
     for n in range(1, 6):
         g = liealg.make_phi(n)
-        f = Functional(coords=tuple(
-            ONE if i >= n else ZERO for i in range(2 * n)))
+        f = (0,) * n + (1,) * n
         p = indexfrob.principal_element(g, f)
         sp = indexfrob.spectrum(g, p)
         if p != [ONE] * n + [ZERO] * n:

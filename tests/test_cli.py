@@ -157,7 +157,7 @@ class TestIndex:
             cert = indexfrob.index(g, trials=3, entry_bound=1000, seed=seed)
             f = indexfrob.frobenius_spectrum(g, cert)[0]
             assert rep["results"]["frobenius_functional"] == [
-                f"{c.numerator}/{c.denominator}" for c in f.coords]
+                f"{c.numerator}/{c.denominator}" for c in f]
             assert (f == cand) != structured_singular
             # The two-step hexagon's witness is the candidate itself, read
             # off the root block; branch's is the first random trial, which
@@ -210,6 +210,14 @@ class TestIndex:
         code, rep = run(capsys, ["index", branch_file, "--seed", "0", "--bound", bound])
         assert code == cli.EXIT_INPUT
         assert rep["kind"] == "input" and "--bound" in rep["error"]
+
+    @pytest.mark.parametrize("trials", ("0", "-2"))
+    def test_trials_below_one_rejected_before_the_poset_is_read(self, capsys, tmp_path, trials):
+        # Checked next to --bound: the flag is reported, not the missing file.
+        absent = str(tmp_path / "absent.json")
+        code, rep = run(capsys, ["index", absent, "--seed", "0", "--trials", trials])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input" and "--trials" in rep["error"]
 
     def test_bound_one_accepted(self, capsys, branch_file):
         code, rep = run(capsys, ["index", branch_file, "--seed", "0", "--bound", "1"])

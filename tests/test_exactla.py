@@ -218,15 +218,14 @@ def _sparse(rows):
     return [{j: v for j, v in enumerate(r) if v} for r in rows]
 
 
-def _check_kernel_against_rref(rows, n_cols, pivot_limit, want, modulus=None):
+def _check_kernel_against_rref(rows, want, modulus=None):
     # Both modes pick the same pivots, the reduced mode's rows are the
     # unique RREF dict for dict, and neither mode touches its input.
     snapshot = [dict(r) for r in rows]
-    pivots, red = _elim_py.eliminate(rows, n_cols, pivot_limit, reduce_full=True,
-                                     modulus=modulus)
+    pivots, red = _elim_py.eliminate(rows, reduce_full=True, modulus=modulus)
     assert red == want
     assert pivots == sorted(want)
-    rank_pivots, echelon = _elim_py.eliminate(rows, n_cols, pivot_limit, modulus=modulus)
+    rank_pivots, echelon = _elim_py.eliminate(rows, modulus=modulus)
     assert rank_pivots == pivots
     assert rows == snapshot
     return pivots, red, echelon
@@ -236,7 +235,7 @@ def _check_kernel_against_rref(rows, n_cols, pivot_limit, want, modulus=None):
 @given(fraction_matrices())
 def test_eliminate_against_dense_oracle(rows):
     n_cols = len(rows[0])
-    pivots, red, _ = _check_kernel_against_rref(_sparse(rows), n_cols, None, dense_rref(rows))
+    pivots, red, _ = _check_kernel_against_rref(_sparse(rows), dense_rref(rows))
     assert len(pivots) == dense_rank_oracle(rows)
     assert pivots == sorted(red)
     # Reduced echelon form: pivot entry 1, no other pivot column in its row.
@@ -274,34 +273,103 @@ def consistent_systems(draw):
 @given(consistent_systems())
 def test_augmented_reduced_mode_equals_dense_rref(system):
     aug, width = system
-    _check_kernel_against_rref(_sparse(aug), len(aug[0]), width, dense_rref(aug))
+    pivots, _, _ = _check_kernel_against_rref(_sparse(aug), dense_rref(aug))
+    # exactla.solve relies on this: a consistent system never pivots on
+    # its right-hand side.
+    assert all(p < width for p in pivots)
 
 
-def test_augmented_column_never_pivots():
-    rows = [{0: Fraction(0), 2: Fraction(1)}, {1: Fraction(2), 2: Fraction(4)}]
-    rows[0].pop(0)
-    pivots, red = _elim_py.eliminate(rows, 3, pivot_limit=2, reduce_full=True)
-    assert pivots == [1]
-    assert red[1] == {1: Fraction(1), 2: Fraction(2)}
+def test_inconsistent_system_pivots_on_the_augmented_column():
+    # [A | b] with A = [[0, 0], [0, 2]], b = (1, 4): the first row says 0 = 1.
+    rows = [{2: Fraction(1)}, {1: Fraction(2), 2: Fraction(4)}]
+    pivots, red = _elim_py.eliminate(rows, reduce_full=True)
+    assert pivots == [1, 2]
+    assert red == {1: {1: Fraction(1)}, 2: {2: Fraction(1)}}
+    A = SparseMat.from_rows([[0, 0], [0, 2]])
+    assert exactla.solve(A, [1, 4]) is None
+    assert exactla.solve(A, [0, 4]) == [0, 2]
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n Fraction matrices, n in 1..5, about a third of the entries
+    zero.  In about half of them some rows are replaced, one after the
+    other, by integer combinations of the rest; the last one replaced stays
+    in the span of the others, so the matrix is singular without being 0."""
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-10, max_value=10, max_denominator=7),
+    )
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)):
+            c = [0 if j == i else draw(st.integers(-2, 2)) for j in range(n)]
+            rows[i] = [sum(c[j] * rows[j][k] for j in range(n)) for k in range(n)]
+    return rows
+
+
+def test_square_matrices_include_nonzero_singular_ones():
+    find(square_matrices(), lambda rows: any(map(any, rows)) and dense_rank_oracle(rows) < len(rows),
+         settings=settings(database=None, max_examples=500, phases=(Phase.generate,)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices())
+def test_invert_raises_exactly_when_rank_is_short(rows):
+    # [M | I] has rank n either way; exactla.invert reads singularity from a
+    # pivot landing in the identity block.
+    M = SparseMat.from_rows(rows)
+    n = len(rows)
+    if dense_rank_oracle(rows) < n:
+        with pytest.raises(exactla.SingularMatrixError):
+            exactla.invert(M)
+    else:
+        assert M.matmul(exactla.invert(M)) == SparseMat.identity(n)
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b) with b = A x for a drawn x, or b drawn outright, which is
+    inconsistent whenever it leaves the column span of A."""
+    A = draw(fraction_matrices())
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    if draw(st.booleans()):
+        x = draw(st.lists(entry, min_size=len(A[0]), max_size=len(A[0])))
+        b = [sum(a * v for a, v in zip(r, x)) for r in A]
+    else:
+        b = draw(st.lists(st.one_of(st.just(Fraction(0)), entry), min_size=len(A), max_size=len(A)))
+    return A, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_solve_is_none_exactly_when_b_raises_the_rank(system):
+    A, b = system
+    M = SparseMat.from_rows(A)
+    x = exactla.solve(M, b)
+    aug = [r + [v] for r, v in zip(A, b)]
+    assert (x is None) == (dense_rank_oracle(aug) > dense_rank_oracle(A))
+    if x is not None:
+        assert M.mat_vec(x) == b
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=1, max_size=5),
-       st.sampled_from((None, 2)))
-def test_int_rows_give_the_fraction_rows_results(rows, pivot_limit):
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=1, max_size=5))
+def test_int_rows_give_the_fraction_rows_results(rows):
     # Integer input must stay exact: every pivot row holds Fractions, equal
     # to those of the same rows given as Fractions, in both modes.
     ints = _sparse(rows)
     fracs = [{c: Fraction(v) for c, v in r.items()} for r in ints]
     for reduce_full in (False, True):
-        got = _elim_py.eliminate(ints, 4, pivot_limit, reduce_full=reduce_full)
-        assert got == _elim_py.eliminate(fracs, 4, pivot_limit, reduce_full=reduce_full)
+        got = _elim_py.eliminate(ints, reduce_full=reduce_full)
+        assert got == _elim_py.eliminate(fracs, reduce_full=reduce_full)
         assert all(type(v) is Fraction for r in got[1].values() for v in r.values())
 
 
 def test_int_pivot_is_inverted_exactly():
     # 1 / 2 would be the float 0.5, and 1 / 3 an inexact one.
-    _, red = _elim_py.eliminate([{0: 2, 1: 1}, {0: 3, 1: 1}], 2)
+    _, red = _elim_py.eliminate([{0: 2, 1: 1}, {0: 3, 1: 1}])
     assert red[0] == {0: 1, 1: Fraction(1, 2)} and type(red[0][1]) is Fraction
     assert red[1] == {1: 1} and type(red[1][1]) is Fraction
 
@@ -341,7 +409,7 @@ def int_matrices(draw, entry=st.integers(-10, 10)):
 
 
 def _rank_mod(rows, p):
-    return len(_elim_py.eliminate(_sparse(rows), len(rows[0]), modulus=p)[0])
+    return len(_elim_py.eliminate(_sparse(rows), modulus=p)[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -350,7 +418,7 @@ def _rank_mod(rows, p):
 def test_eliminate_mod_p_against_dense_oracle(rows, p):
     n_cols = len(rows[0])
     want = dense_rref_mod(rows, p)
-    _, _, echelon = _check_kernel_against_rref(_sparse(rows), n_cols, None, want, modulus=p)
+    _, _, echelon = _check_kernel_against_rref(_sparse(rows), want, modulus=p)
     # Rank mode: residues with pivot entry 1 and nothing left of the pivot,
     # spanning the same row space mod p.
     for c, row in echelon.items():

@@ -9,7 +9,6 @@ from lieposet import exactla, indexfrob, liealg, posets
 from lieposet.exactla import ONE, ZERO
 from lieposet.indexfrob import (
     BlockFormError,
-    Functional,
     NotFrobeniusError,
     compose_isomorphism,
     eval_kirillov,
@@ -53,7 +52,7 @@ def principal_element_oracle(g, f):
     M = eval_kirillov(g, f)
     if exactla.rank(M) != g.dim:
         raise NotFrobeniusError("Kirillov matrix is singular at this functional")
-    sol = exactla.solve(M.transpose(), list(f.coords))
+    sol = exactla.solve(M.transpose(), list(f))
     assert sol is not None
     return sol
 
@@ -61,13 +60,13 @@ def principal_element_oracle(g, f):
 class TestKirillov:
     def test_skew(self):
         g = build(hexagon_type_c_poset())
-        f = Functional.from_list(range(1, g.dim + 1))
+        f = tuple(range(1, g.dim + 1))
         M = eval_kirillov(g, f)
         assert M.is_skew_symmetric()
 
     def test_entries(self):
         g = make_phi(1)
-        f = Functional.from_list([0, 5])
+        f = (0, 5)
         M = eval_kirillov(g, f)
         # f([d, e]) = f(e) = 5
         assert M.entries == {(0, 1): Fraction(5), (1, 0): Fraction(-5)}
@@ -79,7 +78,7 @@ class TestKirillov:
         g = data.draw(st.sampled_from((g, scaled(g, HALF), scaled(g, -3))))
         coords = data.draw(st.lists(st.integers(-9, 9), min_size=g.dim, max_size=g.dim))
         rows = indexfrob._kirillov_rows(g, coords)
-        M = eval_kirillov(g, Functional.from_list(coords))
+        M = eval_kirillov(g, [Fraction(c) for c in coords])
         assert {(i, j): v for i, row in enumerate(rows) for j, v in row.items()} == M.entries
         kind = int if g.integral else Fraction
         assert all(type(v) is kind for row in rows for v in row.values())
@@ -87,7 +86,7 @@ class TestKirillov:
     def test_length_mismatch(self):
         g = make_phi(1)
         with pytest.raises(exactla.DimensionError):
-            eval_kirillov(g, Functional.from_list([1]))
+            eval_kirillov(g, (1,))
 
 
 class TestIndex:
@@ -112,6 +111,18 @@ class TestIndex:
         assert cert.error_bound is None
         assert cert.to_json()["claim"] == "exact"
         assert "error_bound" not in cert.to_json()
+
+    def test_witnesses_are_int_coordinate_tuples(self):
+        # The structured candidate's 0/1 (read off the root block) and a
+        # random trial's draws; the JSON pairs are the ints over 1.
+        hexagon = build(hexagon_type_c_poset())
+        assert structured_candidate(hexagon) == (0, 0, 0, 1, 1, 1)
+        for g, trials in ((hexagon, 0), (build(chain_poset(3), "gl"), 3)):
+            cert = index(g, seed=0)
+            assert cert.trials == trials
+            assert type(cert.witness) is tuple and len(cert.witness) == g.dim
+            assert all(type(c) is int for c in cert.witness)
+            assert cert.to_json()["witness"] == [[c, 1] for c in cert.witness]
 
     def test_chain3_gl_is_probabilistic_with_schwartz_zippel_bound(self):
         # Three-step, so the trial path: dim 6, d = 6.  The index is
@@ -191,7 +202,7 @@ class TestFamilyProperties:
     def test_kirillov_rank_is_even(self, data):
         g = data.draw(algebras("ABCD"))
         coords = data.draw(st.lists(st.integers(-9, 9), min_size=g.dim, max_size=g.dim))
-        assert exactla.rank(eval_kirillov(g, Functional.from_list(coords))) % 2 == 0
+        assert exactla.rank(eval_kirillov(g, coords)) % 2 == 0
 
     @settings(max_examples=100, deadline=None)
     @given(algebras("ABCD"))
@@ -347,6 +358,11 @@ class TestFrobeniusFunctional:
             assert exactla.rank(eval_kirillov(g, f)) == g.dim
 
 
+def _evaluate(f, vec):
+    """f(vec) for a functional given by its coordinates."""
+    return sum(c * v for c, v in zip(f, vec))
+
+
 class TestPrincipalElement:
     def test_phi(self):
         for n in (1, 2, 4):
@@ -367,12 +383,12 @@ class TestPrincipalElement:
             p = principal_element(g, f)
             for j in range(g.dim):
                 x = liealg.basis_vector(g, j)
-                assert f(liealg.bracket(g, p, x)) == f(x)
+                assert _evaluate(f, liealg.bracket(g, p, x)) == _evaluate(f, x)
 
     def test_requires_frobenius(self):
         g = build(antichain_poset(2), "gl")
         with pytest.raises(NotFrobeniusError):
-            principal_element(g, Functional.from_list([1, 1]))
+            principal_element(g, (1, 1))
 
     @staticmethod
     def _check_against_oracle(g):

@@ -282,7 +282,7 @@ class TestCartanWeyl:
 
     def test_build_runs_the_guard(self, monkeypatch):
         # build itself raises, not a later reader of the roots.
-        def non_eigenvector(ents, labels, size):
+        def non_eigenvector(ents, labels):
             return {(0, len(ents) - 1): {0: ONE, len(ents) - 1: ONE}}
 
         monkeypatch.setattr(liealg, "_structure_constants", non_eigenvector)
@@ -322,14 +322,14 @@ class TestClosureInvariant:
     def test_unclosed_basis_rejected(self):
         # e12 and e23 without e13: [e12, e23] = e13 leaves the span.
         with pytest.raises(ClosureError, match="outside the basis span"):
-            liealg._structure_constants([{(0, 1): 1}, {(1, 2): 1}], ("e12", "e23"), 3)
+            liealg._structure_constants([{(0, 1): 1}, {(1, 2): 1}], ("e12", "e23"))
 
     def test_dependent_basis_rejected(self):
         # Closed (all three commute) but dependent: coordinates are not unique.
         with pytest.raises(ClosureError, match="dependent"):
             liealg._structure_constants(
                 [{(0, 0): 1}, {(1, 1): 1}, {(0, 0): 1, (1, 1): 1}],
-                ("e11", "e22", "e11+e22"), 2,
+                ("e11", "e22", "e11+e22"),
             )
 
     @pytest.mark.parametrize("ents", (
@@ -344,15 +344,15 @@ class TestClosureInvariant:
         labels = tuple(f"y{k}" for k in range(len(ents)))
         with pytest.raises(ClosureError,
                            match=r"no private off-diagonal leading slot of entry \+-1"):
-            liealg._structure_constants(ents, labels, 3)
+            liealg._structure_constants(ents, labels)
 
     def test_closed_basis_accepted(self):
         got = liealg._structure_constants(
-            [{(0, 1): 1}, {(1, 2): 1}, {(0, 2): 1}], ("e12", "e23", "e13"), 3)
+            [{(0, 1): 1}, {(1, 2): 1}, {(0, 2): 1}], ("e12", "e23", "e13"))
         assert got == {(0, 1): {2: ONE}} and type(got[(0, 1)][2]) is Fraction
         # A coordinate is the slot entry times the root matrix's +-1 there.
         got = liealg._structure_constants(
-            [{(0, 1): 1}, {(1, 2): 1}, {(0, 2): -1}], ("e12", "e23", "-e13"), 3)
+            [{(0, 1): 1}, {(1, 2): 1}, {(0, 2): -1}], ("e12", "e23", "-e13"))
         assert got == {(0, 1): {2: -ONE}} and type(got[(0, 1)][2]) is Fraction
 
 

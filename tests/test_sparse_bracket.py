@@ -62,7 +62,7 @@ def jacobi_oracle(g):
 
 def span_oracle(g, vectors):
     rows = [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
-    pivots, red = exactla._elim.eliminate(rows, g.dim, reduce_full=True)
+    pivots, red = exactla._elim.eliminate(rows, reduce_full=True)
     basis = []
     for p in pivots:
         vec = [ZERO] * g.dim
