@@ -7,10 +7,10 @@ With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
 rank, kernel, solve and inverse on ``eliminate``, ``liealg`` calls it
 directly for spans and for the rank of the Cartan diagonals in ``build``,
-and ``indexfrob`` ranks its random Kirillov trials mod p with it.  Every
-mode runs the same forward elimination; the reduced form is a
-back-substitution pass after it, and both are built from the one row
-operation ``_reduce_row``.
+and ``indexfrob`` ranks its random Kirillov trials mod p and solves for
+principal elements with it.  Every mode runs the same forward elimination;
+the reduced form is a back-substitution pass after it, and both are built
+from the one row operation ``_reduce_row``.
 """
 
 from fractions import Fraction
@@ -44,8 +44,8 @@ def eliminate(rows, reduce_full=False, modulus=None):
     Rows are consumed in order of increasing sparsity; a row's smallest
     column left after the reduction becomes its pivot.  Every column may
     pivot: a caller with an augmented block reads from where the pivots land
-    whether the block was needed (``exactla.solve``, ``exactla.invert``).
-    The input rows are not modified.
+    whether the block was needed (``exactla.solve``, ``exactla.invert``,
+    ``indexfrob.principal_element``).  The input rows are not modified.
     """
     if modulus is None:
         rows = (dict(r) for r in rows if r)

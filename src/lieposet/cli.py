@@ -2,9 +2,9 @@
 
 JSON reports only (``--pretty`` for indentation), schema
 ``lieposet-report/1``.  Exit codes: 0 ok, 1 verification failure,
-2 input error (or a report that cannot be written), 3 guard violation,
-4 internal error (a construction guard such as ``ClosureError`` or
-``CartanWeylError`` failed on valid input).
+2 input error (also a command line that does not parse, or a report that
+cannot be written), 3 guard violation, 4 internal error (a construction
+guard such as ``ClosureError`` or ``CartanWeylError`` failed on valid input).
 Randomized subcommands require an explicit ``--seed`` so certificates are
 reproducible.  Each ``cmd_*`` returns ``(results, params, digest)``;
 ``main`` alone assembles and emits the report and picks the exit code.
@@ -34,6 +34,11 @@ EXIT_INTERNAL = 4
 
 class CliInputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is an input error; --help exits 0
+        raise CliInputError(f"{self.prog}: {message}")
 
 
 def _read_poset(path):
@@ -190,7 +195,7 @@ def cmd_enumerate(args):
 
 
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="lieposet",
         description="Exact computations on Lie poset algebras",
     )
@@ -244,9 +249,10 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
-    started = time.monotonic()
+    args = None
     try:
+        args = _parser().parse_args(argv)
+        started = time.monotonic()
         # Looked up per call, so a rebound cmd_* (a tracer, a test) is reached.
         results, params, digest = globals()[f"cmd_{args.command}"](args)
     except CliInputError as e:
@@ -268,7 +274,8 @@ def main(argv=None):
         code = EXIT_VERIFY if failed else EXIT_OK
     rep["schema"] = SCHEMA
     try:
-        json.dump(rep, sys.stdout, indent=2 if args.pretty else None, sort_keys=True)
+        indent = 2 if getattr(args, "pretty", False) else None  # args None: unparsed
+        json.dump(rep, sys.stdout, indent=indent, sort_keys=True)
         sys.stdout.write("\n")
         sys.stdout.flush()
     except OSError as e:

@@ -104,17 +104,6 @@ def _kirillov_rows(g, coords):
     return rows
 
 
-def eval_kirillov(g, f):
-    """Skew-symmetric matrix with (i, j) entry f([x_i, x_j]), f given by
-    its coordinates: the ``_kirillov_rows`` of f as a SparseMat."""
-    if len(f) != g.dim:
-        raise exactla.DimensionError("functional length mismatch")
-    rows = _kirillov_rows(g, f)
-    return SparseMat(g.dim, g.dim, {
-        (i, j): v for i, row in enumerate(rows) for j, v in row.items()
-    })
-
-
 # Exponents e of the Mersenne primes 2^e - 1 that the random trials of
 # ``index`` may be ranked modulo, smallest first.
 MERSENNE_EXPONENTS = (61, 89, 107, 127, 521, 607, 1279)
@@ -169,8 +158,9 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
     Deterministic given (seed, trials, entry_bound); per-trial generators
     are derived from the seed by trial number, so trials are order-free.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for name, value in (("trials", trials), ("entry_bound", entry_bound)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     if g.root_block is not None:
         return IndexCertificate(
             index=g.dim - 2 * exactla.rank(g.root_block),
@@ -207,16 +197,20 @@ def principal_element(g, f):
 
     In coordinates f([p, x_j]) = sum_i p_i M[i][j] with M the Kirillov
     matrix of f, so p solves M^T p = f; M is skew, hence p = -M^{-1} f.
-    One inversion both proves M nonsingular and gives p; a singular M
-    raises NotFrobeniusError.
+    One reduced elimination of [M | f] decides and gives p: M is
+    nonsingular (else NotFrobeniusError) exactly when the pivots are the
+    columns 0..dim-1, and then column dim holds M^{-1} f.
     """
-    try:
-        inverse = exactla.invert(eval_kirillov(g, f))
-    except exactla.SingularMatrixError:
-        raise NotFrobeniusError(
-            "Kirillov matrix is singular at this functional"
-        ) from None
-    return [-v for v in inverse.mat_vec(f)]
+    if len(f) != g.dim:
+        raise exactla.DimensionError("functional length mismatch")
+    rows = _kirillov_rows(g, f)
+    for row, c in zip(rows, f):
+        if c:
+            row[g.dim] = c
+    pivots, red = exactla._elim.eliminate(rows, reduce_full=True)
+    if pivots != list(range(g.dim)):
+        raise NotFrobeniusError("Kirillov matrix is singular at this functional")
+    return [-red[i].get(g.dim, ZERO) for i in range(g.dim)]
 
 
 @dataclass(frozen=True)
@@ -281,9 +275,9 @@ def frobenius_spectrum(g, certificate):
     stay readable, when its Kirillov matrix is nonsingular, and the index
     ``certificate``'s witness otherwise.
 
-    One inversion of the candidate's Kirillov matrix both decides which
-    and gives its principal element; NotFrobeniusError means the witness
-    is singular too.
+    One elimination of the candidate's [M | f] both decides which and
+    gives its principal element; NotFrobeniusError means the witness is
+    singular too.
     """
     f = structured_candidate(g)
     try:

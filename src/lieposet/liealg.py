@@ -54,7 +54,7 @@ class LieAlg:
     # in [x_i, x_j]; pairs with zero bracket are absent.
     brackets: dict
     cartan_count: int
-    realization: tuple = None  # optional SparseMat per basis element
+    realization: tuple = None  # optional {(row, col): +-1 int} dict per basis element
 
     def structure(self, i, j):
         """[x_i, x_j] as a sparse dict, any index order."""
@@ -352,7 +352,7 @@ def _product(A, B_rows):
 
 
 def build(P, variant="gl"):
-    """Lie poset algebra of P with sparse matrix realization.
+    """Lie poset algebra of P with its matrix realization as int entry dicts.
 
     Family A uses the gl (default) or sl Cartan; families B/C/D ignore
     the variant.  Raises ClosureError if the constructed basis is
@@ -366,7 +366,6 @@ def build(P, variant="gl"):
         raise LieAlgError(f"poset violates family axioms: {report.violations}")
     basis, cartan_count = _basis(P, variant)
     pos = {e: t for t, e in enumerate(P.elements)}
-    N = len(pos)
     ents = [{(pos[a], pos[b]): v for (a, b), v in X.items()} for _, X in basis]
     labels = tuple(label for label, _ in basis)
     g = LieAlg(
@@ -374,7 +373,7 @@ def build(P, variant="gl"):
         basis_labels=labels,
         brackets=_structure_constants(ents, labels),
         cartan_count=cartan_count,
-        realization=tuple(SparseMat(N, N, E) for E in ents),
+        realization=tuple(ents),
     )
     g.roots  # the Cartan-Weyl guard fails here, at build time
     return g
@@ -394,12 +393,14 @@ def check_jacobi(g):
 
 def check_realization(g):
     """Matrix commutators agree with the structure constants, for every
-    pair of basis elements (a pair absent from ``brackets`` must commute)."""
+    pair of basis elements (a pair absent from ``brackets`` must commute),
+    by SparseMat products, independent of the read-off they check."""
     if g.realization is None:
         return True
-    mats = g.realization
+    size = 1 + max((max(p) for E in g.realization for p in E), default=-1)
+    mats = [SparseMat(size, size, E) for E in g.realization]
     for i, j in combinations(range(g.dim), 2):
-        expected = SparseMat(mats[i].n_rows, mats[i].n_cols, {})
+        expected = SparseMat(size, size, {})
         for k, c in g.structure(i, j).items():
             expected = expected.add(mats[k], scale=c)
         comm = mats[i].matmul(mats[j]).add(mats[j].matmul(mats[i]), scale=-ONE)
@@ -445,10 +446,7 @@ def sparsity_pattern(g):
     """Joint support of the matrix realization (set of (row, col) pairs)."""
     if g.realization is None:
         raise LieAlgError("algebra has no matrix realization")
-    pattern = set()
-    for M in g.realization:
-        pattern |= set(M.entries)
-    return pattern
+    return set().union(*g.realization)
 
 
 def algebra_to_json(g):

@@ -1,13 +1,25 @@
-"""Characteristic polynomials by Faddeev-LeVerrier, the test-side oracle of
-``indexfrob.spectrum``.
+"""Test-side oracles: the Kirillov matrix as a SparseMat, and
+characteristic polynomials by Faddeev-LeVerrier for ``indexfrob.spectrum``.
 
-``spectrum`` reads det(x - ad p) off the root data; these compute it from
-the matrix of ad(p) with no structure assumed, and split off the
-x^a (x-1)^b factor by synthetic division.  Polynomials are lists of
-Fractions, lowest degree first.
+``spectrum`` reads det(x - ad p) off the root data; ``char_poly`` computes
+it from the matrix of ad(p) with no structure assumed, and
+``factor_binary`` splits off the x^a (x-1)^b factor by synthetic division.
+Polynomials are lists of Fractions, lowest degree first.
 """
 
+from lieposet import indexfrob
 from lieposet.exactla import ONE, ZERO, DimensionError, SparseMat
+
+
+def eval_kirillov(g, f):
+    """Skew-symmetric matrix with (i, j) entry f([x_i, x_j]), f given by
+    its coordinates: the ``indexfrob._kirillov_rows`` of f as a SparseMat."""
+    if len(f) != g.dim:
+        raise DimensionError("functional length mismatch")
+    rows = indexfrob._kirillov_rows(g, f)
+    return SparseMat(g.dim, g.dim, {
+        (i, j): v for i, row in enumerate(rows) for j, v in row.items()
+    })
 
 
 def char_poly(M):

@@ -11,6 +11,7 @@ import lieposet
 from lieposet import cli, exactla, indexfrob, liealg, posets, suites
 from lieposet.liealg import build
 from lieposet.posets import hexagon_type_c_poset
+from oracles import eval_kirillov
 
 
 @pytest.fixture
@@ -149,7 +150,7 @@ class TestIndex:
         P = hexagon_type_c_poset() if poset == "hexagon" else posets.branch_poset()
         g = build(P, variant)
         cand = indexfrob.structured_candidate(g)
-        assert (exactla.rank(indexfrob.eval_kirillov(g, cand)) < g.dim) == structured_singular
+        assert (exactla.rank(eval_kirillov(g, cand)) < g.dim) == structured_singular
         for seed in (0, 5):
             code, rep = run(capsys, ["index", path, "--variant", variant,
                                      "--seed", str(seed), "--bound", "1000"])
@@ -179,14 +180,14 @@ class TestIndex:
         # ranks them mod p in the kernel, not through exactla.rank.  The
         # report then evaluates the structured candidate once (and the
         # witness once more if the candidate is singular), and never ranks
-        # it: one inversion decides and gives the principal element.
-        # _kirillov_rows is the one evaluator; eval_kirillov wraps it.
+        # it: one reduced elimination of [K | f] decides and gives the
+        # principal element.  _kirillov_rows is the one evaluator.
         path = request.getfixturevalue(f"{poset}_file")
         P = hexagon_type_c_poset() if poset == "hexagon" else posets.branch_poset()
         g = build(P, variant)
         if poset == "branch":
             f = indexfrob._random_functional(g.dim, 10**6, 0, 0)
-            assert exactla.rank(indexfrob.eval_kirillov(g, f)) == g.dim
+            assert exactla.rank(eval_kirillov(g, f)) == g.dim
         calls = {"_kirillov_rows": 0, "rank": 0}
 
         def counting(name, fn):
@@ -231,9 +232,10 @@ class TestIndex:
         assert code == cli.EXIT_INPUT
         assert rep["kind"] == "input"
 
-    def test_seed_required(self, branch_file):
-        with pytest.raises(SystemExit):
-            cli.main(["index", branch_file])
+    def test_seed_required(self, capsys, branch_file):
+        code, rep = run(capsys, ["index", branch_file])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input" and "--seed" in rep["error"]
 
     def test_deterministic_output(self, capsys, branch_file):
         _, rep1 = run(capsys, ["index", branch_file, "--seed", "7"])
@@ -284,6 +286,30 @@ class TestReport:
             )
         assert proc.returncode == cli.EXIT_INPUT
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, named", (
+        pytest.param(["index", "{file}", "--seed", "x"], "--seed", id="seed-not-int"),
+        pytest.param(["build", "{file}", "--variant", "so"], "--variant", id="unknown-variant"),
+        pytest.param(["nonsense", "{file}"], "nonsense", id="unknown-subcommand"),
+        # No namespace is parsed, so even --pretty gets the one-line report.
+        pytest.param(["index", "{file}", "--seed", "x", "--pretty"], "--seed", id="pretty"),
+    ))
+    def test_parse_error_is_one_json_line(self, capsys, branch_file, argv, named):
+        # A command line that does not parse is an input error like any
+        # other: one line of JSON on stdout, nothing on stderr, exit 2.
+        code = cli.main([a.format(file=branch_file) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_INPUT and err == ""
+        assert out.count("\n") == 1
+        rep = json.loads(out)
+        assert set(rep) == {"error", "kind", "schema"}
+        assert rep["kind"] == "input" and named in rep["error"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["index", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
 
 
 class TestDispatch:
@@ -476,9 +502,10 @@ class TestVerify:
         assert rep["results"]["cases"] == [
             {"name": "broken", "passed": False, "detail": "detail"}]
 
-    def test_unknown_suite(self):
-        with pytest.raises(SystemExit):
-            cli.main(["verify", "nonsense", "--seed", "0"])
+    def test_unknown_suite(self, capsys):
+        code, rep = run(capsys, ["verify", "nonsense", "--seed", "0"])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input" and "nonsense" in rep["error"]
 
 
 class TestEnumerate:

@@ -11,7 +11,6 @@ from lieposet.indexfrob import (
     BlockFormError,
     NotFrobeniusError,
     compose_isomorphism,
-    eval_kirillov,
     frobenius_spectrum,
     index,
     normalize_to_phi,
@@ -26,6 +25,7 @@ from lieposet.posets import (
     branch_poset,
     hexagon_type_c_poset,
 )
+from oracles import eval_kirillov
 from strategies import algebras, valid_posets
 
 HALF = Fraction(1, 2)
@@ -177,6 +177,14 @@ class TestIndex:
     def test_bad_trials(self):
         with pytest.raises(ValueError):
             index(make_phi(1), trials=0)
+
+    @pytest.mark.parametrize("entry_bound", (0, -3))
+    def test_bad_entry_bound(self, entry_bound):
+        # Checked before any trial: at 0 every trial is the zero functional
+        # and the certificate would claim a bound of 512/1, at -3 the draw
+        # has an empty range.
+        with pytest.raises(ValueError, match="entry_bound must be >= 1"):
+            index(build(branch_poset(), "sl"), entry_bound=entry_bound)
 
 
 def trial_rank(g, trials=3):
@@ -389,6 +397,24 @@ class TestPrincipalElement:
         g = build(antichain_poset(2), "gl")
         with pytest.raises(NotFrobeniusError):
             principal_element(g, (1, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_singular_branch_against_the_inverse(self, data):
+        # Functionals in [-1, 1]^dim are often singular.  NotFrobeniusError
+        # exactly when the Kirillov matrix is; otherwise p = -M^{-1} f, the
+        # formula of the inversion that the [M | f] elimination replaced.
+        g = data.draw(algebras("ABCDP"))
+        f = tuple(data.draw(st.lists(st.integers(-1, 1), min_size=g.dim, max_size=g.dim)))
+        M = eval_kirillov(g, f)
+        if exactla.rank(M) < g.dim:
+            with pytest.raises(NotFrobeniusError):
+                principal_element(g, f)
+        else:
+            assert principal_element(g, f) == [-v for v in exactla.invert(M).mat_vec(f)]
+        for wrong in (f[:-1], f + (1,)):
+            with pytest.raises(exactla.DimensionError):
+                principal_element(g, wrong)
 
     @staticmethod
     def _check_against_oracle(g):

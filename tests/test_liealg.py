@@ -89,6 +89,21 @@ class TestBuild:
         with pytest.raises(LieAlgError):
             build(branch_poset(), "so")
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from("ABCD").flatmap(valid_posets), st.sampled_from(("gl", "sl")))
+    def test_sparsity_pattern_closed_form(self, P, variant):
+        assert sparsity_pattern(build(P, variant)) == pattern_oracle(P, variant)
+
+    @pytest.mark.parametrize("P, variant", (
+        pytest.param(chain_poset(1), "sl", id="chain1-sl"),
+        pytest.param(chain_poset(1), "gl", id="chain1-gl"),
+        pytest.param(antichain_poset(3), "sl", id="antichain3-sl"),
+        pytest.param(make_poset(range(-2, 3), [(-1, 2), (-2, 1)], "B"), "gl", id="typeB"),
+        pytest.param(make_poset(range(-1, 2), [], "B"), "gl", id="typeB-empty"),
+    ))
+    def test_sparsity_pattern_closed_form_exceptions(self, P, variant):
+        assert sparsity_pattern(build(P, variant)) == pattern_oracle(P, variant)
+
     def test_family_violations_rejected(self):
         P = make_poset([-1, 1], [(-1, 1)], "D")
         with pytest.raises(LieAlgError, match="axioms"):
@@ -115,6 +130,19 @@ class TestBuild:
                 assert X[(a, b)] == ONE and X[mirror] == -s[a] * s[b]
                 flipped = {(a, b): ONE, mirror: s[a] * s[b]}
                 assert not liealg._in_form_algebra(flipped, s)
+
+
+def pattern_oracle(P, variant):
+    """The realization's joint support in closed form: the diagonal at
+    every element and (pos a, pos b) for every relation a < b, except that
+    sl of a one-element poset has no diagonal and B/C/D leave out label 0,
+    which no Cartan generator h_i = E[-i, -i] - E[i, i] touches."""
+    pos = {e: t for t, e in enumerate(P.elements)}
+    if P.family == "A":
+        diagonal = [] if variant == "sl" and len(P) == 1 else P.elements
+    else:
+        diagonal = [e for e in P.elements if e]
+    return {(pos[e], pos[e]) for e in diagonal} | {(pos[a], pos[b]) for a, b in P.relation}
 
 
 def form_signs(family, elems):

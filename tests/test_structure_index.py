@@ -32,6 +32,13 @@ def vectors(dim):
     )
 
 
+def realization_mats(g):
+    """``g.realization``'s entry dicts as SparseMats of size 1 + the
+    largest position."""
+    size = 1 + max((max(p) for E in g.realization for p in E), default=-1)
+    return [SparseMat(size, size, E) for E in g.realization]
+
+
 def build_oracle(mats):
     """Structure constants by one exact solve per nonzero commutator, over
     the matrix positions of the whole basis and of the commutator."""
@@ -80,7 +87,7 @@ NAMED = {
 @given(algebras("ABCD"))
 def test_build_matches_per_pair_solve(g):
     # Same pairs, same coefficients, both in the same insertion order.
-    assert _ordered(g.brackets) == _ordered(build_oracle(g.realization))
+    assert _ordered(g.brackets) == _ordered(build_oracle(realization_mats(g)))
 
 
 @pytest.mark.parametrize("size", range(1, 9))
@@ -88,7 +95,7 @@ def test_build_matches_per_pair_solve_on_height_one(size):
     for P in posets.enumerate_height_one(size):
         for variant in ("gl", "sl"):
             g = liealg.build(P, variant)
-            assert _ordered(g.brackets) == _ordered(build_oracle(g.realization))
+            assert _ordered(g.brackets) == _ordered(build_oracle(realization_mats(g)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,7 +109,7 @@ def test_structure_constants_match_per_pair_solve_in_mixed_basis(data):
     # other coefficients.
     g = data.draw(algebras())
     assume(g.realization is not None)
-    mats = g.realization
+    mats = realization_mats(g)
     mixed, cartan_only = [], True
     for k, M in enumerate(mats):
         for j in range(k + 1, len(mats)):
@@ -125,7 +132,7 @@ def test_structure_constants_match_per_pair_solve_in_mixed_basis(data):
 def test_build_matches_per_pair_solve_named(name):
     P, variant = NAMED[name]
     g = liealg.build(P, variant)
-    assert _ordered(g.brackets) == _ordered(build_oracle(g.realization))
+    assert _ordered(g.brackets) == _ordered(build_oracle(realization_mats(g)))
 
 
 def bracket_oracle(g, x, y):
