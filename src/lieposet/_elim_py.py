@@ -1,21 +1,24 @@
 """Sparse Gaussian elimination over the rationals or modulo a prime, the
 package's one elimination kernel.
 
-Rows are dicts mapping column index -> nonzero Fraction or int; pivot
-rows are normalized by a Fraction reciprocal, so int input stays exact.
+Rows are dicts mapping column index -> nonzero int or Fraction, never a
+float.  Over Q a pivot row whose lead is 1 keeps the row's own values, one
+whose lead is -1 holds them negated, and only other leads are divided out
+by a Fraction reciprocal: int rows stay int while every pivot is a unit,
+and the results are ``==`` to those of the same rows given as Fractions.
 With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
 rank, kernel, solve and inverse on ``eliminate``, ``liealg`` calls it
 directly for spans and for the rank of the Cartan diagonals in ``build``,
-and ``indexfrob`` ranks its random Kirillov trials mod p and solves for
-principal elements with it.  Every mode runs the same forward elimination;
-the reduced form is a back-substitution pass after it, and both are built
-from the one row operation ``_reduce_row``.
+``cohomology`` for the ranks of its weight-0 blocks, and ``indexfrob``
+ranks its random Kirillov trials mod p and solves for principal elements
+with it.  Every mode runs the same forward elimination; the reduced form
+is a back-substitution pass after it, and both are built from the one row
+operation ``_reduce_row``.
 """
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -58,12 +61,16 @@ def eliminate(rows, reduce_full=False, modulus=None):
             row = _residues(row, modulus)
         if row:
             piv = min(row)
-            if modulus is None:
-                inv = ONE / row[piv]
-                pivot_rows[piv] = {c: v * inv for c, v in row.items()}
-            else:
-                inv = pow(row[piv], -1, modulus)
-                pivot_rows[piv] = {c: v * inv % modulus for c, v in row.items()}
+            lead = row[piv]
+            if modulus is not None:
+                inv = pow(lead, -1, modulus)
+                row = {c: v * inv % modulus for c, v in row.items()}
+            elif lead == -1:
+                row = {c: -v for c, v in row.items()}
+            elif lead != 1:
+                inv = ONE / lead
+                row = {c: v * inv for c, v in row.items()}
+            pivot_rows[piv] = row
     pivots = sorted(pivot_rows)
     if reduce_full:
         done = {}
@@ -88,7 +95,6 @@ def _reduce_row(row, pivot_rows, modulus=None):
     With a ``modulus`` the multiplier is reduced mod p but the updated
     entries are not: they stay congruent to the true residues, and the
     caller reduces the row when it is done."""
-    zero = ZERO if modulus is None else 0
     while True:
         hit = -1
         for c in row:
@@ -102,7 +108,8 @@ def _reduce_row(row, pivot_rows, modulus=None):
         for cc, v in pivot_rows[hit].items():
             if cc == hit:
                 continue
-            nv = row.get(cc, zero) - f * v
+            old = row.get(cc)
+            nv = -(f * v) if old is None else old - f * v
             if nv:
                 row[cc] = nv
             else:

@@ -1,16 +1,18 @@
 """Exact rational linear algebra: sparse matrices, rank, kernels, solves
 and inverses.
 
-Scalars are ``fractions.Fraction`` throughout (canonical reduced form,
+Matrix scalars are ``fractions.Fraction`` (canonical reduced form,
 positive denominator), so every rank and dimension below is exact; there
 is no floating point anywhere in this package.
 
 Every rank, kernel, solve and inverse runs through one sparse elimination
 kernel, ``_elim_py.eliminate``, reached here as ``_elim.eliminate``.
 ``BACKEND`` names it; it is a constant, kept for reports that record it.
-The functions here call it over Q; the same kernel also takes int rows
-with a prime ``modulus``, where its entries are int residues mod p, which
-is how ``indexfrob.index`` ranks its random trials.
+The functions here call it over Q on Fraction rows.  Over Q it also takes
+int rows, which stay int while its pivots are units, with results ``==``
+to the same rows' as Fractions; ``cohomology`` ranks its weight-0 blocks
+so.  With a prime ``modulus`` its entries are int residues mod p, which is
+how ``indexfrob.index`` ranks its random trials.
 """
 
 from fractions import Fraction
@@ -63,23 +65,6 @@ class SparseMat:
     def __setattr__(self, name, value):
         raise AttributeError("SparseMat is immutable")
 
-    @classmethod
-    def from_rows(cls, rows):
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if rows else 0
-        ents = {}
-        for i, r in enumerate(rows):
-            if len(r) != n_cols:
-                raise DimensionError("ragged rows")
-            for j, v in enumerate(r):
-                if v:
-                    ents[(i, j)] = _rat(v)
-        return cls(n_rows, n_cols, ents)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): ONE for i in range(n)})
-
     def __getitem__(self, key):
         return self.entries.get(key, ZERO)
 
@@ -99,11 +84,6 @@ class SparseMat:
         for (i, j), v in self.entries.items():
             rows[i][j] = v
         return rows
-
-    def transpose(self):
-        return SparseMat(
-            self.n_cols, self.n_rows, {(j, i): v for (i, j), v in self.entries.items()}
-        )
 
     def mat_vec(self, v):
         if len(v) != self.n_cols:
@@ -140,12 +120,6 @@ class SparseMat:
             else:
                 ents.pop(key, None)
         return SparseMat(self.n_rows, self.n_cols, ents)
-
-    def is_skew_symmetric(self):
-        for (i, j), v in self.entries.items():
-            if self.entries.get((j, i), ZERO) != -v:
-                return False
-        return True
 
 
 def rank(M):

@@ -1,5 +1,6 @@
-"""Test-side oracles: the Kirillov matrix as a SparseMat, and
-characteristic polynomials by Faddeev-LeVerrier for ``indexfrob.spectrum``.
+"""Test-side oracles: SparseMat constructors and predicates the package
+does not need, the Kirillov matrix as a SparseMat, and characteristic
+polynomials by Faddeev-LeVerrier for ``indexfrob.spectrum``.
 
 ``spectrum`` reads det(x - ad p) off the root data; ``char_poly`` computes
 it from the matrix of ad(p) with no structure assumed, and
@@ -9,6 +10,28 @@ Polynomials are lists of Fractions, lowest degree first.
 
 from lieposet import indexfrob
 from lieposet.exactla import ONE, ZERO, DimensionError, SparseMat
+
+
+def from_rows(rows):
+    """SparseMat of a dense list of equal-length rows."""
+    n_cols = len(rows[0]) if rows else 0
+    if any(len(r) != n_cols for r in rows):
+        raise DimensionError("ragged rows")
+    return SparseMat(len(rows), n_cols, {
+        (i, j): v for i, r in enumerate(rows) for j, v in enumerate(r) if v
+    })
+
+
+def identity(n):
+    return SparseMat(n, n, {(i, i): ONE for i in range(n)})
+
+
+def transpose(M):
+    return SparseMat(M.n_cols, M.n_rows, {(j, i): v for (i, j), v in M.entries.items()})
+
+
+def is_skew_symmetric(M):
+    return all(M[(j, i)] == -v for (i, j), v in M.entries.items())
 
 
 def eval_kirillov(g, f):
@@ -31,14 +54,14 @@ def char_poly(M):
         raise DimensionError("characteristic polynomial of non-square matrix")
     n = M.n_rows
     coeffs = [ONE]  # c_0 = 1 for x^n
-    N = SparseMat.identity(n)
+    N = identity(n)
     for k in range(1, n + 1):
         MN = M.matmul(N)
         tr = sum((MN[(i, i)] for i in range(n)), ZERO)
         ck = -tr / k
         coeffs.append(ck)
         if k < n:
-            N = MN.add(SparseMat.identity(n), scale=ck)
+            N = MN.add(identity(n), scale=ck)
     return list(reversed(coeffs))
 
 

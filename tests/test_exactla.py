@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lieposet
 from lieposet import _elim_py, exactla
 from lieposet.exactla import SparseMat
-from oracles import char_poly, factor_binary
+from oracles import char_poly, factor_binary, from_rows, identity, is_skew_symmetric
 
 
 def dense_rref(rows):
@@ -47,10 +47,10 @@ def random_dense(rng, n_rows, n_cols, bound=5):
 
 class TestRank:
     def test_identity(self):
-        assert exactla.rank(SparseMat.identity(3)) == 3
+        assert exactla.rank(identity(3)) == 3
 
     def test_skew_block(self):
-        M = SparseMat.from_rows(
+        M = from_rows(
             [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
         )
         assert exactla.rank(M) == 4
@@ -62,7 +62,7 @@ class TestRank:
         rng = random.Random(20240811)
         for _ in range(40):
             rows = random_dense(rng, rng.randint(1, 7), rng.randint(1, 7))
-            M = SparseMat.from_rows(rows)
+            M = from_rows(rows)
             assert exactla.rank(M) == dense_rank_oracle(rows)
 
     def test_skew_rank_is_even(self):
@@ -77,7 +77,7 @@ class TestRank:
                         ents[(i, j)] = v
                         ents[(j, i)] = -v
             M = SparseMat(n, n, ents)
-            assert M.is_skew_symmetric()
+            assert is_skew_symmetric(M)
             assert exactla.rank(M) % 2 == 0
 
 
@@ -86,10 +86,10 @@ class TestKernel:
         assert len(exactla.kernel_basis(SparseMat(2, 3))) == 3
 
     def test_identity(self):
-        assert exactla.kernel_basis(SparseMat.identity(3)) == []
+        assert exactla.kernel_basis(identity(3)) == []
 
     def test_hand_example(self):
-        M = SparseMat.from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 0]])
+        M = from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 0]])
         basis = exactla.kernel_basis(M)
         assert len(basis) == 2
         for v in basis:
@@ -99,7 +99,7 @@ class TestKernel:
         rng = random.Random(7)
         for _ in range(30):
             rows = random_dense(rng, rng.randint(1, 6), rng.randint(1, 6))
-            M = SparseMat.from_rows(rows)
+            M = from_rows(rows)
             basis = exactla.kernel_basis(M)
             assert exactla.rank(M) + len(basis) == M.n_cols
             for v in basis:
@@ -109,25 +109,25 @@ class TestKernel:
 class TestSolve:
     def test_identity(self):
         b = [Fraction(3), Fraction(-2)]
-        assert exactla.solve(SparseMat.identity(2), b) == b
+        assert exactla.solve(identity(2), b) == b
 
     def test_inconsistent(self):
-        A = SparseMat.from_rows([[0, 1], [0, 0]])
+        A = from_rows([[0, 1], [0, 0]])
         assert exactla.solve(A, [0, 1]) is None
 
     def test_diagonal(self):
-        A = SparseMat.from_rows([[2, 0], [0, 3]])
+        A = from_rows([[2, 0], [0, 3]])
         assert exactla.solve(A, [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
 
     def test_dimension_mismatch(self):
         with pytest.raises(exactla.DimensionError):
-            exactla.solve(SparseMat.identity(2), [1, 2, 3])
+            exactla.solve(identity(2), [1, 2, 3])
 
     def test_random_consistent_systems(self):
         rng = random.Random(13)
         for _ in range(25):
             rows = random_dense(rng, rng.randint(1, 6), rng.randint(1, 6))
-            A = SparseMat.from_rows(rows)
+            A = from_rows(rows)
             x_true = [Fraction(rng.randint(-4, 4)) for _ in range(A.n_cols)]
             b = A.mat_vec(x_true)
             x = exactla.solve(A, b)
@@ -141,11 +141,11 @@ class TestInvert:
         found = 0
         while found < 10:
             rows = random_dense(rng, 4, 4)
-            M = SparseMat.from_rows(rows)
+            M = from_rows(rows)
             if exactla.rank(M) < 4:
                 continue
             found += 1
-            assert M.matmul(exactla.invert(M)) == SparseMat.identity(4)
+            assert M.matmul(exactla.invert(M)) == identity(4)
 
     def test_singular(self):
         with pytest.raises(exactla.SingularMatrixError):
@@ -160,11 +160,11 @@ class TestCharPoly:
         assert char_poly(SparseMat(3, 3)) == [0, 0, 0, 1]
 
     def test_nilpotent(self):
-        M = SparseMat.from_rows([[0, 1], [0, 0]])
+        M = from_rows([[0, 1], [0, 0]])
         assert char_poly(M) == [0, 0, 1]
 
     def test_diagonal(self):
-        M = SparseMat.from_rows([[2, 0], [0, 3]])
+        M = from_rows([[2, 0], [0, 3]])
         # (x-2)(x-3) = 6 - 5x + x^2
         assert char_poly(M) == [6, -5, 1]
 
@@ -249,7 +249,7 @@ def test_eliminate_against_dense_oracle(rows):
             for c, v in red[p].items():
                 combo[c] += r[p] * v
         assert combo == r
-    M = SparseMat.from_rows(rows)
+    M = from_rows(rows)
     basis = exactla.kernel_basis(M)
     assert len(basis) == n_cols - len(pivots)
     for v in basis:
@@ -285,7 +285,7 @@ def test_inconsistent_system_pivots_on_the_augmented_column():
     pivots, red = _elim_py.eliminate(rows, reduce_full=True)
     assert pivots == [1, 2]
     assert red == {1: {1: Fraction(1)}, 2: {2: Fraction(1)}}
-    A = SparseMat.from_rows([[0, 0], [0, 2]])
+    A = from_rows([[0, 0], [0, 2]])
     assert exactla.solve(A, [1, 4]) is None
     assert exactla.solve(A, [0, 4]) == [0, 2]
 
@@ -319,13 +319,13 @@ def test_square_matrices_include_nonzero_singular_ones():
 def test_invert_raises_exactly_when_rank_is_short(rows):
     # [M | I] has rank n either way; exactla.invert reads singularity from a
     # pivot landing in the identity block.
-    M = SparseMat.from_rows(rows)
+    M = from_rows(rows)
     n = len(rows)
     if dense_rank_oracle(rows) < n:
         with pytest.raises(exactla.SingularMatrixError):
             exactla.invert(M)
     else:
-        assert M.matmul(exactla.invert(M)) == SparseMat.identity(n)
+        assert M.matmul(exactla.invert(M)) == identity(n)
 
 
 @st.composite
@@ -346,7 +346,7 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_solve_is_none_exactly_when_b_raises_the_rank(system):
     A, b = system
-    M = SparseMat.from_rows(A)
+    M = from_rows(A)
     x = exactla.solve(M, b)
     aug = [r + [v] for r, v in zip(A, b)]
     assert (x is None) == (dense_rank_oracle(aug) > dense_rank_oracle(A))
@@ -357,14 +357,20 @@ def test_solve_is_none_exactly_when_b_raises_the_rank(system):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=1, max_size=5))
 def test_int_rows_give_the_fraction_rows_results(rows):
-    # Integer input must stay exact: every pivot row holds Fractions, equal
-    # to those of the same rows given as Fractions, in both modes.
-    ints = _sparse(rows)
-    fracs = [{c: Fraction(v) for c, v in r.items()} for r in ints]
-    for reduce_full in (False, True):
-        got = _elim_py.eliminate(ints, reduce_full=reduce_full)
-        assert got == _elim_py.eliminate(fracs, reduce_full=reduce_full)
-        assert all(type(v) is Fraction for r in got[1].values() for v in r.values())
+    # Integer input must stay exact: every pivot row holds ints or
+    # Fractions, equal to those of the same rows given as Fractions, in
+    # both modes.  Rows with a +-1 lead on the diagonal and ints right of
+    # it pivot on units only, and those come back all-int.
+    unit = [
+        {i: 1 if r[0] % 2 else -1, **{i + 1 + c: v for c, v in enumerate(r) if v}}
+        for i, r in enumerate(rows)
+    ]
+    for ints, want in ((_sparse(rows), (int, Fraction)), (unit, (int,))):
+        fracs = [{c: Fraction(v) for c, v in r.items()} for r in ints]
+        for reduce_full in (False, True):
+            got = _elim_py.eliminate(ints, reduce_full=reduce_full)
+            assert got == _elim_py.eliminate(fracs, reduce_full=reduce_full)
+            assert all(type(v) in want for r in got[1].values() for v in r.values())
 
 
 def test_int_pivot_is_inverted_exactly():

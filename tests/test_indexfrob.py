@@ -25,7 +25,7 @@ from lieposet.posets import (
     branch_poset,
     hexagon_type_c_poset,
 )
-from oracles import eval_kirillov
+from oracles import eval_kirillov, identity, is_skew_symmetric, transpose
 from strategies import algebras, valid_posets
 
 HALF = Fraction(1, 2)
@@ -52,7 +52,7 @@ def principal_element_oracle(g, f):
     M = eval_kirillov(g, f)
     if exactla.rank(M) != g.dim:
         raise NotFrobeniusError("Kirillov matrix is singular at this functional")
-    sol = exactla.solve(M.transpose(), list(f))
+    sol = exactla.solve(transpose(M), list(f))
     assert sol is not None
     return sol
 
@@ -62,7 +62,7 @@ class TestKirillov:
         g = build(hexagon_type_c_poset())
         f = tuple(range(1, g.dim + 1))
         M = eval_kirillov(g, f)
-        assert M.is_skew_symmetric()
+        assert is_skew_symmetric(M)
 
     def test_entries(self):
         g = make_phi(1)
@@ -600,7 +600,7 @@ class TestNormalize:
     def test_phi_fixed_point(self):
         g = make_phi(2)
         res = normalize_to_phi(g)
-        assert res.change_of_basis == exactla.SparseMat.identity(4)
+        assert res.change_of_basis == identity(4)
 
     def test_singular_square_root_block_rejected(self):
         # e1 and e2 share the root alpha = (1, 0): B = [[1, 1], [0, 0]] is

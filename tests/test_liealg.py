@@ -30,6 +30,7 @@ from lieposet.posets import (
     hexagon_type_c_poset,
     make_poset,
 )
+from oracles import transpose
 from strategies import valid_posets
 
 CORPUS = [
@@ -160,7 +161,7 @@ def in_form_algebra_oracle(family, elems, X):
         for e in elems
     })
     M = SparseMat(size, size, {(idx[a], idx[b]): v for (a, b), v in X.items()})
-    return M.transpose().matmul(S).add(S.matmul(M)) == SparseMat(size, size, {})
+    return transpose(M).matmul(S).add(S.matmul(M)) == SparseMat(size, size, {})
 
 
 @st.composite
