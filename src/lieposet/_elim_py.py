@@ -2,14 +2,16 @@
 package's one elimination kernel.
 
 Rows are dicts mapping column index -> nonzero int or Fraction, never a
-float.  Over Q a pivot row whose lead is 1 keeps the row's own values, one
-whose lead is -1 holds them negated, and only other leads are divided out
-by a Fraction reciprocal: int rows stay int while every pivot is a unit,
-and the results are ``==`` to those of the same rows given as Fractions.
+float; root blocks, coboundary blocks and Kirillov trials of integral
+algebras arrive as ints.  Over Q a pivot row whose lead is 1 keeps the
+row's own values, one whose lead is -1 holds them negated, and only other
+leads are divided out by a Fraction reciprocal: int rows stay int while
+every pivot is a unit, and the results are ``==`` to those of the same
+rows given as Fractions.
 With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
-rank, kernel, solve and inverse on ``eliminate``, ``liealg`` calls it
-directly for spans and for the rank of the Cartan diagonals in ``build``,
+rank, kernel and inverse on ``eliminate``, ``liealg`` calls it directly
+for spans and for the rank of the Cartan diagonals in ``build``,
 ``cohomology`` for the ranks of its weight-0 blocks, and ``indexfrob``
 ranks its random Kirillov trials mod p and solves for principal elements
 with it.  Every mode runs the same forward elimination; the reduced form
@@ -47,7 +49,7 @@ def eliminate(rows, reduce_full=False, modulus=None):
     Rows are consumed in order of increasing sparsity; a row's smallest
     column left after the reduction becomes its pivot.  Every column may
     pivot: a caller with an augmented block reads from where the pivots land
-    whether the block was needed (``exactla.solve``, ``exactla.invert``,
+    whether the block was needed (``exactla.invert``,
     ``indexfrob.principal_element``).  The input rows are not modified.
     """
     if modulus is None:

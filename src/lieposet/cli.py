@@ -20,7 +20,6 @@ import time
 
 from . import cohomology, indexfrob, liealg, posets, suites
 from .cohomology import DegreeError
-from .exactla import SingularMatrixError
 from .posets import GuardError, PosetError
 
 SCHEMA = "lieposet-report/1"
@@ -261,7 +260,7 @@ def main(argv=None):
         code, rep = EXIT_GUARD, {"error": str(e), "kind": "guard"}
     except (liealg.ClosureError, liealg.CartanWeylError) as e:
         code, rep = EXIT_INTERNAL, {"error": str(e), "kind": "internal"}
-    except (liealg.LieAlgError, SingularMatrixError, ValueError) as e:
+    except (liealg.LieAlgError, ValueError) as e:
         code, rep = EXIT_INPUT, {"error": str(e), "kind": "input"}
     else:
         rep = {"command": args.command, "params": params, "results": results}
@@ -279,7 +278,9 @@ def main(argv=None):
         sys.stdout.write("\n")
         sys.stdout.flush()
     except OSError as e:
-        print(f"lieposet: cannot write the report: {e}", file=sys.stderr)
+        # stderr may be unwritable too; the exit code still says why.
+        with contextlib.suppress(OSError):
+            print(f"lieposet: cannot write the report: {e}", file=sys.stderr)
         # The unwritten report stays buffered; closing the stream keeps the
         # interpreter from flushing it again at exit and exiting with 120.
         with contextlib.suppress(OSError):

@@ -50,7 +50,7 @@ def coboundary_matrix(g, n):
     combos_n1 = list(itertools.combinations(range(dim), n + 1))
     pos_n1 = {G: i for i, G in enumerate(combos_n1)}
     cells = ((S, range(dim)) for S in combos_n)
-    ents = _assemble(dim, g.adjacency, g.producers, cells, pos_n1)
+    ents = _assemble(g, cells, pos_n1)
     rows = math.comb(dim, n + 1) * dim
     cols = math.comb(dim, n) * dim
     return CoboundaryMap(
@@ -61,16 +61,16 @@ def coboundary_matrix(g, n):
     )
 
 
-def _assemble(dim, adjacency, producers, cells, pos_n1):
+def _assemble(g, cells, pos_n1):
     """Entries {(row, col): value} of the differential on some columns.
 
-    ``adjacency`` and ``producers`` are the structure constants, laid out
-    as ``LieAlg.adjacency`` and ``LieAlg.producers``; the entries are sums
-    of them and of their negatives, so they are ints when these are.
-    ``cells`` yields (S, targets): a degree-n tuple S and the ascending
-    targets t of its columns (S, t), numbered consecutively in that order.
-    Row (G, t) of C^(n+1) is ``pos_n1[G] * dim + t``.
+    The entries are sums of g's structure constants and of their
+    negatives, so they are ints when these are.  ``cells`` yields
+    (S, targets): a degree-n tuple S and the ascending targets t of its
+    columns (S, t), numbered consecutively in that order.  Row (G, t) of
+    C^(n+1) is ``pos_n1[G] * g.dim + t``.
     """
+    dim, adjacency, producers = g.dim, g.adjacency, g.producers
     ents = {}
 
     def add(row, val, col):
@@ -185,23 +185,11 @@ def _weight0_cells(g, top):
     return cells
 
 
-def _rank_constants(g):
-    """``g.adjacency`` and ``g.producers`` for the ranked blocks: int copies
-    when g is integral, so the kernel runs on ints while its pivots are units."""
-    if not g.integral:
-        return g.adjacency, g.producers
-    adjacency = tuple(
-        {a: {m: c.numerator for m, c in vec.items()} for a, vec in adj.items()}
-        for adj in g.adjacency
-    )
-    producers = tuple(tuple((a, b, c.numerator) for a, b, c in p) for p in g.producers)
-    return adjacency, producers
-
-
-def _weight0_rank(g, n, cells, constants):
+def _weight0_rank(g, n, cells):
     """Exact rank over Q of the weight-0 block of d^n, assembled column by
-    column from the weight-0 cells of degree n and the structure
-    ``constants`` of ``_rank_constants``; its rows are those of degree n + 1."""
+    column from the weight-0 cells of degree n; its rows are those of
+    degree n + 1.  The row dicts go to the kernel as assembled: ints on an
+    integral algebra, which stay ints while the pivots are units."""
     dim = g.dim
     # Tuples are numbered among the weight-0 cells only.
     pos_n1, row_of = {}, {}
@@ -212,7 +200,7 @@ def _weight0_rank(g, n, cells, constants):
     rows = [{} for _ in row_of]
     # A row outside row_of or pos_n1 would be a weight the differential
     # does not preserve; the KeyError stops the report rather than miscount.
-    for (r, c), v in _assemble(dim, *constants, cells[n], pos_n1).items():
+    for (r, c), v in _assemble(g, cells[n], pos_n1).items():
         rows[row_of[r]][c] = v
     return len(exactla._elim.eliminate(rows)[0])
 
@@ -233,7 +221,6 @@ def cohomology_report(g, n, max_dim=DEFAULT_MAX_DIM):
     if n > g.dim:
         return {"C": 0, "Z": 0, "B": 0, "H": 0}
     cells = _weight0_cells(g, n + 1)
-    constants = _rank_constants(g)
     # rank d^m on the nonzero weights, m = 0..n: exactness there gives
     # rank d^m = (c_m - c0_m) - rank d^(m-1).
     nonzero_rank, r = [], 0
@@ -241,8 +228,8 @@ def cohomology_report(g, n, max_dim=DEFAULT_MAX_DIM):
         r = cochain_dim(g, m) - sum(len(ts) for _, ts in cells[m]) - r
         nonzero_rank.append(r)
     c_dim = cochain_dim(g, n)
-    z_dim = c_dim - _weight0_rank(g, n, cells, constants) - nonzero_rank[n]
-    b_dim = _weight0_rank(g, n - 1, cells, constants) + nonzero_rank[n - 1] if n >= 1 else 0
+    z_dim = c_dim - _weight0_rank(g, n, cells) - nonzero_rank[n]
+    b_dim = _weight0_rank(g, n - 1, cells) + nonzero_rank[n - 1] if n >= 1 else 0
     return {"C": c_dim, "Z": z_dim, "B": b_dim, "H": z_dim - b_dim}
 
 

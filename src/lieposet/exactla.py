@@ -1,18 +1,20 @@
-"""Exact rational linear algebra: sparse matrices, rank, kernels, solves
-and inverses.
+"""Exact rational linear algebra: sparse matrices, rank, kernels and
+inverses.
 
-Matrix scalars are ``fractions.Fraction`` (canonical reduced form,
-positive denominator), so every rank and dimension below is exact; there
-is no floating point anywhere in this package.
+Matrix entries are ``int``s or ``fractions.Fraction``s: the structure
+constants of ``build`` and ``make_phi`` are ints, and so are the root
+blocks, coboundary matrices and stacked adjoints made from them, while a
+Fraction enters where a division creates one.  There is no floating
+point anywhere in this package, so every rank and dimension below is
+exact.
 
-Every rank, kernel, solve and inverse runs through one sparse elimination
+Every rank, kernel and inverse runs through one sparse elimination
 kernel, ``_elim_py.eliminate``, reached here as ``_elim.eliminate``.
 ``BACKEND`` names it; it is a constant, kept for reports that record it.
-The functions here call it over Q on Fraction rows.  Over Q it also takes
-int rows, which stay int while its pivots are units, with results ``==``
-to the same rows' as Fractions; ``cohomology`` ranks its weight-0 blocks
-so.  With a prime ``modulus`` its entries are int residues mod p, which is
-how ``indexfrob.index`` ranks its random trials.
+Over Q the kernel keeps int rows int while its pivots are units, with
+results ``==`` to the same rows' as Fractions; with a prime ``modulus``
+its entries are int residues mod p, which is how ``indexfrob.index``
+ranks its random trials.
 """
 
 from fractions import Fraction
@@ -35,15 +37,12 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def _rat(v):
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 class SparseMat:
     """Immutable sparse matrix over the rationals.
 
-    ``entries`` maps (row, col) -> nonzero Fraction; zero values are
-    dropped at construction, indices are range-checked.
+    ``entries`` maps (row, col) -> nonzero int or Fraction, as given (any
+    other number becomes its exact Fraction); zero values are dropped at
+    construction, indices are range-checked.
     """
 
     __slots__ = ("n_rows", "n_cols", "entries")
@@ -55,7 +54,8 @@ class SparseMat:
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < n_rows and 0 <= j < n_cols):
                 raise DimensionError(f"entry ({i},{j}) outside {n_rows}x{n_cols}")
-            v = _rat(v)
+            if not isinstance(v, (int, Fraction)):
+                v = Fraction(v)
             if v:
                 ents[(i, j)] = v
         object.__setattr__(self, "n_rows", n_rows)
@@ -66,7 +66,7 @@ class SparseMat:
         raise AttributeError("SparseMat is immutable")
 
     def __getitem__(self, key):
-        return self.entries.get(key, ZERO)
+        return self.entries.get(key, 0)
 
     def __eq__(self, other):
         return (
@@ -88,7 +88,7 @@ class SparseMat:
     def mat_vec(self, v):
         if len(v) != self.n_cols:
             raise DimensionError("vector length mismatch")
-        out = [ZERO] * self.n_rows
+        out = [0] * self.n_rows
         for (i, j), a in self.entries.items():
             if v[j]:
                 out[i] += a * v[j]
@@ -102,19 +102,19 @@ class SparseMat:
         for (i, k), a in self.entries.items():
             for j, b in by_row[k].items():
                 key = (i, j)
-                s = ents.get(key, ZERO) + a * b
+                s = ents.get(key, 0) + a * b
                 if s:
                     ents[key] = s
                 else:
                     ents.pop(key, None)
         return SparseMat(self.n_rows, other.n_cols, ents)
 
-    def add(self, other, scale=ONE):
+    def add(self, other, scale=1):
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
             raise DimensionError("shape mismatch")
         ents = dict(self.entries)
         for key, v in other.entries.items():
-            s = ents.get(key, ZERO) + scale * v
+            s = ents.get(key, 0) + scale * v
             if s:
                 ents[key] = s
             else:
@@ -131,8 +131,8 @@ def rank(M):
 def kernel_basis(M):
     """Basis of the right null space; each vector satisfies M*v = 0.
 
-    Returns one tuple of Fractions per free column, with a 1 in that
-    column, so len(result) = n_cols - rank(M).
+    Returns one tuple per free column, with a 1 in that column, so
+    len(result) = n_cols - rank(M).
     """
     pivots, rows = _elim.eliminate(M.row_dicts(), reduce_full=True)
     pivot_set = set(pivots)
@@ -140,42 +140,14 @@ def kernel_basis(M):
     for j in range(M.n_cols):
         if j in pivot_set:
             continue
-        v = [ZERO] * M.n_cols
-        v[j] = ONE
+        v = [0] * M.n_cols
+        v[j] = 1
         for p in pivots:
             c = rows[p].get(j)
             if c:
                 v[p] = -c
         basis.append(tuple(v))
     return basis
-
-
-def solve(A, b):
-    """Some exact solution x of A*x = b, or None when none exists.
-
-    The system is inconsistent exactly when a pivot of [A | b] lands on
-    the augmented column: some combination of the rows is 0 on A and not
-    on b.  Otherwise x is read off the reduced echelon form and checked
-    against A*x = b all the same: one exact product, so a returned x is a
-    verified solution, not one taken on trust from the elimination.
-    """
-    if len(b) != A.n_rows:
-        raise DimensionError("rhs length mismatch")
-    aug = A.n_cols
-    rows = A.row_dicts()
-    for i, v in enumerate(b):
-        v = _rat(v)
-        if v:
-            rows[i][aug] = v
-    pivots, red = _elim.eliminate(rows, reduce_full=True)
-    if pivots and pivots[-1] == aug:
-        return None
-    x = [ZERO] * A.n_cols
-    for p in pivots:
-        x[p] = red[p].get(aug, ZERO)
-    if A.mat_vec(x) != [_rat(v) for v in b]:
-        return None
-    return x
 
 
 def invert(M):
@@ -190,7 +162,7 @@ def invert(M):
     n = M.n_rows
     rows = M.row_dicts()
     for i in range(n):
-        rows[i][n + i] = ONE
+        rows[i][n + i] = 1
     pivots, red = _elim.eliminate(rows, reduce_full=True)
     if pivots and pivots[-1] >= n:
         raise SingularMatrixError("matrix is singular")

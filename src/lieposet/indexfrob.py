@@ -88,16 +88,12 @@ def _kirillov_rows(g, coords):
     f the functional with coordinates ``coords``: one dict per row, zero
     entries left out.
 
-    The entries are ints when the coordinates are ints and the structure
-    constants integers (``g.integral``), and Fractions otherwise.
+    The entries are ints when the coordinates and the structure constants
+    are (``g.integral``), and Fractions otherwise.
     """
-    ints = all(type(c) is int for c in coords) and g.integral
     rows = [{} for _ in range(g.dim)]
     for (i, j), vec in g.brackets.items():
-        if ints:
-            val = sum(coords[k] * v.numerator for k, v in vec.items())
-        else:
-            val = sum((coords[k] * v for k, v in vec.items()), ZERO)
+        val = sum(coords[k] * v for k, v in vec.items())
         if val:
             rows[i][j] = val
             rows[j][i] = -val
@@ -132,7 +128,7 @@ def _modulus(g, entry_bound):
         return None
     weight = [0] * g.dim
     for (i, j), vec in g.brackets.items():
-        a = sum(abs(v.numerator) for v in vec.values())
+        a = sum(abs(v) for v in vec.values())
         weight[i] += a
         weight[j] += a
     floor = max(math.prod(a for a in weight if a), 2 * entry_bound + 1)
@@ -330,7 +326,7 @@ def normalize_to_phi(g):
             v = C[(i, k)]
             if v:
                 ents[(k, i)] = v
-        ents[(n + i, n + i)] = ONE
+        ents[(n + i, n + i)] = 1
     P = SparseMat(g.dim, g.dim, ents)
     phi = liealg.make_phi(n)
     verified = _verify_isomorphism(g, P, phi)

@@ -14,7 +14,6 @@ two-step, its root block from its brackets on first use.
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -39,7 +38,7 @@ class CartanWeylError(LieAlgError):
 @dataclass(frozen=True)
 class Subspace:
     ambient_dim: int
-    basis: tuple  # echelonized coordinate vectors (tuples of Fractions)
+    basis: tuple  # echelonized coordinate vectors (tuples of ints and Fractions)
 
     @property
     def dim(self):
@@ -96,8 +95,9 @@ class LieAlg:
 
     @cached_property
     def integral(self):
-        """True when every structure constant is an integer."""
-        return all(v.denominator == 1 for vec in self.brackets.values() for v in vec.values())
+        """True when every structure constant is an int, as ``build`` and
+        ``make_phi`` store them."""
+        return all(type(v) is int for vec in self.brackets.values() for v in vec.values())
 
     @cached_property
     def roots(self):
@@ -122,13 +122,13 @@ class LieAlg:
                     raise CartanWeylError(
                         f"[{labels[k]}, {labels[t]}] is not a multiple of {labels[t]}"
                     )
-                alpha.append(vec.get(t, ZERO))
+                alpha.append(vec.get(t, 0))
             roots[t] = tuple(alpha)
         return roots
 
     @cached_property
     def root_block(self):
-        """The root block B[k][t] = alpha_t(h_k), a cartan_count x
+        """The root block B[k][t] = alpha_t(h_k), an int cartan_count x
         (dim - cartan_count) SparseMat, or None.
 
         This is the package's two-step test.  B exists when no root-root
@@ -165,7 +165,7 @@ def _bracket(g, x, y):
             if yj:
                 c = xi * yj if i < j else -xi * yj
                 for k, v in vec.items():
-                    out[k] = out.get(k, ZERO) + c * v
+                    out[k] = out.get(k, 0) + c * v
     return {k: v for k, v in out.items() if v}
 
 
@@ -197,7 +197,7 @@ def make_phi(n):
     labels = tuple(f"d{i}" for i in range(1, n + 1)) + tuple(
         f"e{i}" for i in range(1, n + 1)
     )
-    brackets = {(i, n + i): {n + i: ONE} for i in range(n)}
+    brackets = {(i, n + i): {n + i: 1} for i in range(n)}
     return LieAlg(dim=2 * n, basis_labels=labels, brackets=brackets, cartan_count=n)
 
 
@@ -262,7 +262,7 @@ def _structure_constants(ents, labels):
     """brackets[(i, j)] = {k: c_k}, k ascending, with [M_i, M_j] = sum c_k M_k
     for every nonzero commutator of the square basis matrices given by
     their nonzero integer entries ``ents``, {(row, col): value} each; the
-    coefficients are Fractions.
+    coefficients are ints.
 
     No elimination: the coordinates are read off.  The basis must have the
     shape of a Lie poset algebra's.  The diagonal matrices are the Cartan
@@ -337,7 +337,7 @@ def _structure_constants(ents, labels):
                 raise ClosureError(
                     f"[{labels[i]}, {labels[j]}] falls outside the basis span"
                 )
-            brackets[(i, j)] = {k: Fraction(coords[k]) for k in sorted(coords)}
+            brackets[(i, j)] = {k: coords[k] for k in sorted(coords)}
     return brackets
 
 
@@ -384,8 +384,8 @@ def check_jacobi(g):
     for i, j, k in combinations(range(g.dim), 3):
         total = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, v in _bracket(g, {a: ONE}, g.structure(b, c)).items():
-                total[m] = total.get(m, ZERO) + v
+            for m, v in _bracket(g, {a: 1}, g.structure(b, c)).items():
+                total[m] = total.get(m, 0) + v
         if any(total.values()):
             return False
     return True
@@ -403,7 +403,7 @@ def check_realization(g):
         expected = SparseMat(size, size, {})
         for k, c in g.structure(i, j).items():
             expected = expected.add(mats[k], scale=c)
-        comm = mats[i].matmul(mats[j]).add(mats[j].matmul(mats[i]), scale=-ONE)
+        comm = mats[i].matmul(mats[j]).add(mats[j].matmul(mats[i]), scale=-1)
         if comm != expected:
             return False
     return True

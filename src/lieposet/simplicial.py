@@ -3,7 +3,7 @@ rationals (unreduced, so H^0 counts connected components).
 """
 
 from . import exactla
-from .exactla import ONE, SparseMat
+from .exactla import SparseMat
 from .posets import nerve
 
 
@@ -24,7 +24,7 @@ def _coboundaries(complex_):
         for r, simplex in enumerate(by_dim[k + 1]):
             for i in range(len(simplex)):
                 face = simplex[:i] + simplex[i + 1 :]
-                sign = ONE if i % 2 == 0 else -ONE
+                sign = 1 if i % 2 == 0 else -1
                 key = (r, pos[face])
                 ents[key] = ents.get(key, 0) + sign
         ents = {k_: v for k_, v in ents.items() if v}

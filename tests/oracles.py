@@ -1,6 +1,7 @@
 """Test-side oracles: SparseMat constructors and predicates the package
-does not need, the Kirillov matrix as a SparseMat, and characteristic
-polynomials by Faddeev-LeVerrier for ``indexfrob.spectrum``.
+does not need, an exact linear solve, the Kirillov matrix as a SparseMat,
+and characteristic polynomials by Faddeev-LeVerrier for
+``indexfrob.spectrum``.
 
 ``spectrum`` reads det(x - ad p) off the root data; ``char_poly`` computes
 it from the matrix of ad(p) with no structure assumed, and
@@ -8,7 +9,7 @@ it from the matrix of ad(p) with no structure assumed, and
 Polynomials are lists of Fractions, lowest degree first.
 """
 
-from lieposet import indexfrob
+from lieposet import exactla, indexfrob
 from lieposet.exactla import ONE, ZERO, DimensionError, SparseMat
 
 
@@ -32,6 +33,33 @@ def transpose(M):
 
 def is_skew_symmetric(M):
     return all(M[(j, i)] == -v for (i, j), v in M.entries.items())
+
+
+def solve(A, b):
+    """Some exact solution x of A*x = b, or None when none exists.
+
+    The system is inconsistent exactly when a pivot of [A | b] lands on
+    the augmented column: some combination of the rows is 0 on A and not
+    on b.  Otherwise x is read off the reduced echelon form and checked
+    against A*x = b all the same: one exact product, so a returned x is a
+    verified solution, not one taken on trust from the elimination.
+    """
+    if len(b) != A.n_rows:
+        raise DimensionError("rhs length mismatch")
+    aug = A.n_cols
+    rows = A.row_dicts()
+    for i, v in enumerate(b):
+        if v:
+            rows[i][aug] = v
+    pivots, red = exactla._elim.eliminate(rows, reduce_full=True)
+    if pivots and pivots[-1] == aug:
+        return None
+    x = [ZERO] * A.n_cols
+    for p in pivots:
+        x[p] = red[p].get(aug, ZERO)
+    if A.mat_vec(x) != list(b):
+        return None
+    return x
 
 
 def eval_kirillov(g, f):

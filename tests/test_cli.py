@@ -262,6 +262,22 @@ class TestReport:
         assert set(rep) == keys | ({"input_sha256"} if has_input else set())
         assert rep["schema"] == cli.SCHEMA and rep["command"] == argv[0]
 
+    @pytest.mark.parametrize("argv", (
+        ["build", "{file}", "--dump-algebra"],
+        ["index", "{file}", "--seed", "0"],
+        ["cohomology", "{file}", "--degree", "2"],
+        ["classify", "{file}", "--seed", "0"],
+        ["verify", "spectrum", "--seed", "0"],
+        ["enumerate", "--size", "4", "--seed", "0"],
+    ), ids=lambda argv: argv[0])
+    def test_no_float_but_wall_time(self, capsys, hexagon_file, argv):
+        # Every exact value is printed from an int or a Fraction; a float
+        # in a report would be a rounded value.
+        assert cli.main([a.format(file=hexagon_file) for a in argv]) == cli.EXIT_OK
+        floats = []
+        rep = json.loads(capsys.readouterr().out, parse_float=lambda s: floats.append(s) or s)
+        assert floats == [rep["wall_time_s"]]
+
     def test_unwritable_stdout(self, capsys, monkeypatch, hexagon_file):
         # A report that cannot be written is one stderr line and exit 2,
         # not a traceback with exit 1, the code of a failed verification.
@@ -279,12 +295,13 @@ class TestReport:
     def test_unwritable_stdout_exit_status(self, hexagon_file):
         # In a real process the failed flush leaves the report buffered, and
         # the interpreter would flush it again at exit and exit with 120.
+        # With stderr unwritable too, the message is lost but the code stays 2.
+        argv = [sys.executable, "-m", "lieposet.cli", "index", hexagon_file, "--seed", "0"]
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "lieposet.cli", "index", hexagon_file, "--seed", "0"],
-                stdout=full, stderr=subprocess.PIPE, text=True, env=_src_env(), timeout=120,
-            )
-        assert proc.returncode == cli.EXIT_INPUT
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=_src_env(), timeout=120)
+            both = subprocess.run(argv, stdout=full, stderr=full, env=_src_env(), timeout=120)
+        assert proc.returncode == both.returncode == cli.EXIT_INPUT
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("argv, named", (

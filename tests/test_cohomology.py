@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -259,18 +260,19 @@ class TestWeightGradedReport:
     def test_scaled_weights_stay_exact(self):
         # Halving the Cartan generators halves the roots and changes no
         # grading: the keys scale by the lcm of the denominators back to
-        # integers.
+        # integers.  The constants are ints, so they are halved as
+        # Fractions (v / 2 would be a float).
         g = build(hexagon_type_c_poset())
         cc = g.cartan_count
         halved = liealg.LieAlg(
             dim=g.dim, basis_labels=g.basis_labels, cartan_count=cc,
             brackets={
-                (i, j): {k: v / 2 for k, v in vec.items()} if i < cc else vec
+                (i, j): {k: Fraction(v, 2) for k, v in vec.items()} if i < cc else vec
                 for (i, j), vec in g.brackets.items()
             },
         )
         assert halved.roots == {
-            t: tuple(v / 2 for v in alpha) for t, alpha in g.roots.items()
+            t: tuple(Fraction(v, 2) for v in alpha) for t, alpha in g.roots.items()
         }
         assert cohomology._weight0_cells(halved, 3) == cohomology._weight0_cells(g, 3)
         # halved is not integral, so its blocks are assembled from its

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lieposet
 from lieposet import _elim_py, exactla
 from lieposet.exactla import SparseMat
-from oracles import char_poly, factor_binary, from_rows, identity, is_skew_symmetric
+from oracles import char_poly, factor_binary, from_rows, identity, is_skew_symmetric, solve
 
 
 def dense_rref(rows):
@@ -106,22 +106,28 @@ class TestKernel:
                 assert all(x == 0 for x in M.mat_vec(list(v)))
 
 
+def test_sparsemat_keeps_ints_and_stores_no_float():
+    M = SparseMat(1, 4, {(0, 0): 0.5, (0, 1): 3, (0, 2): Fraction(2, 3), (0, 3): 0})
+    assert M.entries == {(0, 0): Fraction(1, 2), (0, 1): 3, (0, 2): Fraction(2, 3)}
+    assert [type(v) for v in M.entries.values()] == [Fraction, int, Fraction]
+
+
 class TestSolve:
     def test_identity(self):
         b = [Fraction(3), Fraction(-2)]
-        assert exactla.solve(identity(2), b) == b
+        assert solve(identity(2), b) == b
 
     def test_inconsistent(self):
         A = from_rows([[0, 1], [0, 0]])
-        assert exactla.solve(A, [0, 1]) is None
+        assert solve(A, [0, 1]) is None
 
     def test_diagonal(self):
         A = from_rows([[2, 0], [0, 3]])
-        assert exactla.solve(A, [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+        assert solve(A, [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
 
     def test_dimension_mismatch(self):
         with pytest.raises(exactla.DimensionError):
-            exactla.solve(identity(2), [1, 2, 3])
+            solve(identity(2), [1, 2, 3])
 
     def test_random_consistent_systems(self):
         rng = random.Random(13)
@@ -130,7 +136,7 @@ class TestSolve:
             A = from_rows(rows)
             x_true = [Fraction(rng.randint(-4, 4)) for _ in range(A.n_cols)]
             b = A.mat_vec(x_true)
-            x = exactla.solve(A, b)
+            x = solve(A, b)
             assert x is not None
             assert A.mat_vec(x) == b
 
@@ -274,7 +280,7 @@ def consistent_systems(draw):
 def test_augmented_reduced_mode_equals_dense_rref(system):
     aug, width = system
     pivots, _, _ = _check_kernel_against_rref(_sparse(aug), dense_rref(aug))
-    # exactla.solve relies on this: a consistent system never pivots on
+    # The solve oracle relies on this: a consistent system never pivots on
     # its right-hand side.
     assert all(p < width for p in pivots)
 
@@ -286,8 +292,8 @@ def test_inconsistent_system_pivots_on_the_augmented_column():
     assert pivots == [1, 2]
     assert red == {1: {1: Fraction(1)}, 2: {2: Fraction(1)}}
     A = from_rows([[0, 0], [0, 2]])
-    assert exactla.solve(A, [1, 4]) is None
-    assert exactla.solve(A, [0, 4]) == [0, 2]
+    assert solve(A, [1, 4]) is None
+    assert solve(A, [0, 4]) == [0, 2]
 
 
 @st.composite
@@ -347,7 +353,7 @@ def linear_systems(draw):
 def test_solve_is_none_exactly_when_b_raises_the_rank(system):
     A, b = system
     M = from_rows(A)
-    x = exactla.solve(M, b)
+    x = solve(M, b)
     aug = [r + [v] for r, v in zip(A, b)]
     assert (x is None) == (dense_rank_oracle(aug) > dense_rank_oracle(A))
     if x is not None:

@@ -25,7 +25,7 @@ from lieposet.posets import (
     branch_poset,
     hexagon_type_c_poset,
 )
-from oracles import eval_kirillov, identity, is_skew_symmetric, transpose
+from oracles import eval_kirillov, identity, is_skew_symmetric, solve, transpose
 from strategies import algebras, valid_posets
 
 HALF = Fraction(1, 2)
@@ -52,7 +52,7 @@ def principal_element_oracle(g, f):
     M = eval_kirillov(g, f)
     if exactla.rank(M) != g.dim:
         raise NotFrobeniusError("Kirillov matrix is singular at this functional")
-    sol = exactla.solve(transpose(M), list(f))
+    sol = solve(transpose(M), list(f))
     assert sol is not None
     return sol
 
@@ -276,6 +276,52 @@ def scaled(g, c):
     return dataclasses.replace(g, brackets={
         key: {k: c * v for k, v in vec.items()} for key, vec in g.brackets.items()
     })
+
+
+@st.composite
+def connected_height_one(draw):
+    """A connected family-A poset of height one on 2..12 elements: minimal
+    elements 1..k below maximal ones k+1..n along a random spanning tree of
+    the bipartite graph, plus up to 8 more relations."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, n - 1))
+    lows, highs = [1], [k + 1]
+    relations = {(1, k + 1)}
+    for v in draw(st.permutations([*range(2, k + 1), *range(k + 2, n + 1)])):
+        if v <= k:
+            relations.add((v, draw(st.sampled_from(highs))))
+            lows.append(v)
+        else:
+            relations.add((draw(st.sampled_from(lows)), v))
+            highs.append(v)
+    pairs = [(a, b) for a in range(1, k + 1) for b in range(k + 1, n + 1)]
+    relations |= set(draw(st.lists(st.sampled_from(pairs), max_size=8)))
+    return posets.make_poset(range(1, n + 1), relations, "A")
+
+
+def closed_form_index(P, variant):
+    """|E(Hasse)| - |V| + 1 in sl, one more in gl: B is the incidence
+    matrix of the connected Hasse graph on the Cartan, of rank |V| - 1."""
+    return len(posets.hasse(P)) - len(P.elements) + (1 if variant == "sl" else 2)
+
+
+class TestClosedFormIndex:
+    """The index of a connected height-one algebra from its Hasse diagram,
+    with no elimination: it pins dim - 2 rank(B) on the int root block."""
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_every_height_one_class(self, size):
+        for P in posets.enumerate_height_one(size):
+            for variant in ("gl", "sl"):
+                cert = index(build(P, variant), seed=0)
+                assert cert.trials == 0 and cert.index == closed_form_index(P, variant)
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_height_one(), st.sampled_from(("gl", "sl")))
+    def test_generated_connected_height_one(self, P, variant):
+        assert posets.height(P) == 1 and posets.hasse_graph_properties(P)["connected"]
+        cert = index(build(P, variant), seed=0)
+        assert cert.trials == 0 and cert.index == closed_form_index(P, variant)
 
 
 class TestModularTrials:

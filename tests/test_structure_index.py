@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from lieposet import cohomology, exactla, liealg, posets
 from lieposet.exactla import ONE, ZERO, SparseMat
+from oracles import solve
 from strategies import algebras
 
 
@@ -56,7 +57,7 @@ def build_oracle(mats):
             b = [ZERO] * len(positions)
             for p, v in comm.entries.items():
                 b[pos_idx[p]] = v
-            coords = exactla.solve(A, b)
+            coords = solve(A, b)
             assert coords is not None, "commutator outside the basis span"
             vec = {k: c for k, c in enumerate(coords) if c}
             if vec:
@@ -64,9 +65,12 @@ def build_oracle(mats):
     return brackets
 
 
-def _ordered(brackets):
-    """Pairs, keys and values in insertion order, with the value types."""
-    return [(pair, [(k, type(c), c) for k, c in vec.items()]) for pair, vec in brackets.items()]
+def assert_same_constants(built, oracle):
+    """Same pairs, keys and values in the same insertion order, and every
+    built value an int."""
+    assert [(pair, list(vec.items())) for pair, vec in built.items()] == [
+        (pair, list(vec.items())) for pair, vec in oracle.items()]
+    assert all(type(c) is int for vec in built.values() for c in vec.values())
 
 
 NAMED = {
@@ -87,7 +91,7 @@ NAMED = {
 @given(algebras("ABCD"))
 def test_build_matches_per_pair_solve(g):
     # Same pairs, same coefficients, both in the same insertion order.
-    assert _ordered(g.brackets) == _ordered(build_oracle(realization_mats(g)))
+    assert_same_constants(g.brackets, build_oracle(realization_mats(g)))
 
 
 @pytest.mark.parametrize("size", range(1, 9))
@@ -95,7 +99,7 @@ def test_build_matches_per_pair_solve_on_height_one(size):
     for P in posets.enumerate_height_one(size):
         for variant in ("gl", "sl"):
             g = liealg.build(P, variant)
-            assert _ordered(g.brackets) == _ordered(build_oracle(realization_mats(g)))
+            assert_same_constants(g.brackets, build_oracle(realization_mats(g)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,14 +129,37 @@ def test_structure_constants_match_per_pair_solve_in_mixed_basis(data):
     except liealg.ClosureError:
         assert not cartan_only
     else:
-        assert _ordered(got) == _ordered(build_oracle(mixed))
+        assert_same_constants(got, build_oracle(mixed))
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_build_matches_per_pair_solve_named(name):
     P, variant = NAMED[name]
     g = liealg.build(P, variant)
-    assert _ordered(g.brackets) == _ordered(build_oracle(realization_mats(g)))
+    assert_same_constants(g.brackets, build_oracle(realization_mats(g)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras("ABCDP"))
+def test_integral_scalars_stay_int(g):
+    # build and make_phi store their integer structure constants as ints,
+    # and the matrices made from them keep them: the root block, the
+    # coboundary matrices and the centre's stacked adjoint reach the
+    # elimination kernel as int rows.
+    def ints(values):
+        return all(type(v) is int for v in values)
+
+    assert g.integral and ints(c for vec in g.brackets.values() for c in vec.values())
+    if g.root_block is not None:
+        assert ints(g.root_block.entries.values())
+    for n in range(min(2, g.dim) + 1):
+        assert ints(cohomology.coboundary_matrix(g, n).matrix.entries.values())
+    stacked = []
+    kernel_basis = exactla.kernel_basis
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactla, "kernel_basis", lambda M: stacked.append(M) or kernel_basis(M))
+        liealg.center(g)
+    assert len(stacked) == 1 and ints(stacked[0].entries.values())
 
 
 def bracket_oracle(g, x, y):
