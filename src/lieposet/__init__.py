@@ -4,8 +4,8 @@ Chevalley-Eilenberg and simplicial cohomology, and a classification
 normal form for Frobenius two-step solvable algebras.
 """
 
-from .exactla import BACKEND, Rat, SparseMat
+from .exactla import BACKEND, SparseMat
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "Rat", "SparseMat", "__version__"]
+__all__ = ["BACKEND", "SparseMat", "__version__"]

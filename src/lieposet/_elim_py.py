@@ -2,12 +2,13 @@
 package's one elimination kernel.
 
 Rows are dicts mapping column index -> nonzero int or Fraction, never a
-float; root blocks, coboundary blocks and Kirillov trials of integral
-algebras arrive as ints.  Over Q a pivot row whose lead is 1 keeps the
-row's own values, one whose lead is -1 holds them negated, and only other
-leads are divided out by a Fraction reciprocal: int rows stay int while
-every pivot is a unit, and the results are ``==`` to those of the same
-rows given as Fractions.
+float; root blocks, coboundary blocks, derived-series spans and Kirillov
+trials of integral algebras arrive as ints.  Over Q a pivot row whose lead
+is 1 keeps the row's own values, one whose lead is -1 holds them negated,
+and only other leads are divided out by the reciprocal ``ONE / lead``, the
+one place a Fraction enters elimination: int rows stay int while every
+pivot is a unit, and the results are ``==`` to those of the same rows
+given as Fractions.
 With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
 rank, kernel and inverse on ``eliminate``, ``liealg`` calls it directly

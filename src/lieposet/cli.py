@@ -81,6 +81,19 @@ def cmd_index(args):
     for flag, value in (("--trials", args.trials), ("--bound", args.bound)):
         if value < 1:
             raise CliInputError(f"{flag} must be >= 1, got {value}")
+    # error_bound's denominator divides base ** trials, which must print in
+    # `limit` digits (0 or no getter: no limit).  2 ** (bits - trials) <=
+    # base ** trials < 2 ** bits and 8 ** limit < 10 ** limit < 16 ** limit,
+    # so only a pair between the two bounds computes the power.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    base = 2 * args.bound + 1
+    bits = args.trials * base.bit_length()
+    if limit and bits > 3 * limit and (bits - args.trials >= 4 * limit
+                                       or base ** args.trials >= 10 ** limit):
+        raise CliInputError(
+            f"--trials {args.trials} at --bound {args.bound}: the error bound "
+            f"would have more than {limit} digits"
+        )
     _, g, digest = _algebra(args)
     cert = indexfrob.index(
         g, trials=args.trials, entry_bound=args.bound, seed=args.seed

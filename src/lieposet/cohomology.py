@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import exactla, liealg, simplicial
-from .exactla import ZERO, SparseMat
+from .exactla import SparseMat
 
 DEGREE_GUARD = 3
 DEFAULT_MAX_DIM = 12
@@ -253,8 +253,8 @@ def _coeff(F2, pair, target):
     """Coefficient of x_target in F2(x_a, x_b) for an ordered pair (a, b)."""
     a, b = pair
     if a < b:
-        return F2.get(((a, b), target), ZERO)
-    return -F2.get(((b, a), target), ZERO)
+        return F2.get(((a, b), target), 0)
+    return -F2.get(((b, a), target), 0)
 
 
 def z2_shape_check_phi(n):
@@ -315,7 +315,7 @@ def _recipe_cobounds(d1, col_pos, F2, n, d, e):
 
     def put(src, tgt, val):
         if val:
-            F1[(src, tgt)] = F1.get((src, tgt), ZERO) + val
+            F1[(src, tgt)] = F1.get((src, tgt), 0) + val
 
     for i in range(n):
         for j in range(n):
@@ -326,13 +326,13 @@ def _recipe_cobounds(d1, col_pos, F2, n, d, e):
             put(d[i], d[j], _coeff(F2, (d[i], e[j]), e[j]))
         put(e[i], d[i], -_coeff(F2, (d[i], e[i]), d[i]))
 
-    vec = [ZERO] * len(d1.col_index)
+    vec = [0] * len(d1.col_index)
     for (src, tgt), val in F1.items():
         vec[col_pos[((src,), tgt)]] += val
     image = d1.matrix.mat_vec(vec)
-    want = [ZERO] * len(d1.row_index)
+    want = [0] * len(d1.row_index)
     for r, key in enumerate(d1.row_index):
-        want[r] = F2.get(key, ZERO)
+        want[r] = F2.get(key, 0)
     return image == want
 
 

@@ -1,12 +1,11 @@
 """Exact rational linear algebra: sparse matrices, rank, kernels and
 inverses.
 
-Matrix entries are ``int``s or ``fractions.Fraction``s: the structure
-constants of ``build`` and ``make_phi`` are ints, and so are the root
-blocks, coboundary matrices and stacked adjoints made from them, while a
-Fraction enters where a division creates one.  There is no floating
-point anywhere in this package, so every rank and dimension below is
-exact.
+A value is an ``int`` unless a division created a ``fractions.Fraction``:
+the kernel's pivot reciprocal, ``IndexCertificate.error_bound``, or
+``SparseMat``'s exact conversion of an entry that is neither.  There is no
+floating point anywhere in this package, so every rank and dimension
+below is exact.
 
 Every rank, kernel and inverse runs through one sparse elimination
 kernel, ``_elim_py.eliminate``, reached here as ``_elim.eliminate``.
@@ -22,11 +21,6 @@ from fractions import Fraction
 from . import _elim_py as _elim
 
 BACKEND = "python"
-
-Rat = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class DimensionError(ValueError):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import exactla, liealg
-from .exactla import ONE, ZERO, SparseMat
+from .exactla import SparseMat
 # bracket and derived_series are not called here; they are re-exported
 # because perfbench's self-test traces their bindings as indexfrob.bracket
 # and indexfrob.derived_series.
@@ -206,7 +206,7 @@ def principal_element(g, f):
     pivots, red = exactla._elim.eliminate(rows, reduce_full=True)
     if pivots != list(range(g.dim)):
         raise NotFrobeniusError("Kirillov matrix is singular at this functional")
-    return [-red[i].get(g.dim, ZERO) for i in range(g.dim)]
+    return [-red[i].get(g.dim, 0) for i in range(g.dim)]
 
 
 @dataclass(frozen=True)
@@ -221,9 +221,9 @@ class SpectrumRecord:
 
 def _expand(values):
     """Coefficients of prod (x - v) over ``values``, lowest degree first."""
-    coeffs = [ONE]
+    coeffs = [1]
     for v in values:
-        coeffs = [a - v * b for a, b in zip([ZERO] + coeffs, coeffs + [ZERO])]
+        coeffs = [a - v * b for a, b in zip([0] + coeffs, coeffs + [0])]
     return coeffs
 
 
@@ -253,11 +253,11 @@ def spectrum(g, p_elt):
     for t, alpha in g.roots.items():
         if not any(alpha):
             raise ValueError(f"the root of {g.basis_labels[t]} is zero")
-        values.append(sum((a * p for a, p in zip(alpha, p_elt) if a), ZERO))
+        values.append(sum(a * p for a, p in zip(alpha, p_elt) if a))
     residual = [v for v in values if v not in (0, 1)]
     return SpectrumRecord(
         principal_element=p_elt,
-        char_poly=_expand([ZERO] * cc + values),
+        char_poly=_expand([0] * cc + values),
         multiplicity_of_0=cc + values.count(0),
         multiplicity_of_1=values.count(1),
         binary=not residual,
@@ -342,7 +342,7 @@ def _verify_isomorphism(g, P, h):
         rhs = {}
         for k, c in h.structure(i, j).items():
             for r, v in cols[k].items():
-                rhs[r] = rhs.get(r, ZERO) + c * v
+                rhs[r] = rhs.get(r, 0) + c * v
         if liealg._bracket(g, cols[i], cols[j]) != {r: v for r, v in rhs.items() if v}:
             return False
     return True

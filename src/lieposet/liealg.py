@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations
 
 from . import exactla
-from .exactla import ONE, ZERO, SparseMat
+from .exactla import SparseMat
 from .posets import validate_family
 
 
@@ -38,7 +38,7 @@ class CartanWeylError(LieAlgError):
 @dataclass(frozen=True)
 class Subspace:
     ambient_dim: int
-    basis: tuple  # echelonized coordinate vectors (tuples of ints and Fractions)
+    basis: tuple  # echelonized coordinate vectors (ints; a Fraction after a division)
 
     @property
     def dim(self):
@@ -174,7 +174,7 @@ def bracket(g, x, y):
     vectors: ``_bracket`` on their supports."""
     if len(x) != g.dim or len(y) != g.dim:
         raise exactla.DimensionError("coordinate vector length mismatch")
-    out = [ZERO] * g.dim
+    out = [0] * g.dim
     for k, v in _bracket(g, _support(x), _support(y)).items():
         out[k] = v
     return out
@@ -185,8 +185,8 @@ def _support(vec):
 
 
 def basis_vector(g, i):
-    v = [ZERO] * g.dim
-    v[i] = ONE
+    v = [0] * g.dim
+    v[i] = 1
     return v
 
 
@@ -417,12 +417,12 @@ def derived_series(g):
     the series reaches zero.  Each g^k is spanned by the brackets of the
     reduced echelon basis of g^(k-1), the pivot rows of one elimination.
     """
-    series, rows = [], [{i: ONE} for i in range(g.dim)]
+    series, rows = [], [{i: 1} for i in range(g.dim)]
     while not series or series[-1].dim:
         pivots, red = exactla._elim.eliminate(rows, reduce_full=True)
         basis = [red[p] for p in pivots]
         series.append(Subspace(ambient_dim=g.dim, basis=tuple(
-            tuple(row.get(c, ZERO) for c in range(g.dim)) for row in basis
+            tuple(row.get(c, 0) for c in range(g.dim)) for row in basis
         )))
         if len(series) > 1 and 0 < series[-1].dim >= series[-2].dim:
             raise LieAlgError("derived series does not decrease: not solvable")

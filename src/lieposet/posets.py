@@ -140,6 +140,8 @@ def parse_poset(document):
         for r in relations
     ):
         raise PosetError("relations must be an array of 2-element integer arrays")
+    if len(set(elements)) != len(elements):
+        raise PosetError("elements must be distinct integers")
     return make_poset(elements, [tuple(r) for r in relations], doc["family"])
 
 

@@ -9,8 +9,14 @@ it from the matrix of ad(p) with no structure assumed, and
 Polynomials are lists of Fractions, lowest degree first.
 """
 
+from fractions import Fraction
+
 from lieposet import exactla, indexfrob
-from lieposet.exactla import ONE, ZERO, DimensionError, SparseMat
+from lieposet.exactla import DimensionError, SparseMat
+
+# The dense oracles' Fraction scalars.
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def from_rows(rows):

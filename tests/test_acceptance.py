@@ -9,8 +9,7 @@ import itertools
 import math
 
 from lieposet import cohomology, indexfrob, liealg, posets, simplicial, suites
-from lieposet.exactla import ONE, ZERO
-from oracles import eval_kirillov, is_skew_symmetric
+from oracles import ONE, ZERO, eval_kirillov, is_skew_symmetric
 
 
 def _gate(name, ok, detail=""):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,13 @@ def hexagon_file(tmp_path):
     }
     p = tmp_path / "hex.json"
     p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.fixture
+def chain6_file(tmp_path):
+    p = tmp_path / "chain6.json"
+    p.write_text(json.dumps(posets.poset_to_json(posets.chain_poset(6))))
     return str(p)
 
 
@@ -219,6 +227,41 @@ class TestIndex:
         code, rep = run(capsys, ["index", absent, "--seed", "0", "--trials", trials])
         assert code == cli.EXIT_INPUT
         assert rep["kind"] == "input" and "--trials" in rep["error"]
+
+    def test_unprintable_error_bound_rejected_before_any_trial(self, capsys, monkeypatch, chain6_file):
+        # chain6 gl has index 3, so all 700 trials would run; at the default
+        # bound their error bound has more digits than an int may print in.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        calls = []
+        monkeypatch.setattr(indexfrob, "index", lambda *a, **k: calls.append(a))
+        argv = ["index", chain6_file, "--variant", "gl", "--seed", "0", "--trials", "700"]
+        code, rep = run(capsys, argv)
+        assert code == cli.EXIT_INPUT and calls == []
+        assert rep["kind"] == "input" and "--trials" in rep["error"]
+
+    @pytest.mark.parametrize("trials, code", ((682, 0), (683, cli.EXIT_INPUT)))
+    def test_trials_limit_is_exact_at_the_default_bound(
+            self, capsys, monkeypatch, branch_file, trials, code):
+        # 2000001 ** 682 prints in 4298 digits and 2000001 ** 683 in 4304.
+        # branch sl is two-step, so an accepted run needs no trial.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        argv = ["index", branch_file, "--variant", "sl", "--seed", "0", "--trials", str(trials)]
+        assert run(capsys, argv)[0] == code
+
+    def test_printable_error_bound_reported(self, capsys, monkeypatch, chain6_file):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        argv = ["index", chain6_file, "--variant", "gl", "--seed", "0", "--trials", "200"]
+        code, rep = run(capsys, argv)
+        cert = rep["results"]["certificate"]
+        assert code == 0 and (cert["index"], cert["trials"]) == (3, 200)
+        assert Fraction(cert["error_bound"]) == Fraction(20, 2000001) ** 200
+
+    def test_repeated_element_rejected(self, capsys, tmp_path):
+        p = tmp_path / "repeated.json"
+        p.write_text('{"family": "A", "elements": [1, 2, 2], "relations": [[1, 2]]}')
+        code, rep = run(capsys, ["build", str(p)])
+        assert code == cli.EXIT_INPUT
+        assert rep["kind"] == "input" and "distinct" in rep["error"]
 
     def test_bound_one_accepted(self, capsys, branch_file):
         code, rep = run(capsys, ["index", branch_file, "--seed", "0", "--bound", "1"])

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieposet import exactla, indexfrob, liealg, posets
-from lieposet.exactla import ONE, ZERO
 from lieposet.indexfrob import (
     BlockFormError,
     NotFrobeniusError,
@@ -25,7 +24,9 @@ from lieposet.posets import (
     branch_poset,
     hexagon_type_c_poset,
 )
-from oracles import eval_kirillov, identity, is_skew_symmetric, solve, transpose
+from oracles import (
+    ONE, ZERO, eval_kirillov, identity, is_skew_symmetric, solve, transpose,
+)
 from strategies import algebras, valid_posets
 
 HALF = Fraction(1, 2)

@@ -8,7 +8,7 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from lieposet import liealg
-from lieposet.exactla import ONE, ZERO, SparseMat
+from lieposet.exactla import SparseMat
 from lieposet.liealg import (
     CartanWeylError,
     ClosureError,
@@ -30,7 +30,7 @@ from lieposet.posets import (
     hexagon_type_c_poset,
     make_poset,
 )
-from oracles import transpose
+from oracles import ONE, ZERO, transpose
 from strategies import valid_posets
 
 CORPUS = [

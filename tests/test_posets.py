@@ -59,6 +59,13 @@ class TestParse:
         with pytest.raises(PosetError, match="shape"):
             parse_poset({"family": "B", "elements": [-1, 1], "relations": []})
 
+    def test_repeated_element_rejected(self):
+        # A repeated label is not merged into one element.
+        with pytest.raises(PosetError, match="distinct"):
+            parse_poset({"family": "A", "elements": [1, 2, 2], "relations": [[1, 2]]})
+        with pytest.raises(PosetError, match="distinct"):
+            parse_poset({"family": "C", "elements": [-1, 1, 1], "relations": []})
+
     @pytest.mark.parametrize("family", "BCD")
     def test_huge_label_rejected_in_little_memory(self, family):
         # Two labels are never a B, C or D label set, so the count rejects

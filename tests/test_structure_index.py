@@ -16,9 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lieposet import cohomology, exactla, liealg, posets
-from lieposet.exactla import ONE, ZERO, SparseMat
-from oracles import solve
+from lieposet import cohomology, exactla, indexfrob, liealg, posets
+from lieposet.exactla import SparseMat
+from oracles import ONE, ZERO, char_poly, eval_kirillov, solve, transpose
 from strategies import algebras
 
 
@@ -160,6 +160,33 @@ def test_integral_scalars_stay_int(g):
         mp.setattr(exactla, "kernel_basis", lambda M: stacked.append(M) or kernel_basis(M))
         liealg.center(g)
     assert len(stacked) == 1 and ints(stacked[0].entries.values())
+    # The dense bracket of two basis vectors is an int vector, == to the
+    # dense Fraction oracle's.
+    units = fraction_units(g.dim)
+    for i, j in itertools.product(range(g.dim), repeat=2):
+        got = liealg.bracket(g, liealg.basis_vector(g, i), liealg.basis_vector(g, j))
+        assert ints(got) and got == bracket_oracle(g, units[i], units[j])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_phi_principal_element_and_char_poly_stay_int(n):
+    # The principal element of Phi_n's structured candidate and its
+    # characteristic polynomial are int lists, == to the Fraction oracles':
+    # the transposed Kirillov solve and Faddeev-LeVerrier on the dense ad(p).
+    g = liealg.make_phi(n)
+    f = indexfrob.structured_candidate(g)
+    p = indexfrob.principal_element(g, f)
+    poly = indexfrob.spectrum(g, p).char_poly
+    assert all(type(c) is int for c in p + poly)
+    assert p == solve(transpose(eval_kirillov(g, f)), list(f))
+    p_frac = [ONE * c for c in p]
+    ad = {(r, j): c for j, unit in enumerate(fraction_units(g.dim))
+          for r, c in enumerate(bracket_oracle(g, p_frac, unit)) if c}
+    assert poly == char_poly(SparseMat(g.dim, g.dim, ad))
+
+
+def fraction_units(dim):
+    return [[ONE if k == i else ZERO for k in range(dim)] for i in range(dim)]
 
 
 def bracket_oracle(g, x, y):
