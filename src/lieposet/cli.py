@@ -81,20 +81,22 @@ def cmd_index(args):
     for flag, value in (("--trials", args.trials), ("--bound", args.bound)):
         if value < 1:
             raise CliInputError(f"{flag} must be >= 1, got {value}")
-    # error_bound's denominator divides base ** trials, which must print in
-    # `limit` digits (0 or no getter: no limit).  2 ** (bits - trials) <=
-    # base ** trials < 2 ** bits and 8 ** limit < 10 ** limit < 16 ** limit,
-    # so only a pair between the two bounds computes the power.
+    _, g, digest = _algebra(args)
+    # error_bound is (d / base) ** trials, d the largest even number <= dim:
+    # its numerator and denominator divide d ** trials and base ** trials,
+    # which must print in `limit` digits (0 or no getter: no limit).  With
+    # m = max(d, base), 2 ** (bits - trials) <= m ** trials < 2 ** bits and
+    # 8 ** limit < 10 ** limit < 16 ** limit, so only a pair between the two
+    # bounds computes the power.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    base = 2 * args.bound + 1
-    bits = args.trials * base.bit_length()
+    m = max(g.dim // 2 * 2, 2 * args.bound + 1)
+    bits = args.trials * m.bit_length()
     if limit and bits > 3 * limit and (bits - args.trials >= 4 * limit
-                                       or base ** args.trials >= 10 ** limit):
+                                       or m ** args.trials >= 10 ** limit):
         raise CliInputError(
             f"--trials {args.trials} at --bound {args.bound}: the error bound "
             f"would have more than {limit} digits"
         )
-    _, g, digest = _algebra(args)
     cert = indexfrob.index(
         g, trials=args.trials, entry_bound=args.bound, seed=args.seed
     )
@@ -287,8 +289,8 @@ def main(argv=None):
     rep["schema"] = SCHEMA
     try:
         indent = 2 if getattr(args, "pretty", False) else None  # args None: unparsed
-        json.dump(rep, sys.stdout, indent=indent, sort_keys=True)
-        sys.stdout.write("\n")
+        # Unindented, json.dumps takes the C encoder; json.dump never does.
+        sys.stdout.write(json.dumps(rep, indent=indent, sort_keys=True) + "\n")
         sys.stdout.flush()
     except OSError as e:
         # stderr may be unwritable too; the exit code still says why.

@@ -50,7 +50,7 @@ def coboundary_matrix(g, n):
     combos_n1 = list(itertools.combinations(range(dim), n + 1))
     pos_n1 = {G: i for i, G in enumerate(combos_n1)}
     cells = ((S, range(dim)) for S in combos_n)
-    ents = _assemble(g, cells, pos_n1)
+    ents = _assemble(g, cells, pos_n1, 0)
     rows = math.comb(dim, n + 1) * dim
     cols = math.comb(dim, n) * dim
     return CoboundaryMap(
@@ -61,7 +61,7 @@ def coboundary_matrix(g, n):
     )
 
 
-def _assemble(g, cells, pos_n1):
+def _assemble(g, cells, pos_n1, skip_below):
     """Entries {(row, col): value} of the differential on some columns.
 
     The entries are sums of g's structure constants and of their
@@ -69,6 +69,11 @@ def _assemble(g, cells, pos_n1):
     (S, targets): a degree-n tuple S and the ascending targets t of its
     columns (S, t), numbered consecutively in that order.  Row (G, t) of
     C^(n+1) is ``pos_n1[G] * g.dim + t``.
+
+    Every term that brackets with a basis index a < ``skip_below`` is left
+    out: ``coboundary_matrix`` passes 0 and keeps them all, the relative
+    blocks pass ``g.cartan_count``, whose Cartan terms cancel (see
+    "Weight grading and the relative complex").
     """
     dim, adjacency, producers = g.dim, g.adjacency, g.producers
     ents = {}
@@ -100,7 +105,8 @@ def _assemble(g, cells, pos_n1):
             R = S[:q] + S[q + 1:]
             in_R = set(R)
             for a, b, c in producers[k]:
-                if a in in_R or b in in_R:
+                # a < b, so a pair with a Cartan index has it as a.
+                if a < skip_below or a in in_R or b in in_R:
                     continue
                 G = tuple(sorted(R + (a, b)))
                 i, j = G.index(a) + 1, G.index(b) + 1
@@ -109,6 +115,8 @@ def _assemble(g, cells, pos_n1):
                 replaced.append((pos_n1[G] * dim, val))
         for t in targets:
             for a, vec in adjacency[t].items():
+                if a < skip_below:
+                    continue
                 if a in inserted:
                     ins = inserted[a]
                 else:
@@ -132,7 +140,7 @@ def _assemble(g, cells, pos_n1):
 
 
 # ---------------------------------------------------------------------------
-# Weight grading
+# Weight grading and the relative complex
 #
 # The Cartan generators act diagonally: weight 0 on themselves and
 # roots[t] on root vector t.  A cochain (S, t) has weight
@@ -142,6 +150,22 @@ def _assemble(g, cells, pos_n1):
 # so every block of nonzero weight is acyclic (Hochschild-Serre).  Its
 # ranks follow by counting: rank d^n_lambda is the alternating sum of
 # dim C^j_lambda over j <= n.  Only the weight-0 block needs elimination.
+#
+# When moreover [g, g] lies in the root span n, as it does for every
+# algebra ``build`` and ``make_phi`` produce, the weight-0 block is, as a
+# complex, Lambda h* (x) C(g, h; g).  The relative complex R = C(g, h; g)
+# is spanned in degree j by the weight-0 cochains (S, t) whose S holds j
+# root indices and no Cartan index.  An alpha in h*, pulled back along
+# g -> g/n, has d alpha = 0 because [g, g] lies in n; a relative f has
+# iota(h) df = theta(h) f - d iota(h) f = 0, so df is relative again, and
+# d(alpha ^ f) = +-alpha ^ df.  Hence, with cc = dim h,
+#     dim C^m_0 = sum over i of C(cc, i) dim R^(m-i),
+#     rank d^m_0 = sum over i of C(cc, i) rank d_R^(m-i),
+# and only the blocks d_R^j are assembled and ranked.  In a relative
+# column (S, t), a Cartan index a contributes a module term and a bracket
+# term (the pair (a, k) in place of k in S) to the same row, S with a
+# inserted; together they are the cochain's weight at h_a, which is 0, so
+# ``_assemble`` skips both.
 
 
 def _weight_keys(g):
@@ -166,41 +190,43 @@ def _weight_keys(g):
 
 
 def _weight0_cells(g, top):
-    """cells[j], j = 0..top: (S, targets) for every degree-j tuple S that
-    has weight-0 cochains (S, t), with those targets ascending."""
+    """cells[j], j = 0..top: (S, targets) for every degree-j tuple S of
+    root indices that has weight-0 cochains (S, t), with those targets
+    ascending; they span R^j, the relative complex in degree j."""
     keys = _weight_keys(g)
     targets = {}
     for t, key in enumerate(keys):
         targets.setdefault(key, []).append(t)
     cells = []
-    level = [((), 0)]  # every degree-j tuple in order, with its key sum
+    level = [((), 0)]  # every degree-j tuple of root indices in order, with its key sum
     for j in range(top + 1):
         cells.append([(S, targets[w]) for S, w in level if w in targets])
         if j < top:
             level = [
                 (S + (s,), w + keys[s])
                 for S, w in level
-                for s in range(S[-1] + 1 if S else 0, g.dim)
+                for s in range(S[-1] + 1 if S else g.cartan_count, g.dim)
             ]
     return cells
 
 
-def _weight0_rank(g, n, cells):
-    """Exact rank over Q of the weight-0 block of d^n, assembled column by
-    column from the weight-0 cells of degree n; its rows are those of
-    degree n + 1.  The row dicts go to the kernel as assembled: ints on an
-    integral algebra, which stay ints while the pivots are units."""
+def _relative_rank(g, j, cells):
+    """Exact rank over Q of d_R^j: R^j -> R^(j+1), assembled column by
+    column from the cells of degree j with the Cartan terms skipped; its
+    rows are the cells of degree j + 1.  The row dicts go to the kernel as
+    assembled: ints on an integral algebra, which stay ints while the
+    pivots are units."""
     dim = g.dim
-    # Tuples are numbered among the weight-0 cells only.
+    # Tuples are numbered among the relative cells only.
     pos_n1, row_of = {}, {}
-    for i, (G, ts) in enumerate(cells[n + 1]):
+    for i, (G, ts) in enumerate(cells[j + 1]):
         pos_n1[G] = i
         for t in ts:
             row_of[i * dim + t] = len(row_of)
     rows = [{} for _ in row_of]
     # A row outside row_of or pos_n1 would be a weight the differential
     # does not preserve; the KeyError stops the report rather than miscount.
-    for (r, c), v in _assemble(g, cells[n], pos_n1).items():
+    for (r, c), v in _assemble(g, cells[j], pos_n1, g.cartan_count).items():
         rows[row_of[r]][c] = v
     return len(exactla._elim.eliminate(rows)[0])
 
@@ -208,28 +234,51 @@ def _weight0_rank(g, n, cells):
 def cohomology_report(g, n, max_dim=DEFAULT_MAX_DIM):
     """Dims of C^n, Z^n, B^n, H^n.
 
-    Only the weight-0 blocks of d^n and d^(n-1) are eliminated exactly;
-    the blocks of nonzero weight are acyclic, so their ranks are counted:
+    Only the relative complex R = C(g, h; g) is eliminated exactly, its
+    blocks d_R^0..d_R^n.  The weight-0 block is Lambda h* (x) R as a
+    complex (see "Weight grading and the relative complex"), so with
+    cc = dim h its dims and ranks are binomial sums:
+    c0_m = sum_i C(cc, i) r_(m-i) and rank d^m_0 = sum_i C(cc, i)
+    rank d_R^(m-i), with r_j = dim R^j and c0_m = dim C^m_0.  The blocks
+    of nonzero weight are acyclic, so their ranks are counted:
     rank d^m = rank d^m_0 + sum over j <= m of (-1)^(m-j) (c_j - c0_j),
-    with c_j = dim C^j and c0_j = dim C^j_0.  Above the algebra's
-    dimension C^n = 0, so all four are 0.
+    with c_j = dim C^j.  Above the algebra's dimension C^n = 0, so all
+    four are 0.
+
+    Raises ValueError, naming the bracket, when a bracket has a component
+    on a Cartan generator: then [g, g] is not in the root span and the
+    splitting fails.  ``build`` and ``make_phi`` never produce one.
     """
     if not 0 <= n <= DEGREE_GUARD:
         raise DegreeError(f"degree guard: 0 <= n <= {DEGREE_GUARD}")
     if g.dim > max_dim:
         raise DegreeError(f"dimension guard: dim {g.dim} > {max_dim}")
+    cc, labels = g.cartan_count, g.basis_labels
+    for k in range(cc):
+        if g.producers[k]:
+            a, b, _ = g.producers[k][0]
+            raise ValueError(
+                f"[{labels[a]}, {labels[b]}] has a component on the Cartan "
+                f"generator {labels[k]}: [g, g] is not in the root span"
+            )
     if n > g.dim:
         return {"C": 0, "Z": 0, "B": 0, "H": 0}
     cells = _weight0_cells(g, n + 1)
+    r_dim = [sum(len(ts) for _, ts in level) for level in cells]
+    r_rank = [_relative_rank(g, j, cells) for j in range(n + 1)]
+
+    def weight0(seq, m):  # degree m of Lambda h* (x) R
+        return sum(math.comb(cc, i) * seq[m - i] for i in range(min(cc, m) + 1))
+
     # rank d^m on the nonzero weights, m = 0..n: exactness there gives
     # rank d^m = (c_m - c0_m) - rank d^(m-1).
     nonzero_rank, r = [], 0
     for m in range(n + 1):
-        r = cochain_dim(g, m) - sum(len(ts) for _, ts in cells[m]) - r
+        r = cochain_dim(g, m) - weight0(r_dim, m) - r
         nonzero_rank.append(r)
     c_dim = cochain_dim(g, n)
-    z_dim = c_dim - _weight0_rank(g, n, cells) - nonzero_rank[n]
-    b_dim = _weight0_rank(g, n - 1, cells) + nonzero_rank[n - 1] if n >= 1 else 0
+    z_dim = c_dim - weight0(r_rank, n) - nonzero_rank[n]
+    b_dim = weight0(r_rank, n - 1) + nonzero_rank[n - 1] if n >= 1 else 0
     return {"C": c_dim, "Z": z_dim, "B": b_dim, "H": z_dim - b_dim}
 
 

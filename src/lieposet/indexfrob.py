@@ -334,16 +334,21 @@ def normalize_to_phi(g):
 
 
 def _verify_isomorphism(g, P, h):
-    """Check P maps h's structure onto g's: [P u_i, P u_j]_g = P [u_i, u_j]_h."""
+    """Check P maps h's structure onto g's: [P u_i, P u_j]_g = P [u_i, u_j]_h.
+
+    Checked on LP, with L the lcm of P's denominators, as
+    [LP u_i, LP u_j]_g = L (LP) [u_i, u_j]_h: the same statement times
+    L^2 != 0, in ints when g's and h's structure constants are ints."""
+    scale = math.lcm(*(v.denominator for v in P.entries.values()))
     cols = [{} for _ in range(P.n_cols)]
     for (r, k), v in P.entries.items():
-        cols[k][r] = v
+        cols[k][r] = v.numerator * (scale // v.denominator)
     for i, j in combinations(range(h.dim), 2):
         rhs = {}
         for k, c in h.structure(i, j).items():
             for r, v in cols[k].items():
                 rhs[r] = rhs.get(r, 0) + c * v
-        if liealg._bracket(g, cols[i], cols[j]) != {r: v for r, v in rhs.items() if v}:
+        if liealg._bracket(g, cols[i], cols[j]) != {r: scale * v for r, v in rhs.items() if v}:
             return False
     return True
 

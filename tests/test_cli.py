@@ -248,6 +248,34 @@ class TestIndex:
         argv = ["index", branch_file, "--variant", "sl", "--seed", "0", "--trials", str(trials)]
         assert run(capsys, argv)[0] == code
 
+    def test_unprintable_numerator_rejected_before_any_trial(self, capsys, monkeypatch, tmp_path):
+        # chain9 gl has dim 45: the numerator divides 44 ** 2700, 4438 digits,
+        # while 3 ** 2700 at --bound 1 has 1289.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        calls = []
+        monkeypatch.setattr(indexfrob, "index", lambda *a, **k: calls.append(a))
+        p = tmp_path / "chain9.json"
+        p.write_text(json.dumps(posets.poset_to_json(posets.chain_poset(9))))
+        argv = ["index", str(p), "--variant", "gl", "--seed", "0", "--bound", "1",
+                "--trials", "2700"]
+        code, rep = run(capsys, argv)
+        assert code == cli.EXIT_INPUT and calls == []
+        assert rep["kind"] == "input" and "--trials" in rep["error"]
+
+    def test_trials_limit_is_exact_on_the_numerator(self, capsys, monkeypatch, branch_file):
+        # At --bound 1 the numerator's d ** trials outgrows 3 ** trials.
+        # branch sl is two-step, so an accepted run needs no trial.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        d = build(posets.branch_poset(), "sl").dim // 2 * 2
+        last, ceiling = 1, 10 ** 4300
+        while d ** (last + 1) < ceiling:
+            last += 1
+        assert 3 ** (last + 1) < ceiling
+        for trials, code in ((last, 0), (last + 1, cli.EXIT_INPUT)):
+            argv = ["index", branch_file, "--variant", "sl", "--seed", "0", "--bound", "1",
+                    "--trials", str(trials)]
+            assert run(capsys, argv)[0] == code, trials
+
     def test_printable_error_bound_reported(self, capsys, monkeypatch, chain6_file):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
         argv = ["index", chain6_file, "--variant", "gl", "--seed", "0", "--trials", "200"]

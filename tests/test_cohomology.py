@@ -206,6 +206,18 @@ def weight0_count(g, j):
     )
 
 
+def relative_cochains(g, j):
+    """The weight-0 cochains (S, t) with S a j-tuple of root indices, in
+    order, found by their Fraction weights: a basis of R^j."""
+    zero = (ZERO,) * g.cartan_count
+    return [
+        (S, t)
+        for S in itertools.combinations(g.root_indices(), j)
+        for t in range(g.dim)
+        if cochain_weight(g, S, t) == zero
+    ]
+
+
 NAMED_REPORTS = {
     **{f"chain{N}-{v}": build(chain_poset(N), v) for N in range(1, 5) for v in ("gl", "sl")},
     "branch-gl": build(branch_poset(), "gl"),
@@ -245,17 +257,11 @@ class TestWeightGradedReport:
     @settings(max_examples=40, deadline=None)
     @given(algebras())
     def test_integer_keys_find_the_weight0_cochains(self, g):
-        zero = (ZERO,) * g.cartan_count
+        # The cells are the relative cochains: S holds root indices only.
         cells = cohomology._weight0_cells(g, 3)
         for j, level in enumerate(cells):
             got = [(S, t) for S, ts in level for t in ts]
-            want = [
-                (S, t)
-                for S in itertools.combinations(range(g.dim), j)
-                for t in range(g.dim)
-                if cochain_weight(g, S, t) == zero
-            ]
-            assert got == want
+            assert got == relative_cochains(g, j)
 
     def test_scaled_weights_stay_exact(self):
         # Halving the Cartan generators halves the roots and changes no
@@ -297,15 +303,73 @@ class TestWeightGradedReport:
         monkeypatch.setattr(exactla._elim, "eliminate", eliminate)
         monkeypatch.setattr(cohomology, "coboundary_matrix", no_full_matrix)
         c0 = [weight0_count(g, j) for j in range(5)]
+        r0 = [len(relative_cochains(g, j)) for j in range(5)]
         for n in range(4):
             blocks.clear()
             cohomology_report(g, n)
-            # d^n_0, then d^(n-1)_0, each strictly smaller than the full map:
-            # c0[m + 1] rows and columns below c0[m] for d^m_0.
-            degrees = [n] + ([n - 1] if n >= 1 else [])
-            assert [n_rows for n_rows, _ in blocks] == [c0[m + 1] for m in degrees]
-            assert all(c < c0[m] for m, (_, cols) in zip(degrees, blocks) for c in cols)
+            # d_R^0, ..., d_R^n in turn: r0[j + 1] rows and columns below
+            # r0[j] for d_R^j, each block of the relative complex strictly
+            # smaller than the weight-0 block, itself smaller than the full map.
+            assert [n_rows for n_rows, _ in blocks] == [r0[j + 1] for j in range(n + 1)]
+            assert all(c < r0[j] for j, (_, cols) in enumerate(blocks) for c in cols)
             assert all(c0[m] < cochain_dim(g, m) for m in range(n + 1))
+            assert all(r0[m] < c0[m] for m in range(1, n + 2))
+
+
+class TestRelativeComplex:
+    @settings(max_examples=40, deadline=None)
+    @given(algebras("ABCD"))
+    def test_cartan_terms_cancel(self, g):
+        # The full assembly of the relative columns reaches no row whose
+        # tuple holds a Cartan index, and skipping the Cartan terms changes
+        # no entry.
+        cc = g.cartan_count
+        cells = cohomology._weight0_cells(g, min(3, g.dim))
+        for n, level in enumerate(cells):
+            combos = list(itertools.combinations(range(g.dim), n + 1))
+            pos_n1 = {G: i for i, G in enumerate(combos)}
+            full = cohomology._assemble(g, level, pos_n1, 0)
+            assert all(min(combos[r // g.dim]) >= cc for r, _ in full)
+            assert full == cohomology._assemble(g, level, pos_n1, cc)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_REPORTS))
+    def test_weight0_dims_are_binomial_sums(self, name):
+        # dim C^m_0 = sum_i C(cc, i) dim R^(m-i): Lambda h* (x) R.
+        g = NAMED_REPORTS[name]
+        cc = g.cartan_count
+        cells = cohomology._weight0_cells(g, min(4, g.dim))
+        r = [sum(len(ts) for _, ts in level) for level in cells]
+        for m in range(len(r)):
+            lifted = sum(math.comb(cc, i) * r[m - i] for i in range(min(cc, m) + 1))
+            assert lifted == weight0_count(g, m)
+
+    @pytest.mark.parametrize("N", range(1, 6))
+    def test_chains_at_every_degree(self, monkeypatch, N):
+        # Leger-Luks: H*(b, b) = 0 for the Borel b of sl_N; the central line
+        # of gl_N adds Lambda(z*), so H^k = C(N, k) there (Kostant).
+        for variant, want in (("gl", lambda k: math.comb(N, k)), ("sl", lambda k: 0)):
+            g = build(chain_poset(N), variant)
+            monkeypatch.setattr(cohomology, "DEGREE_GUARD", g.dim)
+            for k in range(g.dim + 1):
+                assert cohomology_report(g, k, max_dim=g.dim)["H"] == want(k), (variant, k)
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_phi_at_every_degree(self, monkeypatch, n):
+        # Phi_n = aff(1)^n and H*(aff(1), aff(1)) = 0 (Kunneth).
+        g = make_phi(n)
+        monkeypatch.setattr(cohomology, "DEGREE_GUARD", g.dim)
+        for k in range(g.dim + 1):
+            assert cohomology_report(g, k)["H"] == 0, k
+
+    def test_bracket_on_a_cartan_generator_rejected(self):
+        # [e, f] = h: [g, g] is not in the root span, so the weight-0 block
+        # is not Lambda h* (x) R.
+        sl2 = liealg.LieAlg(
+            dim=3, basis_labels=("h", "e", "f"), cartan_count=1,
+            brackets={(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}},
+        )
+        with pytest.raises(ValueError, match=r"\[e, f\].* Cartan generator h"):
+            cohomology_report(sl2, 1)
 
 
 class TestBCDProperties:
