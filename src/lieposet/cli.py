@@ -234,7 +234,8 @@ def build_parser():
     p = sub.add_parser("cohomology", help="Chevalley-Eilenberg dims at a degree")
     common(p)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--max-dim", type=int, default=cohomology.DEFAULT_MAX_DIM)
+    p.add_argument("--max-dim", type=int, default=cohomology.DEFAULT_MAX_DIM,
+                   help="refuse a larger algebra with exit 3 (default %(default)s)")
     p.add_argument("--dump-complex", metavar="PATH",
                    help="write coboundary matrices as sparse triplets")
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from . import exactla, liealg, simplicial
 from .exactla import SparseMat
 
-DEGREE_GUARD = 3
 DEFAULT_MAX_DIM = 12
 
 
@@ -197,17 +196,12 @@ def _weight0_cells(g, top):
     targets = {}
     for t, key in enumerate(keys):
         targets.setdefault(key, []).append(t)
-    cells = []
-    level = [((), 0)]  # every degree-j tuple of root indices in order, with its key sum
-    for j in range(top + 1):
-        cells.append([(S, targets[w]) for S, w in level if w in targets])
-        if j < top:
-            level = [
-                (S + (s,), w + keys[s])
-                for S, w in level
-                for s in range(S[-1] + 1 if S else g.cartan_count, g.dim)
-            ]
-    return cells
+    roots, key = range(g.cartan_count, g.dim), keys.__getitem__
+    return [
+        [(S, targets[w]) for S in itertools.combinations(roots, j)
+         if (w := sum(map(key, S))) in targets]
+        for j in range(top + 1)
+    ]
 
 
 def _relative_rank(g, j, cells):
@@ -245,12 +239,16 @@ def cohomology_report(g, n, max_dim=DEFAULT_MAX_DIM):
     with c_j = dim C^j.  Above the algebra's dimension C^n = 0, so all
     four are 0.
 
+    Every degree n >= 0 is answered; a negative n raises DegreeError.  The
+    one guard, dim > ``max_dim`` (DegreeError), bounds every degree: the
+    cells are tuples of the r <= dim - 1 root indices, 2^r at most in all.
+
     Raises ValueError, naming the bracket, when a bracket has a component
     on a Cartan generator: then [g, g] is not in the root span and the
     splitting fails.  ``build`` and ``make_phi`` never produce one.
     """
-    if not 0 <= n <= DEGREE_GUARD:
-        raise DegreeError(f"degree guard: 0 <= n <= {DEGREE_GUARD}")
+    if n < 0:
+        raise DegreeError(f"degree {n} < 0")
     if g.dim > max_dim:
         raise DegreeError(f"dimension guard: dim {g.dim} > {max_dim}")
     cc, labels = g.cartan_count, g.basis_labels
@@ -312,8 +310,6 @@ def z2_shape_check_phi(n):
 
     Returns (True, None), or (False, counterexample cochain dict).
     """
-    if n > 4:
-        raise DegreeError("shape check guarded to n <= 4")
     g = liealg.make_phi(n)
     d2 = coboundary_matrix(g, 2)
     kernel = exactla.kernel_basis(d2.matrix)

@@ -34,8 +34,6 @@ def _coboundaries(complex_):
 
 def simplicial_cohomology_dim(P, k):
     """dim H^k of the order complex with rational coefficients."""
-    if k not in (0, 1, 2):
-        raise ValueError("degree must be 0, 1, or 2")
     complex_ = nerve(P)
     n_k = complex_.n_simplices(k)
     if n_k == 0:

@@ -47,10 +47,10 @@ def run_rigidity(seed=0):
     return cases
 
 
-def run_classification(seed=0, max_elements=6):
+def run_classification(seed=0):
     cases = []
     by_dim = {}
-    for n in range(2, max_elements + 1):
+    for n in range(2, 7):  # height-one posets on 2..6 elements
         for idx_p, P in enumerate(posets.enumerate_height_one(n)):
             g = liealg.build(P, "sl")
             cert = indexfrob.index(g, seed=seed)

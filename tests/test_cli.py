@@ -447,10 +447,11 @@ class TestCohomology:
         assert code == 0
         assert rep["results"]["dims"]["H"] == 0
 
-    def test_degree_guard(self, capsys, branch_file):
+    def test_degree_four_answered(self, capsys, branch_file):
+        # No degree guard: H* of branch gl is 1, 4, 6, 4, 1, 0, ...
         code, rep = run(capsys, ["cohomology", branch_file, "--degree", "4"])
-        assert code == cli.EXIT_GUARD
-        assert rep["kind"] == "guard"
+        assert code == cli.EXIT_OK
+        assert rep["results"]["dims"] == {"C": 1134, "Z": 504, "B": 503, "H": 1}
 
     def test_degree_above_dim(self, capsys, tmp_path):
         p = tmp_path / "point.json"

@@ -17,11 +17,13 @@ from lieposet.cohomology import (
     compare_h2,
     z2_shape_check_phi,
 )
+from lieposet.indexfrob import index
 from lieposet.liealg import build, center, make_phi
 from lieposet.posets import (
     antichain_poset,
     chain_poset,
     branch_poset,
+    enumerate_height_one,
     hexagon_type_c_poset,
 )
 from oracles import ZERO
@@ -89,15 +91,36 @@ class TestRigidity:
         ok, counterexample = z2_shape_check_phi(n)
         assert ok, counterexample
 
-    def test_z2_shape_guard(self):
-        with pytest.raises(DegreeError):
-            z2_shape_check_phi(5)
+    def test_z2_shape_past_four(self):
+        for n in (5, 6):
+            ok, counterexample = z2_shape_check_phi(n)
+            assert ok, (n, counterexample)
+
+    def test_frobenius_height_one_at_every_degree(self):
+        # Every index-0 sl height-one class is two-step and Frobenius, so
+        # g = Phi_n and H^k(g, g) = 0 at every k (Kunneth), under the
+        # default dimension guard: the full-degree form of rigidity.
+        seen = 0
+        for size in range(2, 8):
+            for P in enumerate_height_one(size):
+                g = build(P, "sl")
+                if index(g, seed=0).index != 0:
+                    continue
+                seen += 1
+                for k in range(g.dim + 1):
+                    assert cohomology_report(g, k)["H"] == 0, (P, k)
+        assert seen == 44
 
 
 class TestGuards:
-    def test_degree_guard(self):
+    def test_no_degree_guard(self):
+        # Only the dimension is guarded: every degree is answered, and
+        # only a negative one is refused.  H* = 1, 4, 6, 4, 1, 0, ... here.
+        g = build(branch_poset(), "gl")
+        assert [cohomology_dim(g, k) for k in range(g.dim + 2)] == [1, 4, 6, 4, 1] + [0] * 6
+        assert cohomology_report(make_phi(1), 4) == {"C": 0, "Z": 0, "B": 0, "H": 0}
         with pytest.raises(DegreeError):
-            cohomology_report(make_phi(1), 4)
+            cohomology_report(make_phi(1), -1)
 
     def test_dimension_guard(self):
         g = build(chain_poset(5), "gl")  # dim 15
@@ -344,20 +367,18 @@ class TestRelativeComplex:
             assert lifted == weight0_count(g, m)
 
     @pytest.mark.parametrize("N", range(1, 6))
-    def test_chains_at_every_degree(self, monkeypatch, N):
+    def test_chains_at_every_degree(self, N):
         # Leger-Luks: H*(b, b) = 0 for the Borel b of sl_N; the central line
         # of gl_N adds Lambda(z*), so H^k = C(N, k) there (Kostant).
         for variant, want in (("gl", lambda k: math.comb(N, k)), ("sl", lambda k: 0)):
             g = build(chain_poset(N), variant)
-            monkeypatch.setattr(cohomology, "DEGREE_GUARD", g.dim)
             for k in range(g.dim + 1):
                 assert cohomology_report(g, k, max_dim=g.dim)["H"] == want(k), (variant, k)
 
     @pytest.mark.parametrize("n", range(1, 4))
-    def test_phi_at_every_degree(self, monkeypatch, n):
+    def test_phi_at_every_degree(self, n):
         # Phi_n = aff(1)^n and H*(aff(1), aff(1)) = 0 (Kunneth).
         g = make_phi(n)
-        monkeypatch.setattr(cohomology, "DEGREE_GUARD", g.dim)
         for k in range(g.dim + 1):
             assert cohomology_report(g, k)["H"] == 0, k
 

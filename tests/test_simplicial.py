@@ -1,11 +1,10 @@
-import pytest
-
 from lieposet.posets import (
     antichain_poset,
     chain_poset,
     branch_poset,
     hexagon_type_c_poset,
     make_poset,
+    nerve,
 )
 from lieposet.simplicial import (
     coboundary_matrices,
@@ -55,17 +54,19 @@ class TestCohomology:
         P = make_poset([1, 2, 3, 4], [(1, 2), (3, 4)], "A")
         assert simplicial_cohomology_dim(P, 0) == 2
 
-    def test_degree_guard(self):
-        with pytest.raises(ValueError):
-            simplicial_cohomology_dim(chain_poset(2), 3)
+    def test_degree_above_nerve_is_zero(self):
+        # The nerve of a 2-chain is an edge: no 3-simplices, so H^3 = 0.
+        assert simplicial_cohomology_dim(chain_poset(2), 3) == 0
 
 
 class TestEuler:
     def test_matches_betti_alternating_sum(self):
-        for P in (branch_poset(), chain_poset(3), hexagon_type_c_poset(),
-                  antichain_poset(4)):
-            betti = [simplicial_cohomology_dim(P, k) for k in (0, 1, 2)]
-            assert euler_characteristic(P) == betti[0] - betti[1] + betti[2]
+        # chain_poset(N)'s nerve is the (N - 1)-simplex.
+        for P in (branch_poset(), chain_poset(3), chain_poset(5), chain_poset(6),
+                  hexagon_type_c_poset(), antichain_poset(4)):
+            top = nerve(P).dimension
+            betti = [simplicial_cohomology_dim(P, k) for k in range(top + 1)]
+            assert euler_characteristic(P) == sum((-1) ** k * b for k, b in enumerate(betti))
 
     def test_values(self):
         assert euler_characteristic(branch_poset()) == 1
