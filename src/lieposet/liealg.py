@@ -274,8 +274,8 @@ def _structure_constants(ents, labels):
     rank computed here.  Every commutator lies in the nilradical, the span
     of the root matrices, so its coordinate on root vector k is its entry
     at k's slot times M_k's +-1 there, an int, and each is checked exactly
-    by summing the basis back.  The products run only over the pairs in
-    which a column of one matrix meets a row of the other.
+    by summing the basis back.  The commutators come from one pass over the
+    entries, against one index of every basis entry by its row.
 
     Raises ClosureError when a root matrix has no private off-diagonal
     leading slot of entry +-1, when the basis is dependent, or when a
@@ -299,56 +299,43 @@ def _structure_constants(ents, labels):
     rank = len(roots) + len(exactla._elim.eliminate(diagonals)[0])
     if rank != dim:
         raise ClosureError(f"the {dim} basis matrices are dependent (rank {rank})")
-    by_row = []
-    row_to, col_to = defaultdict(set), defaultdict(set)
-    for k, E in enumerate(ents):
-        rows = defaultdict(dict)
-        for (r, c), v in E.items():
-            rows[r][c] = v
-            row_to[r].add(k)
-            col_to[c].add(k)
-        by_row.append(rows)
+    in_row = defaultdict(list)
+    for j, E in enumerate(ents):
+        for (m, c), b in E.items():
+            in_row[m].append((j, c, b))
+    comms = defaultdict(dict)
+    for i, E in enumerate(ents):
+        for (r, m), a in E.items():
+            # Entry (r, m) of M_i meets entry (m, c) of M_j: a b at (r, c)
+            # of M_i M_j, which is + in [M_i, M_j] and - in [M_j, M_i].
+            for j, c, b in in_row.get(m, ()):
+                if i < j:
+                    comm, v = comms[(i, j)], a * b
+                elif j < i:
+                    comm, v = comms[(j, i)], -a * b
+                else:
+                    continue
+                comm[(r, c)] = comm.get((r, c), 0) + v
     brackets = {}
-    for i in range(dim):
-        # M_i M_j needs a column of M_i to meet a row of M_j; M_j M_i the
-        # converse.
-        left = set().union(*(row_to[c] for _, c in ents[i]))
-        right = set().union(*(col_to[r] for r in by_row[i]))
-        for j in sorted(left | right):
-            if j <= i:
-                continue
-            comm = _product(ents[i], by_row[j]) if j in left else {}
-            if j in right:
-                for p, v in _product(ents[j], by_row[i]).items():
-                    comm[p] = comm.get(p, 0) - v
-            comm = {p: v for p, v in comm.items() if v}
-            if not comm:
-                continue
-            coords = {}
-            for p, v in comm.items():
-                k = slot_of.get(p)
-                if k is not None:
-                    coords[k] = v * ents[k][p]
-            back = {}
-            for k, c in coords.items():
-                for p, v in ents[k].items():
-                    back[p] = back.get(p, 0) + c * v
-            if {p: v for p, v in back.items() if v} != comm:
-                raise ClosureError(
-                    f"[{labels[i]}, {labels[j]}] falls outside the basis span"
-                )
-            brackets[(i, j)] = {k: coords[k] for k in sorted(coords)}
+    for (i, j), comm in sorted(comms.items()):
+        comm = {p: v for p, v in comm.items() if v}
+        if not comm:
+            continue
+        coords = {}
+        for p, v in comm.items():
+            k = slot_of.get(p)
+            if k is not None:
+                coords[k] = v * ents[k][p]
+        back = {}
+        for k, c in coords.items():
+            for p, v in ents[k].items():
+                back[p] = back.get(p, 0) + c * v
+        if {p: v for p, v in back.items() if v} != comm:
+            raise ClosureError(
+                f"[{labels[i]}, {labels[j]}] falls outside the basis span"
+            )
+        brackets[(i, j)] = {k: coords[k] for k in sorted(coords)}
     return brackets
-
-
-def _product(A, B_rows):
-    """A B as {position: value}, zeros kept; A is given by its entries and
-    B by its row dicts."""
-    out = {}
-    for (r, k), a in A.items():
-        for c, b in B_rows.get(k, {}).items():
-            out[(r, c)] = out.get((r, c), 0) + a * b
-    return out
 
 
 def build(P, variant="gl"):
@@ -414,21 +401,27 @@ def derived_series(g):
 
     derived_length is the last k with g^k != 0; k_step = derived_length + 1
     ("(k+1)-step solvable").  Lie poset algebras are always solvable, so
-    the series reaches zero.  Each g^k is spanned by the brackets of the
-    reduced echelon basis of g^(k-1), the pivot rows of one elimination.
+    the series reaches zero.  g^0 is the unit basis and g^1 the span of the
+    stored brackets of basis elements; each later g^k is spanned by the
+    brackets of the reduced echelon basis of g^(k-1), the pivot rows of one
+    elimination.
     """
-    series, rows = [], [{i: 1} for i in range(g.dim)]
-    while not series or series[-1].dim:
+    series = [Subspace(ambient_dim=g.dim, basis=tuple(
+        tuple(int(r == c) for c in range(g.dim)) for r in range(g.dim)
+    ))]
+    # The kernel would pivot on an explicit zero coefficient.
+    rows = [{k: v for k, v in vec.items() if v} for vec in g.brackets.values()]
+    while series[-1].dim:
         pivots, red = exactla._elim.eliminate(rows, reduce_full=True)
         basis = [red[p] for p in pivots]
         series.append(Subspace(ambient_dim=g.dim, basis=tuple(
             tuple(row.get(c, 0) for c in range(g.dim)) for row in basis
         )))
-        if len(series) > 1 and 0 < series[-1].dim >= series[-2].dim:
+        if 0 < series[-1].dim >= series[-2].dim:
             raise LieAlgError("derived series does not decrease: not solvable")
         rows = [_bracket(g, x, y) for x, y in combinations(basis, 2)]
-    derived_length = len(series) - 2 if g.dim else 0
-    return series, max(derived_length, 0), max(derived_length, 0) + 1
+    derived_length = max(len(series) - 2, 0)
+    return series, derived_length, derived_length + 1
 
 
 def center(g):

@@ -262,6 +262,18 @@ class TestWeightGradedReport:
         for n in range(4):
             assert cohomology_report(g, n) == full_rank_report(g, n)
 
+    @settings(max_examples=40, deadline=None)
+    @given(algebras("ABCD", max_dim=9))
+    def test_matches_full_ranks_at_degrees_4_and_5_on_generated(self, g):
+        for n in (4, 5):
+            assert cohomology_report(g, n) == full_rank_report(g, n)
+
+    @pytest.mark.parametrize("name", sorted(NAMED_REPORTS))
+    def test_matches_full_ranks_named_at_degrees_4_and_5(self, name):
+        g = NAMED_REPORTS[name]
+        for n in (4, 5):
+            assert cohomology_report(g, n) == full_rank_report(g, n)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_phi_is_rigid_in_degree_3(self, n):
         # Phi_n is aff(1)^n, H*(aff(1), aff(1)) = 0, so by Kunneth every

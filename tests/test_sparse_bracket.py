@@ -13,6 +13,7 @@ isomorphism onto the normal form can fail.
 """
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -138,6 +139,22 @@ def doctored_height_one():
     return [doctor(g, rng) for g in HEIGHT_ONE if g.brackets]
 
 
+def messy(g):
+    """A copy of g with the same brackets in untidy dicts: the pairs in
+    reverse order, an explicit zero coefficient at the first free basis
+    index of each bracket, and an empty vector for the first commuting
+    pair."""
+    brackets = {}
+    for pair in reversed(list(g.brackets)):
+        vec = g.brackets[pair]
+        free = [k for k in range(g.dim) if k not in vec]
+        brackets[pair] = {free[0]: 0, **vec} if free else dict(vec)
+    commuting = [p for p in itertools.combinations(range(g.dim), 2) if p not in brackets]
+    if commuting:
+        brackets[commuting[0]] = {}
+    return dataclasses.replace(g, brackets=brackets, realization=None)
+
+
 @st.composite
 def doctored(draw, g):
     return doctor(g, random.Random(draw(st.integers(0, 2**32))))
@@ -183,6 +200,20 @@ class TestDerivedSeries:
     def test_matches_dense_on_doctored_height_one(self):
         for d in doctored_height_one():
             assert outcome(liealg.derived_series, d) == outcome(derived_series_oracle, d)
+
+    def test_matches_dense_on_messy_height_one(self):
+        # derived_series spans g^1 from the stored bracket vectors as they
+        # stand, so their order, explicit zeros and empty vectors must not
+        # change the series.
+        shapes = set()
+        for g in HEIGHT_ONE + doctored_height_one():
+            m = messy(g)
+            shapes.update(
+                ("zero" if 0 in vec.values() else "empty" if not vec else "nonzero")
+                for vec in m.brackets.values())
+            assert outcome(liealg.derived_series, m) == outcome(derived_series_oracle, g)
+            assert outcome(liealg.derived_series, m) == outcome(liealg.derived_series, g)
+        assert {"zero", "empty"} <= shapes
 
     def test_bases_are_dense_tuples(self):
         series, _, _ = liealg.derived_series(liealg.build(posets.chain_poset(4), "gl"))
