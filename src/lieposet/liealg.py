@@ -102,29 +102,28 @@ class LieAlg:
     @cached_property
     def roots(self):
         """roots[t] = (alpha_t(h_1), ..., alpha_t(h_cc)) for every root vector
-        t, where [h_k, x_t] = alpha_t(h_k) x_t.
+        t, where [h_k, x_t] = alpha_t(h_k) x_t, from one pass over ``brackets``.
 
-        Raises CartanWeylError when two Cartan generators do not commute or
-        a root vector is not a simultaneous ad(h)-eigenvector."""
+        Raises CartanWeylError when two Cartan generators do not commute
+        (checked first) or a root vector x_t is not a simultaneous
+        ad(h)-eigenvector (the smallest t, then k, is reported)."""
         cc, labels = self.cartan_count, self.basis_labels
-        for k in range(cc):
-            for l in range(k + 1, cc):
-                if self.brackets.get((k, l)):
-                    raise CartanWeylError(
-                        f"Cartan generators {labels[k]}, {labels[l]} do not commute"
-                    )
-        roots = {}
-        for t in self.root_indices():
-            alpha = []
-            for k in range(cc):
-                vec = self.brackets.get((k, t), {})
+        alpha = {t: [0] * cc for t in self.root_indices()}
+        noncommuting, off = [], []
+        for (k, t), vec in self.brackets.items():
+            if k < cc <= t:
+                alpha[t][k] = vec.get(t, 0)
                 if any(m != t for m in vec):
-                    raise CartanWeylError(
-                        f"[{labels[k]}, {labels[t]}] is not a multiple of {labels[t]}"
-                    )
-                alpha.append(vec.get(t, 0))
-            roots[t] = tuple(alpha)
-        return roots
+                    off.append((t, k))
+            elif k < t < cc and vec:
+                noncommuting.append((k, t))
+        if noncommuting:
+            k, l = min(noncommuting)
+            raise CartanWeylError(f"Cartan generators {labels[k]}, {labels[l]} do not commute")
+        if off:
+            t, k = min(off)
+            raise CartanWeylError(f"[{labels[k]}, {labels[t]}] is not a multiple of {labels[t]}")
+        return {t: tuple(a) for t, a in alpha.items()}
 
     @cached_property
     def root_block(self):
@@ -174,20 +173,23 @@ def bracket(g, x, y):
     vectors: ``_bracket`` on their supports."""
     if len(x) != g.dim or len(y) != g.dim:
         raise exactla.DimensionError("coordinate vector length mismatch")
-    out = [0] * g.dim
-    for k, v in _bracket(g, _support(x), _support(y)).items():
-        out[k] = v
-    return out
+    return _dense(_bracket(g, _support(x), _support(y)), g.dim)
 
 
 def _support(vec):
     return {i: v for i, v in enumerate(vec) if v}
 
 
+def _dense(vec, dim):
+    """The coordinate list of a sparse vector {basis index: coefficient}."""
+    out = [0] * dim
+    for k, v in vec.items():
+        out[k] = v
+    return out
+
+
 def basis_vector(g, i):
-    v = [0] * g.dim
-    v[i] = 1
-    return v
+    return _dense({i: 1}, g.dim)
 
 
 def make_phi(n):
@@ -272,10 +274,14 @@ def _structure_constants(ents, labels):
     matrices are independent of each other and of the Cartan ones, and the
     basis is independent when the Cartan diagonals have full rank, the one
     rank computed here.  Every commutator lies in the nilradical, the span
-    of the root matrices, so its coordinate on root vector k is its entry
-    at k's slot times M_k's +-1 there, an int, and each is checked exactly
-    by summing the basis back.  The commutators come from one pass over the
-    entries, against one index of every basis entry by its row.
+    of the root matrices.  A Cartan-root commutator is read off the
+    diagonal: [D, M_t] = (D_rr - D_cc) M_rc entrywise (0 unless D is nonzero
+    at a row or column of M_t's support), which is alpha M_t when D_rr - D_cc
+    is one alpha there, else outside the span.  A root-root commutator comes
+    from one pass over the root entries, against one index of them by row;
+    its coordinate on root vector k is its entry at k's slot times M_k's
+    +-1 there, an int, and it is checked exactly by summing the basis back.
+    The first failing pair in sorted order is reported.
 
     Raises ClosureError when a root matrix has no private off-diagonal
     leading slot of entry +-1, when the basis is dependent, or when a
@@ -295,17 +301,30 @@ def _structure_constants(ents, labels):
                 " of entry +-1"
             )
         slot_of[slot] = k
-    diagonals = [{r: v for (r, _), v in ents[k].items()} for k in cartan]
-    rank = len(roots) + len(exactla._elim.eliminate(diagonals)[0])
+    diag = {k: {r: v for (r, _), v in ents[k].items()} for k in cartan}
+    rank = len(roots) + len(exactla._elim.eliminate(list(diag.values()))[0])
     if rank != dim:
         raise ClosureError(f"the {dim} basis matrices are dependent (rank {rank})")
+    on_diag = defaultdict(set)  # diagonal position -> the Cartan matrices nonzero there
+    for k, D in diag.items():
+        for r in D:
+            on_diag[r].add(k)
+    coords = {}  # pair -> its coordinates, or None when it leaves the span
+    for t in roots:
+        for k in set().union(*(on_diag[r] | on_diag[c] for r, c in ents[t])):
+            alphas = {diag[k].get(r, 0) - diag[k].get(c, 0) for r, c in ents[t]}
+            pair = (k, t) if k < t else (t, k)
+            if len(alphas) > 1:
+                coords[pair] = None
+            elif alpha := alphas.pop():
+                coords[pair] = {t: alpha if k < t else -alpha}
     in_row = defaultdict(list)
-    for j, E in enumerate(ents):
-        for (m, c), b in E.items():
+    for j in roots:
+        for (m, c), b in ents[j].items():
             in_row[m].append((j, c, b))
     comms = defaultdict(dict)
-    for i, E in enumerate(ents):
-        for (r, m), a in E.items():
+    for i in roots:
+        for (r, m), a in ents[i].items():
             # Entry (r, m) of M_i meets entry (m, c) of M_j: a b at (r, c)
             # of M_i M_j, which is + in [M_i, M_j] and - in [M_j, M_i].
             for j, c, b in in_row.get(m, ()):
@@ -316,25 +335,25 @@ def _structure_constants(ents, labels):
                 else:
                     continue
                 comm[(r, c)] = comm.get((r, c), 0) + v
-    brackets = {}
-    for (i, j), comm in sorted(comms.items()):
+    for pair, comm in comms.items():
         comm = {p: v for p, v in comm.items() if v}
-        if not comm:
-            continue
-        coords = {}
+        vec = {}
         for p, v in comm.items():
             k = slot_of.get(p)
             if k is not None:
-                coords[k] = v * ents[k][p]
+                vec[k] = v * ents[k][p]
         back = {}
-        for k, c in coords.items():
+        for k, c in vec.items():
             for p, v in ents[k].items():
                 back[p] = back.get(p, 0) + c * v
-        if {p: v for p, v in back.items() if v} != comm:
-            raise ClosureError(
-                f"[{labels[i]}, {labels[j]}] falls outside the basis span"
-            )
-        brackets[(i, j)] = {k: coords[k] for k in sorted(coords)}
+        ok = {p: v for p, v in back.items() if v} == comm
+        coords[pair] = {k: vec[k] for k in sorted(vec)} if ok else None
+    brackets = {}
+    for (i, j), vec in sorted(coords.items()):
+        if vec is None:
+            raise ClosureError(f"[{labels[i]}, {labels[j]}] falls outside the basis span")
+        if vec:
+            brackets[(i, j)] = vec
     return brackets
 
 
@@ -401,38 +420,49 @@ def derived_series(g):
 
     derived_length is the last k with g^k != 0; k_step = derived_length + 1
     ("(k+1)-step solvable").  Lie poset algebras are always solvable, so
-    the series reaches zero.  g^0 is the unit basis and g^1 the span of the
-    stored brackets of basis elements; each later g^k is spanned by the
-    brackets of the reduced echelon basis of g^(k-1), the pivot rows of one
-    elimination.
+    the series reaches zero.  g^0 is the unit basis; each g^(k+1) is the
+    span of the brackets of the reduced echelon basis of g^k, the pivot
+    rows of one elimination.  While that basis is unit vectors x_i, i in S
+    (always, on a Lie poset algebra), those brackets are the stored ones
+    with both indices in S; only another basis is bracketed pair by pair.
+    The entries stay ints until the kernel divides out a lead that is not
+    +-1 (as [h, e] = 2e in sl), which gives a Fraction.
     """
-    series = [Subspace(ambient_dim=g.dim, basis=tuple(
-        tuple(int(r == c) for c in range(g.dim)) for r in range(g.dim)
-    ))]
-    # The kernel would pivot on an explicit zero coefficient.
-    rows = [{k: v for k, v in vec.items() if v} for vec in g.brackets.values()]
+    dim = g.dim
+    basis = [{i: 1} for i in range(dim)]
+    series = [Subspace(dim, tuple(tuple(_dense(x, dim)) for x in basis))]
     while series[-1].dim:
+        if all(len(x) == 1 for x in basis):
+            span = {i for x in basis for i in x}
+            # The kernel would pivot on an explicit zero coefficient.
+            rows = [{k: v for k, v in vec.items() if v}
+                    for (i, j), vec in g.brackets.items() if i in span and j in span]
+        else:
+            rows = [_bracket(g, x, y) for x, y in combinations(basis, 2)]
         pivots, red = exactla._elim.eliminate(rows, reduce_full=True)
         basis = [red[p] for p in pivots]
-        series.append(Subspace(ambient_dim=g.dim, basis=tuple(
-            tuple(row.get(c, 0) for c in range(g.dim)) for row in basis
-        )))
+        series.append(Subspace(dim, tuple(tuple(_dense(x, dim)) for x in basis)))
         if 0 < series[-1].dim >= series[-2].dim:
             raise LieAlgError("derived series does not decrease: not solvable")
-        rows = [_bracket(g, x, y) for x, y in combinations(basis, 2)]
     derived_length = max(len(series) - 2, 0)
     return series, derived_length, derived_length + 1
 
 
 def center(g):
-    """Kernel of the stacked adjoint action: {x : [x, b] = 0 for all b}."""
-    ents = {}
+    """Kernel of the stacked adjoint action: {x : [x, b] = 0 for all b}.
+    Its rows (j, k), {i: coefficient of x_k in [x_i, x_j]}, go to one
+    reduced elimination; the kernel is read off as ``exactla.kernel_basis`` does."""
+    rows = defaultdict(dict)
     for j in range(g.dim):
         for i, vec in g.adjacency[j].items():
             for k, c in vec.items():
-                ents[(j * g.dim + k, i)] = c if i < j else -c
-    A = SparseMat(g.dim * g.dim, g.dim, ents)
-    return Subspace(ambient_dim=g.dim, basis=tuple(exactla.kernel_basis(A)))
+                if c:
+                    rows[(j, k)][i] = c if i < j else -c
+    _, red = exactla._elim.eliminate([rows[r] for r in sorted(rows)], reduce_full=True)
+    return Subspace(ambient_dim=g.dim, basis=tuple(
+        tuple(_dense({j: 1, **{p: -row[j] for p, row in red.items() if j in row}}, g.dim))
+        for j in range(g.dim) if j not in red
+    ))
 
 
 def sparsity_pattern(g):

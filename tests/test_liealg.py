@@ -309,6 +309,22 @@ class TestCartanWeyl:
         with pytest.raises(CartanWeylError):
             bad.roots
 
+    @pytest.mark.parametrize("brackets, message", (
+        # A non-commuting Cartan pair is reported before any non-eigenvector.
+        ({(0, 3): {2: 1}, (1, 2): {2: 1, 3: 1}, (0, 1): {2: 1}},
+         "Cartan generators h1, h2 do not commute"),
+        # Then the smallest root index t ...
+        ({(0, 3): {2: 1}, (1, 2): {3: 1}}, "[h2, x] is not a multiple of x"),
+        # ... and for that t the smallest Cartan index k.
+        ({(1, 2): {3: 1}, (0, 2): {3: 1}, (0, 3): {3: 1}}, "[h1, x] is not a multiple of x"),
+    ), ids=("cartan-pair-first", "smallest-root", "smallest-cartan"))
+    def test_first_failure_is_reported(self, brackets, message):
+        g = liealg.LieAlg(dim=4, basis_labels=("h1", "h2", "x", "y"),
+                          brackets=brackets, cartan_count=2)
+        with pytest.raises(CartanWeylError) as info:
+            g.roots
+        assert str(info.value) == message
+
     def test_build_runs_the_guard(self, monkeypatch):
         # build itself raises, not a later reader of the roots.
         def non_eigenvector(ents, labels):
@@ -374,6 +390,21 @@ class TestClosureInvariant:
         with pytest.raises(ClosureError,
                            match=r"no private off-diagonal leading slot of entry \+-1"):
             liealg._structure_constants(ents, labels)
+
+    def test_cartan_eigenvalue_differing_across_a_root_matrix_rejected(self):
+        # Drop the (1, 1) entry of h1 in type B: the root matrix
+        # E[-2,1] - E[-1,2] then has D_rr - D_cc = 0 at (-2, 1) and 1 at
+        # (-1, 2), so [h1, e] is no multiple of e, whichever comes first.
+        g = build(make_poset(range(-2, 3), [(-1, 2), (-2, 1)], "B"))
+        ents = [dict(E) for E in g.realization]
+        del ents[0][(3, 3)]
+        assert ents[0] == {(1, 1): 1}
+        with pytest.raises(ClosureError) as info:
+            liealg._structure_constants(ents, g.basis_labels)
+        assert str(info.value) == "[h1, e[-2,1]-e[-1,2]] falls outside the basis span"
+        with pytest.raises(ClosureError) as info:
+            liealg._structure_constants(ents[2:] + ents[:2], g.basis_labels[2:] + g.basis_labels[:2])
+        assert str(info.value) == "[e[-2,1]-e[-1,2], h1] falls outside the basis span"
 
     def test_closed_basis_accepted(self):
         got = liealg._structure_constants(

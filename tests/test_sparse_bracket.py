@@ -215,6 +215,25 @@ class TestDerivedSeries:
             assert outcome(liealg.derived_series, m) == outcome(liealg.derived_series, g)
         assert {"zero", "empty"} <= shapes
 
+    def test_non_unit_basis_is_bracketed(self, monkeypatch):
+        # h, a, b, c with [h, a] = a, [h, b] = b, [h, c] = 2c, [a, b] = c,
+        # in the basis (h, a + h, b, c): g^1 is spanned by (-1, 1, 0, 0),
+        # b and c, so g^2 comes from brackets of a non-unit basis.
+        g = liealg.LieAlg(
+            dim=4, basis_labels=("h", "a+h", "b", "c"), cartan_count=1,
+            brackets={(0, 1): {0: -1, 1: 1}, (0, 2): {2: 1}, (0, 3): {3: 2},
+                      (1, 2): {2: 1, 3: 1}, (1, 3): {3: 2}},
+        )
+        assert liealg.check_jacobi(g)
+        pairs = []
+        bracket = liealg._bracket
+        monkeypatch.setattr(liealg, "_bracket", lambda g, x, y: pairs.append((x, y)) or bracket(g, x, y))
+        series, dl, ks = liealg.derived_series(g)
+        assert pairs and any(len(x) > 1 for pair in pairs for x in pair)
+        assert (series, dl, ks) == derived_series_oracle(g)
+        assert [s.dim for s in series] == [4, 3, 1, 0]
+        assert series[1].basis[0] == (1, -1, 0, 0)
+
     def test_bases_are_dense_tuples(self):
         series, _, _ = liealg.derived_series(liealg.build(posets.chain_poset(4), "gl"))
         for s in series:
