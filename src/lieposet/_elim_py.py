@@ -11,13 +11,14 @@ pivot is a unit, and the results are ``==`` to those of the same rows
 given as Fractions.
 With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
-rank, kernel and inverse on ``eliminate``, ``liealg`` calls it directly
-for spans and for the rank of the Cartan diagonals in ``build``,
-``cohomology`` for the ranks of its weight-0 blocks, and ``indexfrob``
-ranks its random Kirillov trials mod p and solves for principal elements
-with it.  Every mode runs the same forward elimination; the reduced form
-is a back-substitution pass after it, and both are built from the one row
-operation ``_reduce_row``.
+rank, kernel and inverse on ``eliminate`` (``liealg.center`` and the
+2-cocycles of ``Phi_n`` go through its ``kernel_basis``); ``liealg``
+calls it directly for the derived series' spans and for the rank of the
+Cartan diagonals in ``build``, ``cohomology`` for the ranks of the
+relative blocks d_R^j, and ``indexfrob`` ranks its random Kirillov trials
+mod p and solves for principal elements with it.  Every mode runs the
+same forward elimination; the reduced form is a back-substitution pass
+after it, and both are built from the one row operation ``_reduce_row``.
 """
 
 from fractions import Fraction

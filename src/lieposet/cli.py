@@ -15,6 +15,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -125,13 +126,24 @@ def cmd_cohomology(args):
         if value < 0:
             raise CliInputError(f"{flag} must be >= 0, got {value}")
     _, g, digest = _algebra(args)
+    top = min(args.degree + 1, g.dim)
+    if args.dump_complex:
+        # The dump holds every full differential up to degree + 1; refuse it,
+        # before assembling anything, above the largest one the default
+        # guard admits, the (2^D - 1) D rows of the whole complex at dim D.
+        rows = sum(math.comb(g.dim, n + 1) for n in range(top + 1)) * g.dim
+        d = cohomology.DEFAULT_MAX_DIM
+        cap = (2 ** d - 1) * d
+        if rows > cap:
+            raise DegreeError(f"dump guard: --dump-complex at degree {args.degree} "
+                              f"would write {rows} rows > {cap}")
     dims = cohomology.cohomology_report(g, args.degree, max_dim=args.max_dim)
     results = {"degree": args.degree, "dims": dims}
     if args.dump_complex:
         # Opening, writing and the closing flush can each fail.
         try:
             with open(args.dump_complex, "w") as fh:
-                for n in range(min(args.degree + 1, g.dim) + 1):
+                for n in range(top + 1):
                     cohomology.dump_complex(cohomology.coboundary_matrix(g, n), fh)
         except OSError as e:
             raise CliInputError(f"cannot write {args.dump_complex}: {e}") from e

@@ -312,7 +312,7 @@ def z2_shape_check_phi(n):
     """
     g = liealg.make_phi(n)
     d2 = coboundary_matrix(g, 2)
-    kernel = exactla.kernel_basis(d2.matrix)
+    kernel = exactla.kernel_basis(d2.matrix.row_dicts(), d2.matrix.n_cols)
     d1 = coboundary_matrix(g, 1)
     col_pos = {key: c for c, key in enumerate(d1.col_index)}
     d = list(range(n))  # indices of d_1..d_n

@@ -10,12 +10,15 @@ below is exact.
 Every rank, kernel and inverse runs through one sparse elimination
 kernel, ``_elim_py.eliminate``, reached here as ``_elim.eliminate``.
 ``BACKEND`` names it; it is a constant, kept for reports that record it.
+``kernel_basis``, on plain row dicts as the kernel takes them, is the
+package's one null-space read-off.
 Over Q the kernel keeps int rows int while its pivots are units, with
 results ``==`` to the same rows' as Fractions; with a prime ``modulus``
 its entries are int residues mod p, which is how ``indexfrob.index``
 ranks its random trials.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _elim_py as _elim
@@ -31,44 +34,35 @@ class SingularMatrixError(ValueError):
     pass
 
 
+@dataclass(frozen=True)
 class SparseMat:
     """Immutable sparse matrix over the rationals.
 
     ``entries`` maps (row, col) -> nonzero int or Fraction, as given (any
-    other number becomes its exact Fraction); zero values are dropped at
-    construction, indices are range-checked.
+    other number becomes its exact Fraction); the constructor alone
+    range-checks indices and drops zeros, so sums may be handed to it raw.
     """
 
-    __slots__ = ("n_rows", "n_cols", "entries")
+    n_rows: int
+    n_cols: int
+    entries: dict = None
 
-    def __init__(self, n_rows, n_cols, entries=None):
+    def __post_init__(self):
+        n_rows, n_cols = self.n_rows, self.n_cols
         if n_rows < 0 or n_cols < 0:
             raise DimensionError("negative matrix dimension")
         ents = {}
-        for (i, j), v in (entries or {}).items():
+        for (i, j), v in (self.entries or {}).items():
             if not (0 <= i < n_rows and 0 <= j < n_cols):
                 raise DimensionError(f"entry ({i},{j}) outside {n_rows}x{n_cols}")
             if not isinstance(v, (int, Fraction)):
                 v = Fraction(v)
             if v:
                 ents[(i, j)] = v
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
         object.__setattr__(self, "entries", ents)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseMat is immutable")
 
     def __getitem__(self, key):
         return self.entries.get(key, 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMat)
-            and self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and self.entries == other.entries
-        )
 
     def __repr__(self):
         return f"SparseMat({self.n_rows}x{self.n_cols}, {len(self.entries)} entries)"
@@ -95,12 +89,7 @@ class SparseMat:
         ents = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row[k].items():
-                key = (i, j)
-                s = ents.get(key, 0) + a * b
-                if s:
-                    ents[key] = s
-                else:
-                    ents.pop(key, None)
+                ents[(i, j)] = ents.get((i, j), 0) + a * b
         return SparseMat(self.n_rows, other.n_cols, ents)
 
     def add(self, other, scale=1):
@@ -108,11 +97,7 @@ class SparseMat:
             raise DimensionError("shape mismatch")
         ents = dict(self.entries)
         for key, v in other.entries.items():
-            s = ents.get(key, 0) + scale * v
-            if s:
-                ents[key] = s
-            else:
-                ents.pop(key, None)
+            ents[key] = ents.get(key, 0) + scale * v
         return SparseMat(self.n_rows, self.n_cols, ents)
 
 
@@ -122,22 +107,23 @@ def rank(M):
     return len(pivots)
 
 
-def kernel_basis(M):
-    """Basis of the right null space; each vector satisfies M*v = 0.
-
-    Returns one tuple per free column, with a 1 in that column, so
-    len(result) = n_cols - rank(M).
+def kernel_basis(rows, width):
+    """Right null space of the ``width``-column matrix whose rows are the
+    list ``rows`` of sparse dicts (DimensionError on a column outside
+    0..width-1): one tuple per free column, with a 1 there, width - rank in all.
     """
-    pivots, rows = _elim.eliminate(M.row_dicts(), reduce_full=True)
-    pivot_set = set(pivots)
+    cols = set().union(*rows)
+    if cols and (min(cols) < 0 or max(cols) >= width):
+        raise DimensionError(f"column outside 0..{width - 1}")
+    pivots, red = _elim.eliminate(rows, reduce_full=True)
     basis = []
-    for j in range(M.n_cols):
-        if j in pivot_set:
+    for j in range(width):
+        if j in red:
             continue
-        v = [0] * M.n_cols
+        v = [0] * width
         v[j] = 1
         for p in pivots:
-            c = rows[p].get(j)
+            c = red[p].get(j)
             if c:
                 v[p] = -c
         basis.append(tuple(v))

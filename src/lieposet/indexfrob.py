@@ -320,14 +320,8 @@ def normalize_to_phi(g):
         C = exactla.invert(B)  # row i = Cartan coefficients of d_i
     except exactla.SingularMatrixError:
         raise NotFrobeniusError("root block is singular: not Frobenius") from None
-    ents = {}
-    for i in range(n):
-        for k in range(n):
-            v = C[(i, k)]
-            if v:
-                ents[(k, i)] = v
-        ents[(n + i, n + i)] = 1
-    P = SparseMat(g.dim, g.dim, ents)
+    P = SparseMat(g.dim, g.dim, {(k, i): v for (i, k), v in C.entries.items()}
+                  | {(n + i, n + i): 1 for i in range(n)})
     phi = liealg.make_phi(n)
     verified = _verify_isomorphism(g, P, phi)
     return NormalizeResult(n=n, change_of_basis=P, verified=verified)

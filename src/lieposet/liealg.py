@@ -145,7 +145,7 @@ class LieAlg:
         except CartanWeylError:
             return None
         return SparseMat(cc, self.dim - cc, {
-            (k, t - cc): v for t, alpha in roots.items() for k, v in enumerate(alpha) if v
+            (k, t - cc): v for t, alpha in roots.items() for k, v in enumerate(alpha)
         })
 
 
@@ -450,19 +450,15 @@ def derived_series(g):
 
 def center(g):
     """Kernel of the stacked adjoint action: {x : [x, b] = 0 for all b}.
-    Its rows (j, k), {i: coefficient of x_k in [x_i, x_j]}, go to one
-    reduced elimination; the kernel is read off as ``exactla.kernel_basis`` does."""
+    Its nonzero rows (j, k), {i: coefficient of x_k in [x_i, x_j]}, in
+    (j, k) order, go to ``exactla.kernel_basis``."""
     rows = defaultdict(dict)
     for j in range(g.dim):
         for i, vec in g.adjacency[j].items():
             for k, c in vec.items():
                 if c:
                     rows[(j, k)][i] = c if i < j else -c
-    _, red = exactla._elim.eliminate([rows[r] for r in sorted(rows)], reduce_full=True)
-    return Subspace(ambient_dim=g.dim, basis=tuple(
-        tuple(_dense({j: 1, **{p: -row[j] for p, row in red.items() if j in row}}, g.dim))
-        for j in range(g.dim) if j not in red
-    ))
+    return Subspace(g.dim, tuple(exactla.kernel_basis([rows[r] for r in sorted(rows)], g.dim)))
 
 
 def sparsity_pattern(g):

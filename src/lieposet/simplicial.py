@@ -27,7 +27,6 @@ def _coboundaries(complex_):
                 sign = 1 if i % 2 == 0 else -1
                 key = (r, pos[face])
                 ents[key] = ents.get(key, 0) + sign
-        ents = {k_: v for k_, v in ents.items() if v}
         out.append(SparseMat(len(by_dim[k + 1]), len(by_dim[k]), ents))
     return out
 

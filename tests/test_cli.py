@@ -524,6 +524,30 @@ class TestCohomology:
         assert code == cli.EXIT_INPUT
         assert rep["kind"] == "input" and "cannot write /dev/full" in rep["error"]
 
+    @pytest.mark.parametrize("degree, admitted", ((2, True), (3, False)))
+    def test_dump_complex_bounded(self, capsys, tmp_path, degree, admitted):
+        # gl of a height-one poset on 8 elements with 8 relations: dim 16.
+        # The dump through degree + 1 holds sum C(16, n + 1) * 16 rows, 40256
+        # at degree 2 and 110144 at degree 3, against (2^12 - 1) * 12 = 49140,
+        # the whole complex at the default dimension guard.
+        poset = tmp_path / "zigzag8.json"
+        poset.write_text(json.dumps({
+            "family": "A", "elements": list(range(1, 9)),
+            "relations": [[1, 5], [2, 5], [2, 6], [3, 6], [3, 7], [4, 7], [4, 8], [1, 8]],
+        }))
+        out = tmp_path / "complex.txt"
+        code, rep = run(capsys, [
+            "cohomology", str(poset), "--degree", str(degree), "--max-dim", "16",
+            "--dump-complex", str(out),
+        ])
+        if admitted:
+            assert code == 0 and rep["results"]["dumped_to"] == str(out)
+            assert out.read_text().count("# degree") == degree + 2
+        else:
+            assert code == cli.EXIT_GUARD
+            assert rep["kind"] == "guard" and "110144 rows > 49140" in rep["error"]
+            assert not out.exists()
+
 
 class TestClassify:
     def test_hexagon(self, capsys, hexagon_file):

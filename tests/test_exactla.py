@@ -83,27 +83,76 @@ class TestRank:
 
 class TestKernel:
     def test_zero_matrix(self):
-        assert len(exactla.kernel_basis(SparseMat(2, 3))) == 3
+        assert len(exactla.kernel_basis(SparseMat(2, 3).row_dicts(), 3)) == 3
 
     def test_identity(self):
-        assert exactla.kernel_basis(identity(3)) == []
+        assert exactla.kernel_basis(identity(3).row_dicts(), 3) == []
 
     def test_hand_example(self):
         M = from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 0]])
-        basis = exactla.kernel_basis(M)
+        basis = exactla.kernel_basis(M.row_dicts(), M.n_cols)
         assert len(basis) == 2
         for v in basis:
             assert all(x == 0 for x in M.mat_vec(list(v)))
+
+    def test_column_outside_width_rejected(self):
+        for rows in ([{0: 1, 3: 1}], [{}, {-1: 2}]):
+            with pytest.raises(exactla.DimensionError):
+                exactla.kernel_basis(rows, 3)
+        assert exactla.kernel_basis([{2: 1}], 3) == [(1, 0, 0), (0, 1, 0)]
 
     def test_rank_nullity(self):
         rng = random.Random(7)
         for _ in range(30):
             rows = random_dense(rng, rng.randint(1, 6), rng.randint(1, 6))
             M = from_rows(rows)
-            basis = exactla.kernel_basis(M)
+            basis = exactla.kernel_basis(M.row_dicts(), M.n_cols)
             assert exactla.rank(M) + len(basis) == M.n_cols
             for v in basis:
                 assert all(x == 0 for x in M.mat_vec(list(v)))
+
+
+class TestSparseMat:
+    def test_immutable(self):
+        M = SparseMat(2, 2, {(0, 1): 1})
+        for name in ("n_rows", "n_cols", "entries", "other"):
+            with pytest.raises(AttributeError):
+                setattr(M, name, 3)
+        assert M == SparseMat(2, 2, {(0, 1): 1})
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(SparseMat(1, 1))
+
+    def test_equality(self):
+        a = SparseMat(2, 3, {(0, 0): 1, (1, 2): Fraction(1, 2)})
+        assert a == SparseMat(2, 3, {(1, 2): Fraction(1, 2), (0, 0): 1})
+        assert a != SparseMat(3, 2, {(0, 0): 1, (1, 1): Fraction(1, 2)})
+        assert SparseMat(2, 3) != SparseMat(3, 2)
+        assert a != a.entries and a != (2, 3, a.entries) and a is not None
+
+    def test_zeros_dropped(self):
+        M = SparseMat(2, 2, {(0, 0): 0, (0, 1): Fraction(0), (1, 0): 0.0, (1, 1): 2})
+        assert M.entries == {(1, 1): 2}
+        A = SparseMat(2, 2, {(0, 0): 1, (0, 1): 1})
+        B = SparseMat(2, 2, {(0, 0): 1, (1, 0): -1})
+        # (A B)[0, 0] = 1 - 1 cancels in the sum.
+        assert A.matmul(B).entries == {}
+        assert A.add(A, scale=-1).entries == {}
+        assert A.add(B).entries == {(0, 0): 2, (0, 1): 1, (1, 0): -1}
+        assert A.add(B, scale=-1).entries == {(0, 1): 1, (1, 0): 1}
+
+    @pytest.mark.parametrize("shape, entries", [
+        ((-1, 2), None), ((2, -1), None),
+        ((2, 2), {(2, 0): 1}), ((2, 2), {(0, 2): 1}), ((2, 2), {(-1, 0): 1}),
+        ((2, 2), {(0, -1): 0}),
+    ])
+    def test_dimension_errors(self, shape, entries):
+        with pytest.raises(exactla.DimensionError):
+            SparseMat(*shape, entries)
+
+    def test_repr(self):
+        assert repr(SparseMat(2, 3, {(0, 0): 1, (1, 1): 0})) == "SparseMat(2x3, 1 entries)"
 
 
 def test_sparsemat_keeps_ints_and_stores_no_float():
@@ -256,7 +305,7 @@ def test_eliminate_against_dense_oracle(rows):
                 combo[c] += r[p] * v
         assert combo == r
     M = from_rows(rows)
-    basis = exactla.kernel_basis(M)
+    basis = exactla.kernel_basis(M.row_dicts(), M.n_cols)
     assert len(basis) == n_cols - len(pivots)
     for v in basis:
         assert all(x == 0 for x in M.mat_vec(list(v)))

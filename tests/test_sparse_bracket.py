@@ -25,6 +25,7 @@ from lieposet import exactla, indexfrob, liealg, posets
 from lieposet.exactla import SparseMat
 from oracles import ONE, ZERO, char_poly, factor_binary
 from strategies import algebras
+from test_exactla import dense_rank_oracle
 
 HEIGHT_ONE = [
     liealg.build(P, variant)
@@ -324,6 +325,20 @@ class TestSpectrum:
             nilpotent = [ZERO] * g.cartan_count + random_element(g, rng)[g.cartan_count:]
             for p in [random_element(g, rng), nilpotent] + principal_elements(g):
                 check_spectrum(g, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras("ABCD"))
+def test_center_against_dense_oracle(g):
+    basis = [liealg.basis_vector(g, i) for i in range(g.dim)]
+    z = liealg.center(g)
+    for v in z.basis:
+        assert all(not any(dense_bracket(g, list(v), b)) for b in basis)
+    # Row (j, k), column i: the coefficient of x_k in [x_i, x_j].
+    brackets = [[dense_bracket(g, x, y) for y in basis] for x in basis]
+    stacked = [[brackets[i][j][k] for i in range(g.dim)]
+               for j in range(g.dim) for k in range(g.dim)]
+    assert z.dim == g.dim - dense_rank_oracle(stacked)
 
 
 class TestVerifyIsomorphism:
