@@ -169,13 +169,13 @@ def cmd_classify(args):
     }
     if cert.certified_frobenius and k_step == 2:
         res = indexfrob.normalize_to_phi(g)
+        rows = [["0/1"] * g.dim for _ in range(g.dim)]
+        for (i, j), v in res.change_of_basis.entries.items():
+            rows[i][j] = _frac_str(v)
         results["classification"] = {
             "phi_n": res.n,
             "verified": res.verified,
-            "change_of_basis": [
-                [_frac_str(res.change_of_basis[(i, j)]) for j in range(g.dim)]
-                for i in range(g.dim)
-            ],
+            "change_of_basis": rows,
         }
     else:
         reasons = []

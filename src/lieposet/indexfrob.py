@@ -16,7 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import exactla, liealg
 from .exactla import SparseMat
@@ -242,6 +241,11 @@ def spectrum(g, p_elt):
     an h with alpha_t(h) != 0, hence p - p_h does too, and ad(p) has the
     characteristic polynomial of ad(p_h), which is diagonal in the basis.
 
+    Each alpha_t(p_h) is computed as alpha_t(L p_h) / L, with L the lcm of
+    the denominators of p_h: in ints when the roots are ints, and an int
+    whenever L divides it, so that ``_expand`` multiplies ints on every
+    binary spectrum.
+
     Raises DimensionError when ``p_elt`` does not have g.dim coordinates,
     ValueError when a root is zero, where the proof fails, and
     CartanWeylError (from ``g.roots``) when ad(p_h) is not diagonal.
@@ -249,11 +253,14 @@ def spectrum(g, p_elt):
     if len(p_elt) != g.dim:
         raise exactla.DimensionError("principal element length mismatch")
     cc = g.cartan_count
+    scale = math.lcm(*(p.denominator for p in p_elt[:cc]))
+    q = [p.numerator * (scale // p.denominator) for p in p_elt[:cc]]
     values = []
     for t, alpha in g.roots.items():
         if not any(alpha):
             raise ValueError(f"the root of {g.basis_labels[t]} is zero")
-        values.append(sum(a * p for a, p in zip(alpha, p_elt) if a))
+        v = sum(a * p for a, p in zip(alpha, q) if a)
+        values.append(v // scale if v % scale == 0 else Fraction(v, scale))
     residual = [v for v in values if v not in (0, 1)]
     return SpectrumRecord(
         principal_element=p_elt,
@@ -332,19 +339,40 @@ def _verify_isomorphism(g, P, h):
 
     Checked on LP, with L the lcm of P's denominators, as
     [LP u_i, LP u_j]_g = L (LP) [u_i, u_j]_h: the same statement times
-    L^2 != 0, in ints when g's and h's structure constants are ints."""
+    L^2 != 0, in ints when g's and h's structure constants are ints.
+
+    Both sides are scattered into one difference, keyed (i, j, r) for the
+    coefficient of x_r in the pair i < j.  With [P u_i, P u_j] = sum over
+    a, b of P[a, i] P[b, j] [x_a, x_b], each stored bracket (a, b) of g
+    adds P[a, i] P[b, j] [x_a, x_b] to the pair (i, j), for i and j in the
+    supports of P's rows a and b, negated when i > j (the pair is kept as
+    (j, i)); each stored bracket of h subtracts its image under P.  Every
+    pair that neither touches is 0 = 0; P is an isomorphism exactly when
+    the difference is 0 everywhere."""
     scale = math.lcm(*(v.denominator for v in P.entries.values()))
     cols = [{} for _ in range(P.n_cols)]
+    rows = [{} for _ in range(P.n_rows)]
     for (r, k), v in P.entries.items():
-        cols[k][r] = v.numerator * (scale // v.denominator)
-    for i, j in combinations(range(h.dim), 2):
-        rhs = {}
-        for k, c in h.structure(i, j).items():
+        cols[k][r] = rows[r][k] = v.numerator * (scale // v.denominator)
+    diff = {}
+    for (a, b), vec in g.brackets.items():
+        for i, pa in rows[a].items():
+            for j, pb in rows[b].items():
+                if i < j:
+                    pair, c = (i, j), pa * pb
+                elif j < i:
+                    pair, c = (j, i), -pa * pb
+                else:
+                    continue
+                for r, v in vec.items():
+                    key = pair + (r,)
+                    diff[key] = diff.get(key, 0) + c * v
+    for pair, vec in h.brackets.items():
+        for k, c in vec.items():
             for r, v in cols[k].items():
-                rhs[r] = rhs.get(r, 0) + c * v
-        if liealg._bracket(g, cols[i], cols[j]) != {r: scale * v for r, v in rhs.items() if v}:
-            return False
-    return True
+                key = pair + (r,)
+                diff[key] = diff.get(key, 0) - scale * c * v
+    return not any(diff.values())
 
 
 def compose_isomorphism(g1, r1, g2, r2):

@@ -2,14 +2,16 @@
 they replaced, and ``indexfrob.spectrum`` against Faddeev-LeVerrier on the
 dense ad(p).
 
-``check_jacobi``, ``derived_series`` and ``indexfrob._verify_isomorphism``
-bracket ``{index: coefficient}`` vectors through ``liealg._bracket``.  The
-oracles below are the earlier dense versions: every vector is a full
-coordinate list, bracketed by the dense walk over ``adjacency``.  Both
-sides must agree exactly on random valid posets of families A-D, on every
-height-one class up to size 7, and on doctored copies with one bracket
-coefficient perturbed, on which the Jacobi identity, solvability and the
-isomorphism onto the normal form can fail.
+``derived_series`` brackets ``{index: coefficient}`` vectors through
+``liealg._bracket``; ``check_jacobi`` and ``indexfrob._verify_isomorphism``
+scatter the stored brackets once.  The oracles below are the earlier
+dense versions: every vector is a full coordinate list, bracketed by the
+dense walk over ``adjacency``.  Both sides must agree exactly on random
+valid posets of families A-D, on every height-one class up to size 7, on
+doctored copies with one bracket coefficient perturbed, on which the
+Jacobi identity, solvability and the isomorphism onto the normal form can
+fail, and on messy copies whose stored vectors carry explicit zeros or
+are empty.
 """
 
 import dataclasses
@@ -167,9 +169,11 @@ class TestJacobi:
     def test_matches_dense_on_generated(self, data):
         g = data.draw(algebras("ABCD"))
         assert liealg.check_jacobi(g) is jacobi_oracle(g) is True
+        assert liealg.check_jacobi(messy(g)) is True
         if g.brackets:
             d = data.draw(doctored(g))
             assert liealg.check_jacobi(d) is jacobi_oracle(d)
+            assert liealg.check_jacobi(messy(d)) is jacobi_oracle(d)
 
     def test_height_one_satisfies_it(self):
         for g in HEIGHT_ONE:
@@ -182,6 +186,15 @@ class TestJacobi:
             assert verdicts[-1] is jacobi_oracle(d)
         # A doctored copy may still be a Lie algebra; both verdicts occur.
         assert True in verdicts and False in verdicts
+
+    def test_matches_dense_on_messy_height_one(self):
+        # check_jacobi scatters the stored bracket vectors as they stand, so
+        # their order, explicit zeros and empty vectors must not change it.
+        verdicts = set()
+        for g in HEIGHT_ONE + doctored_height_one():
+            verdicts.add(liealg.check_jacobi(messy(g)))
+            assert liealg.check_jacobi(messy(g)) is liealg.check_jacobi(g) is jacobi_oracle(g)
+        assert verdicts == {True, False}
 
 
 class TestDerivedSeries:
@@ -276,6 +289,9 @@ def check_spectrum(g, p):
     for field in dataclasses.fields(indexfrob.SpectrumRecord):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
     assert all(type(c) in (int, Fraction) for c in got.char_poly + got.residual_factor)
+    if got.binary:
+        # Every root value is 0 or 1, an int: the expansion ran on ints.
+        assert all(type(c) is int for c in got.char_poly)
     return got
 
 
@@ -375,6 +391,91 @@ class TestVerifyIsomorphism:
             Q = SparseMat(P.n_rows, P.n_cols, ents)
             assert indexfrob._verify_isomorphism(g, Q, phi) is False
             assert verify_isomorphism_oracle(g, Q, phi) is False
+
+    def test_rejects_a_defect_only_h_touches(self):
+        # With d_1's column zeroed no stored bracket of g reaches the pair
+        # (d_1, e_1), while h's [d_1, e_1] = e_1 maps to e_1 != 0.  Zeroing
+        # e_1's column instead leaves a homomorphism, both sides vanishing
+        # on every pair it meets, which the check accepts as the oracle
+        # does: it tests the brackets, and normalize_to_phi's P is
+        # invertible by construction.
+        for g, res in self._normalized():
+            P, phi = res.change_of_basis, liealg.make_phi(res.n)
+            Q = SparseMat(P.n_rows, P.n_cols, {p: v for p, v in P.entries.items() if p[1] != 0})
+            assert indexfrob._verify_isomorphism(g, Q, phi) is False
+            assert verify_isomorphism_oracle(g, Q, phi) is False
+            E = SparseMat(P.n_rows, P.n_cols, {p: v for p, v in P.entries.items() if p[1] != res.n})
+            assert indexfrob._verify_isomorphism(g, E, phi) is verify_isomorphism_oracle(g, E, phi) is True
+
+    def test_rejects_a_defect_only_the_left_side_touches(self):
+        # d_1 + e_2 gives [d_1 + e_2, d_2] = -alpha_2(d_2) e_2 = -e_2, on the
+        # pair (d_1, d_2), which is no stored bracket of the normal form.
+        checked = 0
+        for g, res in self._normalized():
+            n = res.n
+            if n < 2:
+                continue
+            P, phi = res.change_of_basis, liealg.make_phi(n)
+            assert (0, 1) not in phi.brackets and (n + 1, 0) not in P.entries
+            Q = SparseMat(P.n_rows, P.n_cols, P.entries | {(n + 1, 0): ONE})
+            assert indexfrob._verify_isomorphism(g, Q, phi) is False
+            assert verify_isomorphism_oracle(g, Q, phi) is False
+            checked += 1
+        assert checked
+
+    def test_matches_dense_on_messy_height_one(self):
+        # Both algebras' stored vectors are scattered as they stand: their
+        # order, explicit zeros and empty vectors must not change a verdict.
+        rng = random.Random(7)
+        verdicts = set()
+        for g, res in self._normalized():
+            P, phi = res.change_of_basis, liealg.make_phi(res.n)
+            ents = dict(P.entries)
+            key = (rng.randrange(P.n_rows), rng.randrange(P.n_cols))
+            ents[key] = ents.get(key, ZERO) + ONE
+            for Q in (P, SparseMat(P.n_rows, P.n_cols, ents)):
+                want = verify_isomorphism_oracle(g, Q, phi)
+                verdicts.add(want)
+                for left, right in ((messy(g), phi), (g, messy(phi)), (messy(g), messy(phi))):
+                    assert indexfrob._verify_isomorphism(left, Q, right) is want
+        assert verdicts == {True, False}
+
+    def test_matches_dense_on_doctored_height_one(self):
+        rng = random.Random(15)
+        verdicts = set()
+        for g, res in self._normalized():
+            if not g.brackets:
+                continue
+            d = doctor(g, rng)
+            P, phi = res.change_of_basis, liealg.make_phi(res.n)
+            verdicts.add(indexfrob._verify_isomorphism(d, P, phi))
+            assert indexfrob._verify_isomorphism(d, P, phi) is verify_isomorphism_oracle(d, P, phi)
+            assert indexfrob._verify_isomorphism(messy(d), P, phi) is verify_isomorphism_oracle(d, P, phi)
+        assert False in verdicts
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_dense_on_generated(self, data):
+        # g against itself under the identity and a random rational P, and,
+        # when g normalizes, against Phi_n under its P, doctored copies too.
+        g = data.draw(algebras("ABCDP"))
+        cell = st.tuples(st.integers(0, g.dim - 1), st.integers(0, g.dim - 1))
+        ents = data.draw(st.dictionaries(
+            cell, st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=2 * g.dim))
+        for P in (SparseMat(g.dim, g.dim, {(i, i): ONE for i in range(g.dim)}),
+                  SparseMat(g.dim, g.dim, ents)):
+            want = verify_isomorphism_oracle(g, P, g)
+            for left, right in ((g, g), (messy(g), g), (g, messy(g))):
+                assert indexfrob._verify_isomorphism(left, P, right) is want
+        try:
+            res = indexfrob.normalize_to_phi(g)
+        except (indexfrob.BlockFormError, indexfrob.NotFrobeniusError):
+            return
+        P, phi = res.change_of_basis, liealg.make_phi(res.n)
+        assert indexfrob._verify_isomorphism(g, P, phi) is verify_isomorphism_oracle(g, P, phi) is True
+        if g.brackets:
+            d = data.draw(doctored(g))
+            assert indexfrob._verify_isomorphism(d, P, phi) is verify_isomorphism_oracle(d, P, phi)
 
     def test_composition_matches_dense(self):
         by_n = {}
