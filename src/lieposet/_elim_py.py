@@ -3,12 +3,18 @@ package's one elimination kernel.
 
 Rows are dicts mapping column index -> nonzero int or Fraction, never a
 float; root blocks, coboundary blocks, derived-series spans and Kirillov
-trials of integral algebras arrive as ints.  Over Q a pivot row whose lead
-is 1 keeps the row's own values, one whose lead is -1 holds them negated,
-and only other leads are divided out by the reciprocal ``ONE / lead``, the
-one place a Fraction enters elimination: int rows stay int while every
-pivot is a unit, and the results are ``==`` to those of the same rows
-given as Fractions.
+trials of integral algebras arrive as ints.  Over Q the elimination is
+fraction-free.  Every pivot row is an int row with a positive lead: a
+row holding a Fraction is multiplied by the lcm of its
+denominators when it pivots, and a column c is cleared against a pivot
+row p of lead l by the one row operation r <- (l/g) r - (r_c/g) p,
+g = gcd(l, r_c), which is the plain r - r_c p when l is 1.  A new pivot
+row whose lead is not +-1, and a row that the operation scaled during
+back-substitution, is divided by its content.  ``eliminate`` divides only
+when it hands the result back, and only the pivot rows whose lead is not
+1, so that every entry it returns is an ``int`` exactly when it is
+integral.  ``_echelon`` is the integer core it wraps, for a caller that
+reads the leads itself (``indexfrob.normalize_to_phi``).
 With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
 rank, kernel and inverse on ``eliminate`` (``liealg.center`` and the
@@ -22,8 +28,7 @@ after it, and both are built from the one row operation ``_reduce_row``.
 """
 
 from fractions import Fraction
-
-ONE = Fraction(1)
+from math import gcd, lcm
 
 
 def eliminate(rows, reduce_full=False, modulus=None):
@@ -31,7 +36,8 @@ def eliminate(rows, reduce_full=False, modulus=None):
 
     pivot_cols: sorted list of pivot column indices.
     pivot_rows: dict pivot col -> row dict, normalized so the pivot entry
-    is 1, in the order the pivots were found.
+    is 1, in the order the pivots were found.  Over Q an entry is an
+    ``int`` exactly when it is integral, and a ``Fraction`` otherwise.
 
     The forward pass reduces each row against the pivot rows found so far
     and pivots on what is left, so every pivot row holds no column left of
@@ -54,8 +60,21 @@ def eliminate(rows, reduce_full=False, modulus=None):
     whether the block was needed (``exactla.invert``,
     ``indexfrob.principal_element``).  The input rows are not modified.
     """
+    pivots, pivot_rows = _echelon(rows, reduce_full, modulus)
     if modulus is None:
-        rows = (dict(r) for r in rows if r)
+        for p, row in pivot_rows.items():
+            if (lead := row[p]) != 1:
+                pivot_rows[p] = {c: v // lead if v % lead == 0 else Fraction(v, lead)
+                                 for c, v in row.items()}
+    return pivots, pivot_rows
+
+
+def _echelon(rows, reduce_full=False, modulus=None):
+    """``eliminate`` before its final division: over Q every pivot row is
+    an int row with a positive lead, a positive multiple of the normalized
+    row ``eliminate`` returns; mod p the rows are already normalized."""
+    if modulus is None:
+        rows = [r.copy() for r in rows if r]
     else:
         rows = (r for r in (_residues(r, modulus) for r in rows) if r)
     pivot_rows = {}
@@ -69,22 +88,47 @@ def eliminate(rows, reduce_full=False, modulus=None):
             if modulus is not None:
                 inv = pow(lead, -1, modulus)
                 row = {c: v * inv % modulus for c, v in row.items()}
-            elif lead == -1:
-                row = {c: -v for c, v in row.items()}
-            elif lead != 1:
-                inv = ONE / lead
-                row = {c: v * inv for c, v in row.items()}
+            else:
+                # Checked as a row pivots, not as it enters: most rows of
+                # the derived-series and center eliminations cancel to
+                # nothing.  A one-entry row is all lead.
+                if type(lead) is not int or (len(row) > 1
+                                             and type(sum(row.values())) is not int):
+                    row = _int_row(row)
+                    lead = row[piv]
+                if lead == -1:
+                    row = {c: -v for c, v in row.items()}
+                elif lead != 1:
+                    row = _primitive(row, lead)
             pivot_rows[piv] = row
     pivots = sorted(pivot_rows)
     if reduce_full:
         done = {}
         for p in reversed(pivots):
             row = pivot_rows[p]
-            _reduce_row(row, done, modulus)
+            scaled = _reduce_row(row, done, modulus)
             if modulus is not None:
                 row = pivot_rows[p] = _residues(row, modulus)
+            elif scaled:
+                row = pivot_rows[p] = _primitive(row, row[p])
             done[p] = row
     return pivots, pivot_rows
+
+
+def _int_row(row):
+    """``row``, which holds a Fraction, times the lcm of its entries'
+    denominators: a new int row."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+
+
+def _primitive(row, lead):
+    """``row`` divided by its content, signed so that ``lead`` turns
+    positive: a new dict unless that divisor is 1."""
+    d = gcd(*row.values())
+    if lead < 0:
+        d = -d
+    return row if d == 1 else {c: v // d for c, v in row.items()}
 
 
 def _residues(row, modulus):
@@ -96,20 +140,35 @@ def _reduce_row(row, pivot_rows, modulus=None):
     """Subtract multiples of ``pivot_rows`` from ``row`` in place until it
     holds none of their pivot columns.
 
-    With a ``modulus`` the multiplier is reduced mod p but the updated
+    Over Q, clearing column c against a pivot row p of lead l != 1 first
+    scales the row by l/g, g = gcd(l, r_c) (by l when r_c is a Fraction),
+    and then subtracts (r_c/g) p; returns whether any operation scaled the
+    row, whose content the caller then divides out.  With a ``modulus``
+    every lead is 1 and the multiplier is reduced mod p but the updated
     entries are not: they stay congruent to the true residues, and the
     caller reduces the row when it is done."""
+    scaled = False
     while True:
         hit = -1
         for c in row:
             if c in pivot_rows and (hit < 0 or c < hit):
                 hit = c
         if hit < 0:
-            return
+            return scaled
         f = row.pop(hit)
+        prow = pivot_rows[hit]
         if modulus is not None:
             f %= modulus
-        for cc, v in pivot_rows[hit].items():
+        elif (a := prow[hit]) != 1:
+            if type(f) is int:
+                g = gcd(a, f)
+                a //= g
+                f //= g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+                scaled = True
+        for cc, v in prow.items():
             if cc == hit:
                 continue
             old = row.get(cc)

@@ -169,9 +169,11 @@ def cmd_classify(args):
     }
     if cert.certified_frobenius and k_step == 2:
         res = indexfrob.normalize_to_phi(g)
+        scale = res.scale
         rows = [["0/1"] * g.dim for _ in range(g.dim)]
-        for (i, j), v in res.change_of_basis.entries.items():
-            rows[i][j] = _frac_str(v)
+        for (i, j), v in res.scaled.entries.items():
+            d = math.gcd(v, scale)
+            rows[i][j] = f"{v // d}/{scale // d}"
         results["classification"] = {
             "phi_n": res.n,
             "verified": res.verified,

@@ -2,9 +2,9 @@
 inverses.
 
 A value is an ``int`` unless a division created a ``fractions.Fraction``:
-the kernel's pivot reciprocal, ``IndexCertificate.error_bound``, or
-``SparseMat``'s exact conversion of an entry that is neither.  There is no
-floating point anywhere in this package, so every rank and dimension
+the kernel's final division by a lead, ``IndexCertificate.error_bound``,
+or ``SparseMat``'s exact conversion of an entry that is neither.  There is
+no floating point anywhere in this package, so every rank and dimension
 below is exact.
 
 Every rank, kernel and inverse runs through one sparse elimination
@@ -12,10 +12,12 @@ kernel, ``_elim_py.eliminate``, reached here as ``_elim.eliminate``.
 ``BACKEND`` names it; it is a constant, kept for reports that record it.
 ``kernel_basis``, on plain row dicts as the kernel takes them, is the
 package's one null-space read-off.
-Over Q the kernel keeps int rows int while its pivots are units, with
-results ``==`` to the same rows' as Fractions; with a prime ``modulus``
-its entries are int residues mod p, which is how ``indexfrob.index``
-ranks its random trials.
+Over Q the kernel eliminates fraction-free on int rows and divides by
+each lead once, on the way out, so a returned entry (of a kernel vector or
+an inverse too) is an ``int`` exactly when it is integral, with results
+``==`` to the same rows' as Fractions; with a prime ``modulus`` its
+entries are int residues mod p, which is how ``indexfrob.index`` ranks
+its random trials.
 """
 
 from dataclasses import dataclass

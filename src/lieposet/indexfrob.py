@@ -12,6 +12,7 @@ generic rank, off a hypersurface of functionals), and the certificate says
 so and carries the Schwartz-Zippel bound on the chance that it is wrong.
 """
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -293,9 +294,21 @@ def frobenius_spectrum(g, certificate):
 
 @dataclass(frozen=True)
 class NormalizeResult:
+    """The normal form Phi_n of a Frobenius two-step algebra and the change
+    of basis P onto it, column i the coordinates of the i-th normal-form
+    basis vector, held in ints as ``scaled`` = L P with ``scale`` = L."""
+
     n: int
-    change_of_basis: SparseMat  # column i = coords of the new basis vector
+    scaled: SparseMat  # L P, an int matrix
+    scale: int  # L > 0
     verified: bool
+
+    @functools.cached_property
+    def change_of_basis(self):
+        """P itself, ``scaled`` / ``scale`` entry by entry."""
+        LP = self.scaled
+        return SparseMat(LP.n_rows, LP.n_cols,
+                         {k: Fraction(v, self.scale) for k, v in LP.entries.items()})
 
 
 def normalize_to_phi(g):
@@ -303,15 +316,21 @@ def normalize_to_phi(g):
 
     g must be two-step, with its root block B = ``g.root_block``
     (BlockFormError when it has none).  Since ind g = dim - 2 rank(B), g
-    is Frobenius exactly when B is square and invertible, so the one
-    inversion of B decides it (NotFrobeniusError when B is not square or
-    singular) and gives the change of basis: root vectors become
-    e_1..e_n as-is, and row i of B^{-1} holds the Cartan coefficients of
-    d_i, so that alpha_j(d_i) = delta_ij.  BlockFormError also when g has
-    no root vector: the zero algebra (sl of a one-element poset) has index
-    0 but is not two-step, and there is no normal form Phi_0.
+    is Frobenius exactly when B is square and invertible, so one reduced
+    integer elimination of [B | I] decides it (NotFrobeniusError when B is
+    not square or singular) and gives the change of basis: root vectors
+    become e_1..e_n as-is, and row i of B^{-1} holds the Cartan
+    coefficients of d_i, so that alpha_j(d_i) = delta_ij.  [B | I] has
+    rank n whatever B is, so B is invertible exactly when the pivots are
+    the columns 0..n-1; then row i of the integer elimination is
+    l_i [e_i | row i of B^{-1}] with lead l_i > 0, and with L the lcm of
+    the leads, L P is an int matrix.  The pivots prove P invertible: it is
+    B^{-1} transposed on the Cartan block and the identity on the root
+    block.  BlockFormError also when g has no root vector: the zero
+    algebra (sl of a one-element poset) has index 0 but is not two-step,
+    and there is no normal form Phi_0.
     All bracket relations of the normal form are re-verified exactly under
-    the change of basis.
+    the change of basis, in ints.
     """
     B = g.root_block
     if B is None:
@@ -323,23 +342,43 @@ def normalize_to_phi(g):
         )
     if not n:
         raise BlockFormError("no root vector: not a two-step algebra")
-    try:
-        C = exactla.invert(B)  # row i = Cartan coefficients of d_i
-    except exactla.SingularMatrixError:
-        raise NotFrobeniusError("root block is singular: not Frobenius") from None
-    P = SparseMat(g.dim, g.dim, {(k, i): v for (i, k), v in C.entries.items()}
-                  | {(n + i, n + i): 1 for i in range(n)})
-    phi = liealg.make_phi(n)
-    verified = _verify_isomorphism(g, P, phi)
-    return NormalizeResult(n=n, change_of_basis=P, verified=verified)
+    rows = B.row_dicts()
+    for i in range(n):
+        rows[i][n + i] = 1
+    pivots, red = exactla._elim._echelon(rows, reduce_full=True)
+    if pivots[-1] >= n:
+        raise NotFrobeniusError("root block is singular: not Frobenius")
+    L = math.lcm(*(red[i][i] for i in range(n)))
+    ents = {}
+    for i in range(n):
+        m = L // red[i][i]
+        for c, v in red[i].items():
+            if c >= n:
+                ents[(c - n, i)] = v * m  # P[k, i] = (B^{-1})[i, k]
+    for i in range(n, g.dim):
+        ents[(i, i)] = L
+    LP = SparseMat(g.dim, g.dim, ents)
+    verified = _verify_isomorphism(g, LP, L, liealg.make_phi(n))
+    return NormalizeResult(n=n, scaled=LP, scale=L, verified=verified)
 
 
-def _verify_isomorphism(g, P, h):
-    """Check P maps h's structure onto g's: [P u_i, P u_j]_g = P [u_i, u_j]_h.
+def _scaled(M):
+    """(L M, L) with L the lcm of the denominators of M's entries, so that
+    L M is an int matrix."""
+    L = math.lcm(*(v.denominator for v in M.entries.values()))
+    return SparseMat(M.n_rows, M.n_cols, {k: v.numerator * (L // v.denominator)
+                                          for k, v in M.entries.items()}), L
 
-    Checked on LP, with L the lcm of P's denominators, as
-    [LP u_i, LP u_j]_g = L (LP) [u_i, u_j]_h: the same statement times
-    L^2 != 0, in ints when g's and h's structure constants are ints.
+
+def _verify_isomorphism(g, LP, scale, h):
+    """Check that P = ``LP`` / ``scale`` maps h's structure onto g's:
+    [P u_i, P u_j]_g = P [u_i, u_j]_h, for an int matrix ``LP`` and an int
+    ``scale`` L > 0 (``_scaled`` gives both for a rational P).
+
+    Checked as [LP u_i, LP u_j]_g = L (LP) [u_i, u_j]_h: the same statement
+    times L^2 != 0, in ints when g's and h's structure constants are ints.
+    It certifies a homomorphism; an isomorphism needs P invertible besides,
+    which the callers establish.
 
     Both sides are scattered into one difference, keyed (i, j, r) for the
     coefficient of x_r in the pair i < j.  With [P u_i, P u_j] = sum over
@@ -347,13 +386,12 @@ def _verify_isomorphism(g, P, h):
     adds P[a, i] P[b, j] [x_a, x_b] to the pair (i, j), for i and j in the
     supports of P's rows a and b, negated when i > j (the pair is kept as
     (j, i)); each stored bracket of h subtracts its image under P.  Every
-    pair that neither touches is 0 = 0; P is an isomorphism exactly when
+    pair that neither touches is 0 = 0; P is a homomorphism exactly when
     the difference is 0 everywhere."""
-    scale = math.lcm(*(v.denominator for v in P.entries.values()))
-    cols = [{} for _ in range(P.n_cols)]
-    rows = [{} for _ in range(P.n_rows)]
-    for (r, k), v in P.entries.items():
-        cols[k][r] = rows[r][k] = v.numerator * (scale // v.denominator)
+    cols = [{} for _ in range(LP.n_cols)]
+    rows = [{} for _ in range(LP.n_rows)]
+    for (r, k), v in LP.entries.items():
+        cols[k][r] = rows[r][k] = v
     diff = {}
     for (a, b), vec in g.brackets.items():
         for i, pa in rows[a].items():
@@ -380,11 +418,14 @@ def compose_isomorphism(g1, r1, g2, r2):
 
     r1, r2 are NormalizeResult records for g1, g2 (same n).  Returns the
     matrix of the map in basis coordinates together with an exact
-    verification that it intertwines the brackets.
+    verification that it is an isomorphism: it intertwines the brackets,
+    and it is invertible, since P1^{-1} exists (``invert`` raises
+    otherwise) and P2 has full rank.
     """
     if r1.n != r2.n:
         raise ValueError("normal forms have different n")
     # Coordinates: v in g1 equals P1 w with w in normal-form coordinates,
     # so the map is v -> P2 P1^{-1} v.
     M = r2.change_of_basis.matmul(exactla.invert(r1.change_of_basis))
-    return M, _verify_isomorphism(g2, M, g1)
+    ok = exactla.rank(r2.scaled) == g2.dim and _verify_isomorphism(g2, *_scaled(M), g1)
+    return M, ok

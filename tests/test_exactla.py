@@ -429,10 +429,58 @@ def test_int_rows_give_the_fraction_rows_results(rows):
 
 
 def test_int_pivot_is_inverted_exactly():
-    # 1 / 2 would be the float 0.5, and 1 / 3 an inexact one.
+    # 1 / 2 would be the float 0.5, and 1 / 3 an inexact one; an integral
+    # entry, the pivot's 1 included, comes back as an int.
     _, red = _elim_py.eliminate([{0: 2, 1: 1}, {0: 3, 1: 1}])
     assert red[0] == {0: 1, 1: Fraction(1, 2)} and type(red[0][1]) is Fraction
-    assert red[1] == {1: 1} and type(red[1][1]) is Fraction
+    assert red[1] == {1: 1} and type(red[1][1]) is int
+
+
+def _int_exactly_when_integral(red):
+    return all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+               for row in red.values() for v in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(fraction_matrices(),
+                 st.lists(st.lists(st.integers(-10, 10), min_size=4, max_size=4),
+                          min_size=1, max_size=6)))
+def test_entries_are_ints_exactly_when_integral(rows):
+    # Int or Fraction input, rank or reduced mode: every returned entry is
+    # an int when integral and a Fraction of denominator > 1 otherwise, and
+    # the pivot rows are those of the same rows given as Fractions.
+    fracs = [{c: Fraction(v) for c, v in r.items()} for r in _sparse(rows)]
+    for reduce_full in (False, True):
+        got = _elim_py.eliminate(_sparse(rows), reduce_full=reduce_full)
+        assert _int_exactly_when_integral(got[1])
+        assert got == _elim_py.eliminate(fracs, reduce_full=reduce_full)
+
+
+def test_non_unit_leads_match_the_dense_oracle():
+    # Rows 0..8 put leads 2, 3, 5 on the columns 0..8 and their other
+    # entries, a 1 among them, in the free columns 9..11, so none clears
+    # another; rows 9..11 are integer combinations of all of them, so the
+    # 12 x 12 matrix has rank 9, the combinations are cleared by the
+    # fraction-free operation against those leads, and the RREF holds
+    # Fractions in the free columns.
+    rng = random.Random(2)
+    rows = []
+    for i in range(9):
+        row = [0] * 12
+        row[i] = (2, 3, 5)[i % 3]
+        row[9], row[10], row[11] = rng.choice((0, -1, 2, 7)), rng.choice((0, 4, -3)), 1
+        rows.append(row)
+    for _ in range(3):
+        c = [rng.choice((-2, -1, 1, 2)) for _ in range(9)]
+        rows.append([sum(c[i] * rows[i][j] for i in range(9)) for j in range(12)])
+    rng.shuffle(rows)
+    want = dense_rref(rows)
+    assert len(want) == 9
+    pivots, red, _ = _check_kernel_against_rref(_sparse(rows), want)
+    assert _int_exactly_when_integral(red)
+    _, echelon = _elim_py._echelon(_sparse(rows))
+    assert sorted(row[p] for p, row in echelon.items()) == [2, 2, 2, 3, 3, 3, 5, 5, 5]
+    assert all(type(v) is int for row in echelon.values() for v in row.values())
 
 
 PRIMES = (3, 5, 7, 2**61 - 1)

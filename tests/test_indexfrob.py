@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -681,6 +682,60 @@ class TestNormalize:
         assert res.verified and 2 * res.n == g.dim
         return True
 
+    @staticmethod
+    def _check_against_inverse(g):
+        # P is the inverse of the root block B transposed on the Cartan
+        # block and the identity on the root block, as exactla.invert(B)
+        # gives it, and scaled = scale * P entry by entry.  Returns whether
+        # g was normalized.
+        try:
+            res = normalize_to_phi(g)
+        except (BlockFormError, NotFrobeniusError):
+            return False
+        n = res.n
+        C = exactla.invert(g.root_block)
+        want = exactla.SparseMat(g.dim, g.dim, {(k, i): v for (i, k), v in C.entries.items()}
+                                 | {(n + i, n + i): 1 for i in range(n)})
+        assert res.change_of_basis == want
+        assert res.change_of_basis is res.change_of_basis
+        assert type(res.scale) is int and res.scale > 0
+        assert all(type(v) is int for v in res.scaled.entries.values())
+        assert res.scaled.entries.keys() == want.entries.keys()
+        assert all(v == res.scale * want[k] for k, v in res.scaled.entries.items())
+        return True
+
+    def test_change_of_basis_is_the_inverse_on_height_one_up_to_8(self):
+        normalized = [self._check_against_inverse(g) for g in HEIGHT_ONE] + [
+            self._check_against_inverse(build(P, variant))
+            for P in posets.enumerate_height_one(8) for variant in ("gl", "sl")]
+        assert sum(normalized) == 86
+
+    @settings(max_examples=100, deadline=None)
+    @given(algebras("BCD"))
+    def test_change_of_basis_is_the_inverse_on_generated(self, g):
+        self._check_against_inverse(g)
+
+    def test_change_of_basis_is_the_inverse_on_small_bcd(self):
+        # Random B/C/D algebras are rarely Frobenius, so this sweeps every
+        # valid B/C/D poset of rank 1..3 closed from at most three mirror
+        # pairs, built as the strategy builds them.
+        normalized = 0
+        for family in "BCD":
+            for n in (1, 2, 3):
+                elems = [e for e in range(-n, n + 1) if e or family == "B"]
+                reps = sorted({min((a, b), (-b, -a)) for a, b in itertools.combinations(elems, 2)
+                               if family == "C" or a != -b})
+                for k in range(4):
+                    for chosen in itertools.combinations(reps, k):
+                        relation = posets.transitive_closure(
+                            elems, {q for a, b in chosen for q in ((a, b), (-b, -a))})
+                        if family in ("B", "D") and any((-e, e) in relation for e in elems if e > 0):
+                            continue
+                        P = posets.make_poset(elems, relation, family)
+                        if posets.validate_family(P).ok:
+                            normalized += self._check_against_inverse(build(P))
+        assert normalized == 39
+
     def test_succeeds_exactly_at_index_zero_on_height_one(self):
         normalized = [self._check_decides_frobenius(g) for g in HEIGHT_ONE]
         assert any(normalized) and not all(normalized)
@@ -708,15 +763,30 @@ class TestCompose:
         g2 = make_phi(3)
         r1 = normalize_to_phi(g1)
         r2 = normalize_to_phi(g2)
-        P = r2.change_of_basis
+        P = r2.scaled
         doubled = exactla.SparseMat(P.n_rows, P.n_cols, {
             (i, j): 2 * v if j == 0 else v for (i, j), v in P.entries.items()
         })
         M, ok = compose_isomorphism(
-            g1, r1, g2, dataclasses.replace(r2, change_of_basis=doubled)
+            g1, r1, g2, dataclasses.replace(r2, scaled=doubled)
         )
         assert not ok
         assert exactla.rank(M) == 6
+
+    def test_singular_change_of_basis_fails(self):
+        # Zeroing the e_1 column leaves a homomorphism, which the bracket
+        # check alone accepts, but no isomorphism: the rank check refuses it.
+        g1 = build(hexagon_type_c_poset())
+        g2 = make_phi(3)
+        r1 = normalize_to_phi(g1)
+        r2 = normalize_to_phi(g2)
+        P = r2.scaled
+        zeroed = dataclasses.replace(r2, scaled=exactla.SparseMat(
+            P.n_rows, P.n_cols, {k: v for k, v in P.entries.items() if k[1] != r2.n}))
+        M, ok = compose_isomorphism(g1, r1, g2, zeroed)
+        assert ok is False
+        assert exactla.rank(M) == 5
+        assert indexfrob._verify_isomorphism(g2, *indexfrob._scaled(M), g1) is True
 
     def test_mismatched_n(self):
         r1 = normalize_to_phi(make_phi(1))

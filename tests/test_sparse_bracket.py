@@ -357,6 +357,12 @@ def test_center_against_dense_oracle(g):
     assert z.dim == g.dim - dense_rank_oracle(stacked)
 
 
+def verify_isomorphism(g, P, h):
+    """``indexfrob._verify_isomorphism`` on a rational P, handed over as
+    its int multiple L P and L."""
+    return indexfrob._verify_isomorphism(g, *indexfrob._scaled(P), h)
+
+
 class TestVerifyIsomorphism:
     @staticmethod
     def _normalized():
@@ -374,12 +380,12 @@ class TestVerifyIsomorphism:
         for g, res in normalized:
             P, phi = res.change_of_basis, liealg.make_phi(res.n)
             assert res.verified
-            assert indexfrob._verify_isomorphism(g, P, phi) is verify_isomorphism_oracle(g, P, phi)
+            assert verify_isomorphism(g, P, phi) is verify_isomorphism_oracle(g, P, phi)
             ents = dict(P.entries)
             key = (rng.randrange(P.n_rows), rng.randrange(P.n_cols))
             ents[key] = ents.get(key, ZERO) + ONE
             Q = SparseMat(P.n_rows, P.n_cols, ents)
-            assert indexfrob._verify_isomorphism(g, Q, phi) is verify_isomorphism_oracle(g, Q, phi)
+            assert verify_isomorphism(g, Q, phi) is verify_isomorphism_oracle(g, Q, phi)
 
     def test_rejects_perturbed_change_of_basis(self):
         # d_1 + h_k with alpha_1(h_k) != 0 gives [d_1, e_1] = (1 + alpha_1(h_k)) e_1.
@@ -389,7 +395,7 @@ class TestVerifyIsomorphism:
             ents = dict(P.entries)
             ents[(k, 0)] = ents.get((k, 0), ZERO) + ONE
             Q = SparseMat(P.n_rows, P.n_cols, ents)
-            assert indexfrob._verify_isomorphism(g, Q, phi) is False
+            assert verify_isomorphism(g, Q, phi) is False
             assert verify_isomorphism_oracle(g, Q, phi) is False
 
     def test_rejects_a_defect_only_h_touches(self):
@@ -402,10 +408,10 @@ class TestVerifyIsomorphism:
         for g, res in self._normalized():
             P, phi = res.change_of_basis, liealg.make_phi(res.n)
             Q = SparseMat(P.n_rows, P.n_cols, {p: v for p, v in P.entries.items() if p[1] != 0})
-            assert indexfrob._verify_isomorphism(g, Q, phi) is False
+            assert verify_isomorphism(g, Q, phi) is False
             assert verify_isomorphism_oracle(g, Q, phi) is False
             E = SparseMat(P.n_rows, P.n_cols, {p: v for p, v in P.entries.items() if p[1] != res.n})
-            assert indexfrob._verify_isomorphism(g, E, phi) is verify_isomorphism_oracle(g, E, phi) is True
+            assert verify_isomorphism(g, E, phi) is verify_isomorphism_oracle(g, E, phi) is True
 
     def test_rejects_a_defect_only_the_left_side_touches(self):
         # d_1 + e_2 gives [d_1 + e_2, d_2] = -alpha_2(d_2) e_2 = -e_2, on the
@@ -418,7 +424,7 @@ class TestVerifyIsomorphism:
             P, phi = res.change_of_basis, liealg.make_phi(n)
             assert (0, 1) not in phi.brackets and (n + 1, 0) not in P.entries
             Q = SparseMat(P.n_rows, P.n_cols, P.entries | {(n + 1, 0): ONE})
-            assert indexfrob._verify_isomorphism(g, Q, phi) is False
+            assert verify_isomorphism(g, Q, phi) is False
             assert verify_isomorphism_oracle(g, Q, phi) is False
             checked += 1
         assert checked
@@ -437,7 +443,7 @@ class TestVerifyIsomorphism:
                 want = verify_isomorphism_oracle(g, Q, phi)
                 verdicts.add(want)
                 for left, right in ((messy(g), phi), (g, messy(phi)), (messy(g), messy(phi))):
-                    assert indexfrob._verify_isomorphism(left, Q, right) is want
+                    assert verify_isomorphism(left, Q, right) is want
         assert verdicts == {True, False}
 
     def test_matches_dense_on_doctored_height_one(self):
@@ -448,9 +454,9 @@ class TestVerifyIsomorphism:
                 continue
             d = doctor(g, rng)
             P, phi = res.change_of_basis, liealg.make_phi(res.n)
-            verdicts.add(indexfrob._verify_isomorphism(d, P, phi))
-            assert indexfrob._verify_isomorphism(d, P, phi) is verify_isomorphism_oracle(d, P, phi)
-            assert indexfrob._verify_isomorphism(messy(d), P, phi) is verify_isomorphism_oracle(d, P, phi)
+            verdicts.add(verify_isomorphism(d, P, phi))
+            assert verify_isomorphism(d, P, phi) is verify_isomorphism_oracle(d, P, phi)
+            assert verify_isomorphism(messy(d), P, phi) is verify_isomorphism_oracle(d, P, phi)
         assert False in verdicts
 
     @settings(max_examples=60, deadline=None)
@@ -466,16 +472,16 @@ class TestVerifyIsomorphism:
                   SparseMat(g.dim, g.dim, ents)):
             want = verify_isomorphism_oracle(g, P, g)
             for left, right in ((g, g), (messy(g), g), (g, messy(g))):
-                assert indexfrob._verify_isomorphism(left, P, right) is want
+                assert verify_isomorphism(left, P, right) is want
         try:
             res = indexfrob.normalize_to_phi(g)
         except (indexfrob.BlockFormError, indexfrob.NotFrobeniusError):
             return
         P, phi = res.change_of_basis, liealg.make_phi(res.n)
-        assert indexfrob._verify_isomorphism(g, P, phi) is verify_isomorphism_oracle(g, P, phi) is True
+        assert verify_isomorphism(g, P, phi) is verify_isomorphism_oracle(g, P, phi) is True
         if g.brackets:
             d = data.draw(doctored(g))
-            assert indexfrob._verify_isomorphism(d, P, phi) is verify_isomorphism_oracle(d, P, phi)
+            assert verify_isomorphism(d, P, phi) is verify_isomorphism_oracle(d, P, phi)
 
     def test_composition_matches_dense(self):
         by_n = {}
