@@ -15,7 +15,8 @@ two-step, its root block from its brackets on first use.
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import eq
 
 from . import exactla
 from .exactla import SparseMat
@@ -102,7 +103,9 @@ class LieAlg:
     @cached_property
     def roots(self):
         """roots[t] = (alpha_t(h_1), ..., alpha_t(h_cc)) for every root vector
-        t, where [h_k, x_t] = alpha_t(h_k) x_t, from one pass over ``brackets``.
+        t, where [h_k, x_t] = alpha_t(h_k) x_t, from one pass over ``brackets``:
+        the stored [h_k, x_t] is a multiple of x_t exactly when t is its
+        only key, so it fails when ``len(vec) > (t in vec)``.
 
         Raises CartanWeylError when two Cartan generators do not commute
         (checked first) or a root vector x_t is not a simultaneous
@@ -113,7 +116,7 @@ class LieAlg:
         for (k, t), vec in self.brackets.items():
             if k < cc <= t:
                 alpha[t][k] = vec.get(t, 0)
-                if any(m != t for m in vec):
+                if len(vec) > (t in vec):
                     off.append((t, k))
             elif k < t < cc and vec:
                 noncommuting.append((k, t))
@@ -128,7 +131,7 @@ class LieAlg:
     @cached_property
     def root_block(self):
         """The root block B[k][t] = alpha_t(h_k), an int cartan_count x
-        (dim - cartan_count) SparseMat, or None.
+        (dim - cartan_count) SparseMat of the nonzero root values, or None.
 
         This is the package's two-step test.  B exists when no root-root
         bracket is nonzero and ``roots`` passes its Cartan-Weyl check;
@@ -145,7 +148,7 @@ class LieAlg:
         except CartanWeylError:
             return None
         return SparseMat(cc, self.dim - cc, {
-            (k, t - cc): v for t, alpha in roots.items() for k, v in enumerate(alpha)
+            (k, t - cc): v for t, alpha in roots.items() for k, v in enumerate(alpha) if v
         })
 
 
@@ -274,14 +277,17 @@ def _structure_constants(ents, labels):
     matrices are independent of each other and of the Cartan ones, and the
     basis is independent when the Cartan diagonals have full rank, the one
     rank computed here.  Every commutator lies in the nilradical, the span
-    of the root matrices.  A Cartan-root commutator is read off the
-    diagonal: [D, M_t] = (D_rr - D_cc) M_rc entrywise (0 unless D is nonzero
-    at a row or column of M_t's support), which is alpha M_t when D_rr - D_cc
-    is one alpha there, else outside the span.  A root-root commutator comes
-    from one pass over the root entries, against one index of them by row;
-    its coordinate on root vector k is its entry at k's slot times M_k's
-    +-1 there, an int, and it is checked exactly by summing the basis back.
-    The first failing pair in sorted order is reported.
+    of the root matrices.  A Cartan-root commutator is read off a table of
+    the diagonals, at[r] = {k: D_k[r]}: [D_k, M_t] = (D_k[r] - D_k[c]) M_rc
+    entrywise, so the dict difference at[r] - at[c] at each entry (r, c)
+    of M_t gives alpha_t(D_k) for every k at once when the entries agree
+    on it, and puts [D_k, M_t] outside the span when they do not.  A
+    root-root commutator comes from one pass over the root entries,
+    against one index of them by row; its coordinate on root vector k is
+    its entry at k's slot times M_k's +-1 there, an int, and the sum of
+    those coordinates times the basis is subtracted from it in place: it
+    lies in the span exactly when every residual entry is 0.  The first
+    failing pair in sorted order is reported.
 
     Raises ClosureError when a root matrix has no private off-diagonal
     leading slot of entry +-1, when the basis is dependent, or when a
@@ -290,7 +296,7 @@ def _structure_constants(ents, labels):
     dim = len(ents)
     cartan, roots = [], []
     for k, E in enumerate(ents):
-        (cartan if all(r == c for r, c in E) else roots).append(k)
+        (cartan if all(starmap(eq, E)) else roots).append(k)
     touched = Counter(p for k in roots for p in ents[k])
     slot_of = {}
     for k in roots:
@@ -305,19 +311,27 @@ def _structure_constants(ents, labels):
     rank = len(roots) + len(exactla._elim.eliminate(list(diag.values()))[0])
     if rank != dim:
         raise ClosureError(f"the {dim} basis matrices are dependent (rank {rank})")
-    on_diag = defaultdict(set)  # diagonal position -> the Cartan matrices nonzero there
+    at = defaultdict(dict)  # diagonal position r -> {k: D_k[r]} over the Cartan k
     for k, D in diag.items():
-        for r in D:
-            on_diag[r].add(k)
+        for r, v in D.items():
+            at[r][k] = v
     coords = {}  # pair -> its coordinates, or None when it leaves the span
     for t in roots:
-        for k in set().union(*(on_diag[r] | on_diag[c] for r, c in ents[t])):
-            alphas = {diag[k].get(r, 0) - diag[k].get(c, 0) for r, c in ents[t]}
-            pair = (k, t) if k < t else (t, k)
-            if len(alphas) > 1:
-                coords[pair] = None
-            elif alpha := alphas.pop():
-                coords[pair] = {t: alpha if k < t else -alpha}
+        alpha, disagree = None, set()
+        for r, c in ents[t]:
+            diff = dict(at.get(r, {}))
+            for k, v in at.get(c, {}).items():
+                diff[k] = diff.get(k, 0) - v
+            if alpha is None:
+                alpha = diff
+            elif diff != alpha:
+                disagree.update(k for k in alpha.keys() | diff.keys()
+                                if alpha.get(k, 0) != diff.get(k, 0))
+        for k, a in alpha.items():
+            if a:
+                coords[(k, t) if k < t else (t, k)] = {t: a if k < t else -a}
+        for k in disagree:
+            coords[(k, t) if k < t else (t, k)] = None
     in_row = defaultdict(list)
     for j in roots:
         for (m, c), b in ents[j].items():
@@ -336,24 +350,24 @@ def _structure_constants(ents, labels):
                     continue
                 comm[(r, c)] = comm.get((r, c), 0) + v
     for pair, comm in comms.items():
-        comm = {p: v for p, v in comm.items() if v}
         vec = {}
         for p, v in comm.items():
             k = slot_of.get(p)
-            if k is not None:
+            if k is not None and v:
                 vec[k] = v * ents[k][p]
-        back = {}
         for k, c in vec.items():
             for p, v in ents[k].items():
-                back[p] = back.get(p, 0) + c * v
-        ok = {p: v for p, v in back.items() if v} == comm
-        coords[pair] = {k: vec[k] for k in sorted(vec)} if ok else None
+                comm[p] = comm.get(p, 0) - c * v
+        closed = not any(comm.values())
+        coords[pair] = {k: vec[k] for k in sorted(vec)} if closed else None
     brackets = {}
-    for (i, j), vec in sorted(coords.items()):
+    for pair in sorted(coords):
+        vec = coords[pair]
         if vec is None:
+            i, j = pair
             raise ClosureError(f"[{labels[i]}, {labels[j]}] falls outside the basis span")
         if vec:
-            brackets[(i, j)] = vec
+            brackets[pair] = vec
     return brackets
 
 

@@ -104,9 +104,10 @@ def make_poset(elements, relations, family="A"):
         if a == b:
             raise PosetError(f"reflexive relation ({a},{b}): cycle")
     closed = transitive_closure(elements, relations)
-    for a, b in closed:
-        if (b, a) in closed or a == b:
-            raise PosetError(f"cycle through {a} and {b}")
+    cycle = [(a, b) for a, b in closed if a != b and (b, a) in closed]
+    if cycle:
+        a, b = min(cycle)
+        raise PosetError(f"cycle through {a} and {b}")
     return Poset(elements=elements, relation=closed, family=family)
 
 
@@ -165,15 +166,18 @@ def validate_family(P):
     Condition 1: i below j forces i <= j as integers (all families).
     Condition 2: mirror symmetry i below j iff -j below -i, for i != -j (B/C/D).
     Condition 3: -i never below i (B/D only).
+
+    One pass over the sorted relation finds the violations of conditions 1
+    and 2; they are reported by condition, then in that order.
     """
-    bad = []
+    order, mirror = [], []
+    signed = P.family in ("B", "C", "D")
     for a, b in sorted(P.relation):
         if a > b:
-            bad.append((1, f"{a} below {b} but {a} > {b}"))
-    if P.family in ("B", "C", "D"):
-        for a, b in sorted(P.relation):
-            if a != -b and (-b, -a) not in P.relation:
-                bad.append((2, f"{a} below {b} but {-b} not below {-a}"))
+            order.append((1, f"{a} below {b} but {a} > {b}"))
+        if signed and a != -b and (-b, -a) not in P.relation:
+            mirror.append((2, f"{a} below {b} but {-b} not below {-a}"))
+    bad = order + mirror
     if P.family in ("B", "D"):
         for e in P.elements:
             if e > 0 and (-e, e) in P.relation:

@@ -110,7 +110,8 @@ class TestBuild:
         ))
         code, rep = run(capsys, ["build", str(p)])
         assert code == cli.EXIT_INPUT
-        assert "cycle" in rep["error"]
+        assert rep["kind"] == "input"
+        assert rep["error"] == "cycle through 1 and 2"
 
     @pytest.mark.parametrize("wrap", (
         lambda nested: nested,

@@ -406,6 +406,24 @@ class TestClosureInvariant:
             liealg._structure_constants(ents[2:] + ents[:2], g.basis_labels[2:] + g.basis_labels[:2])
         assert str(info.value) == "[e[-2,1]-e[-1,2], h1] falls outside the basis span"
 
+    @pytest.mark.parametrize("t", (3, 4, 5))
+    def test_two_entry_commutator_off_the_span_rejected(self, t):
+        # Type B on -3..3, covers -3 < -2 < -1 and 1 < 2 < 3: dim 6 and
+        # [e[-3,-2]-e[2,3], e[-2,-1]-e[1,2]] = e[-3,-1]-e[1,3].  Flipping
+        # the sign of root matrix t's non-leading entry keeps every leading
+        # slot and every Cartan-root bracket, but that commutator's second
+        # entry no longer matches the coordinate read at its slot.
+        P = make_poset(range(-3, 4), [(-3, -2), (-2, -1), (1, 2), (2, 3)], "B")
+        g = build(P)
+        assert g.dim == 6 and g.brackets[(3, 5)] == {4: 1}
+        ents = [dict(E) for E in g.realization]
+        (lead, _), (other, _) = sorted(ents[t].items())
+        ents[t][other] = -ents[t][other]
+        with pytest.raises(ClosureError) as info:
+            liealg._structure_constants(ents, g.basis_labels)
+        assert str(info.value) == (
+            "[e[-3,-2]-e[2,3], e[-2,-1]-e[1,2]] falls outside the basis span")
+
     def test_closed_basis_accepted(self):
         got = liealg._structure_constants(
             [{(0, 1): 1}, {(1, 2): 1}, {(0, 2): 1}], ("e12", "e23", "e13"))

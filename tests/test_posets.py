@@ -46,6 +46,19 @@ class TestParse:
         with pytest.raises(PosetError, match="cycle"):
             parse_poset({"family": "A", "elements": [1, 2], "relations": [[1, 2], [2, 1]]})
 
+    @pytest.mark.parametrize("elements, relations, message", (
+        ([1, 2], [[1, 2], [2, 1]], "cycle through 1 and 2"),
+        ([1, 2, 3], [[2, 3], [3, 1], [1, 2]], "cycle through 1 and 2"),
+        ([1, 2, 3, 4], [[1, 2], [4, 3], [3, 2], [2, 4]], "cycle through 2 and 3"),
+    ), ids=("2-cycle", "3-cycle", "3-cycle-above-1"))
+    def test_cycle_names_smallest_pair(self, elements, relations, message):
+        # The closure of a cycle holds (a, a) for every a on it; the message
+        # names the lexicographically smallest pair a != b with both (a, b)
+        # and (b, a) in the closure.
+        with pytest.raises(PosetError) as info:
+            parse_poset({"family": "A", "elements": elements, "relations": relations})
+        assert str(info.value) == message
+
     def test_empty_rejected(self):
         with pytest.raises(PosetError):
             parse_poset({"family": "A", "elements": [], "relations": []})

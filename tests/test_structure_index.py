@@ -102,6 +102,38 @@ def test_build_matches_per_pair_solve_on_height_one(size):
             assert_same_constants(g.brackets, build_oracle(realization_mats(g)))
 
 
+def assert_build_contract(g):
+    """Pairs strictly ascending in insertion order, each vector's keys
+    ascending, every coefficient a nonzero int; the root block, when g is
+    two-step, holds exactly the nonzero root values."""
+    pairs = list(g.brackets)
+    assert all(p < q for p, q in zip(pairs, pairs[1:]))
+    for vec in g.brackets.values():
+        keys = list(vec)
+        assert keys and all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(type(c) is int and c for c in vec.values())
+    cc = g.cartan_count
+    block = g.root_block
+    if block is None:
+        assert any(i >= cc for i, _ in g.brackets)
+    else:
+        assert 0 not in block.entries.values()
+        assert block.entries == {(k, t - cc): v for t, alpha in g.roots.items()
+                                 for k, v in enumerate(alpha) if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebras("ABCD"))
+def test_build_output_contract(g):
+    assert_build_contract(g)
+
+
+@pytest.mark.parametrize("variant", ("gl", "sl"))
+@pytest.mark.parametrize("N", range(1, 10))
+def test_build_output_contract_on_chains(N, variant):
+    assert_build_contract(liealg.build(posets.chain_poset(N), variant))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_structure_constants_match_per_pair_solve_in_mixed_basis(data):
