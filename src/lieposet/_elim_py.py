@@ -14,7 +14,10 @@ back-substitution, is divided by its content.  ``eliminate`` divides only
 when it hands the result back, and only the pivot rows whose lead is not
 1, so that every entry it returns is an ``int`` exactly when it is
 integral.  ``_echelon`` is the integer core it wraps, for a caller that
-reads the leads itself (``indexfrob.normalize_to_phi``).
+reads the leads itself: ``liealg.LieAlg.root_echelon`` eliminates the
+root block's [B | I] with it once, and ``indexfrob`` reads the index,
+the principal element and the normal form of a two-step algebra off
+those rows.
 With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
 rank, kernel and inverse on ``eliminate`` (``liealg.center`` and the
@@ -22,9 +25,11 @@ rank, kernel and inverse on ``eliminate`` (``liealg.center`` and the
 calls it directly for the derived series' spans and for the rank of the
 Cartan diagonals in ``build``, ``cohomology`` for the ranks of the
 relative blocks d_R^j, and ``indexfrob`` ranks its random Kirillov trials
-mod p and solves for principal elements with it.  Every mode runs the
-same forward elimination; the reduced form is a back-substitution pass
-after it, and both are built from the one row operation ``_reduce_row``.
+mod p and solves for principal elements with it (``principal_element``,
+which ``frobenius_spectrum`` calls unless the root block is square and
+invertible).  Every mode runs the same forward elimination; the reduced
+form is a back-substitution pass after it, and both are built from the
+one row operation ``_reduce_row``.
 """
 
 from fractions import Fraction

@@ -228,6 +228,14 @@ def build_parser():
         description="Exact computations on Lie poset algebras",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    # Each subcommand's parser, by name, for ``_parse_args``; the command
+    # is its default, so that it parses a namespace on its own.
+    top.commands = {}
+
+    def command(name, help):
+        p = top.commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(command=name)
+        return p
 
     def common(p):
         p.add_argument("file", help="poset JSON file")
@@ -235,17 +243,17 @@ def build_parser():
                        help="family-A realization (ignored for B/C/D)")
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
 
-    p = sub.add_parser("build", help="construct the algebra, report shape")
+    p = command("build", "construct the algebra, report shape")
     common(p)
     p.add_argument("--dump-algebra", action="store_true")
 
-    p = sub.add_parser("index", help="index certificate, Frobenius data")
+    p = command("index", "index certificate, Frobenius data")
     common(p)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--bound", type=int, default=10**6)
 
-    p = sub.add_parser("cohomology", help="Chevalley-Eilenberg dims at a degree")
+    p = command("cohomology", "Chevalley-Eilenberg dims at a degree")
     common(p)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-dim", type=int, default=cohomology.DEFAULT_MAX_DIM,
@@ -253,16 +261,16 @@ def build_parser():
     p.add_argument("--dump-complex", metavar="PATH",
                    help="write coboundary matrices as sparse triplets")
 
-    p = sub.add_parser("classify", help="solvability class and normal form")
+    p = command("classify", "solvability class and normal form")
     common(p)
     p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = command("verify", "run a named verification suite")
     p.add_argument("suite", choices=suites.SUITES)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("enumerate", help="height-one family-A posets up to iso")
+    p = command("enumerate", "height-one family-A posets up to iso")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--filter", choices=("all", "frobenius"), default="all")
     p.add_argument("--variant", choices=("gl", "sl"), default="sl")
@@ -277,10 +285,31 @@ def _parser():
     return build_parser()
 
 
+def _parse_args(argv):
+    """The namespace ``_parser().parse_args(argv)`` gives, from the named
+    subcommand's parser alone when it parses all of the rest.
+
+    The top-level parse hands everything after the subcommand to that
+    parser's ``parse_known_args`` and fails on anything it leaves over, so
+    when nothing is left the namespaces agree and the top-level pass is
+    skipped.  Anything else (leftovers, a ``--``, an unknown or missing
+    command, a top-level ``-h``) is parsed from the top, which keeps every
+    error report and every help text as it is."""
+    top = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = top.commands.get(argv[0]) if argv and "--" not in argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return top.parse_args(argv)
+
+
 def main(argv=None):
     args = None
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         started = time.monotonic()
         # Looked up per call, so a rebound cmd_* (a tracer, a test) is reached.
         results, params, digest = globals()[f"cmd_{args.command}"](args)

@@ -12,6 +12,7 @@ generic rank, off a hypersurface of functionals), and the certificate says
 so and carries the Schwartz-Zippel bound on the chance that it is wrong.
 """
 
+import bisect
 import functools
 import math
 import random
@@ -145,21 +146,28 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
 
     When g has a root block B (``g.root_block``), the index is
     dim - 2 rank(B) exactly, with the structured candidate as witness and
-    no random trial (``trials`` 0 in the certificate).  Otherwise the
-    commutator tensor is evaluated at up to ``trials`` random functionals
-    with entries in [-entry_bound, entry_bound], stopping at the first
-    nonsingular one; the certificate records the trials run.  Each trial
-    is ranked modulo the prime ``_modulus`` picks (exactly when it picks
-    none), which keeps index 0 proved and ``error_bound`` a proven bound.
+    no random trial (``trials`` 0 in the certificate); rank(B) is read off
+    ``g.root_echelon``, the elimination of [B | I] that the principal
+    element and the normal form read too, and B is ranked on its own only
+    when it is not square.  Otherwise the commutator tensor is evaluated
+    at up to ``trials`` random functionals with entries in
+    [-entry_bound, entry_bound], stopping at the first nonsingular one;
+    the certificate records the trials run.  Each trial is ranked modulo
+    the prime ``_modulus`` picks (exactly when it picks none), which keeps
+    index 0 proved and ``error_bound`` a proven bound.
     Deterministic given (seed, trials, entry_bound); per-trial generators
     are derived from the seed by trial number, so trials are order-free.
     """
     for name, value in (("trials", trials), ("entry_bound", entry_bound)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1")
-    if g.root_block is not None:
+    B = g.root_block
+    if B is not None:
+        echelon = g.root_echelon
+        # rank B: the pivots of [B | I] in B's columns, when B is square.
+        r = exactla.rank(B) if echelon is None else bisect.bisect_left(echelon[0], B.n_cols)
         return IndexCertificate(
-            index=g.dim - 2 * exactla.rank(g.root_block),
+            index=g.dim - 2 * r,
             witness=structured_candidate(g),
             trials=0,
             entry_bound=entry_bound,
@@ -279,17 +287,51 @@ def frobenius_spectrum(g, certificate):
     stay readable, when its Kirillov matrix is nonsingular, and the index
     ``certificate``'s witness otherwise.
 
-    One elimination of the candidate's [M | f] both decides which and
-    gives its principal element; NotFrobeniusError means the witness is
-    singular too.
+    When the root block B is square and invertible (``_root_inverse``),
+    the candidate's Kirillov matrix is [[0, B], [-B^T, 0]] in the
+    Cartan-first basis, so its principal element is p = ((B^T)^{-1} 1, 0):
+    p_k = sum_i (B^{-1})[i][k] on the Cartan, summed in ints over the lcm L
+    of the leads of ``g.root_echelon`` (an int when L divides it), and 0
+    on every root vector.  That is P (d_1 + ... + d_n), the image of
+    Phi_n's principal element under ``normalize_to_phi``'s change of
+    basis, and it needs no elimination beyond the one the index read.
+    Otherwise one elimination of the candidate's [M | f] both decides
+    which functional and gives its principal element; NotFrobeniusError
+    means the witness is singular too.
     """
     f = structured_candidate(g)
+    inverse = _root_inverse(g)
+    if inverse is not None:
+        red, L = inverse
+        n = len(red)
+        sums = [0] * n
+        for i, row in red.items():
+            m = L // row[i]
+            for c, v in row.items():
+                if c >= n:
+                    sums[c - n] += v * m
+        p_elt = [s // L if s % L == 0 else Fraction(s, L) for s in sums] + [0] * (g.dim - n)
+        return f, spectrum(g, p_elt)
     try:
         p_elt = principal_element(g, f)
     except NotFrobeniusError:
         f = certificate.witness
         p_elt = principal_element(g, f)
     return f, spectrum(g, p_elt)
+
+
+def _root_inverse(g):
+    """(rows, L) from ``g.root_echelon`` when the root block B is square
+    and invertible, else None: rows[i] = l_i [e_i | row i of B^{-1}] with
+    lead l_i > 0, and L is the lcm of the leads."""
+    echelon = g.root_echelon
+    if echelon is None:
+        return None
+    pivots, red = echelon
+    n = len(pivots)  # [B | I] has rank n
+    if n and pivots[-1] >= n:
+        return None
+    return red, math.lcm(*(red[i][i] for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -316,13 +358,14 @@ def normalize_to_phi(g):
 
     g must be two-step, with its root block B = ``g.root_block``
     (BlockFormError when it has none).  Since ind g = dim - 2 rank(B), g
-    is Frobenius exactly when B is square and invertible, so one reduced
-    integer elimination of [B | I] decides it (NotFrobeniusError when B is
-    not square or singular) and gives the change of basis: root vectors
-    become e_1..e_n as-is, and row i of B^{-1} holds the Cartan
-    coefficients of d_i, so that alpha_j(d_i) = delta_ij.  [B | I] has
-    rank n whatever B is, so B is invertible exactly when the pivots are
-    the columns 0..n-1; then row i of the integer elimination is
+    is Frobenius exactly when B is square and invertible, so the reduced
+    integer elimination of [B | I] that ``index`` ranked B with,
+    ``g.root_echelon``, decides it (NotFrobeniusError when B is not square
+    or singular) and gives the change of basis: root vectors become
+    e_1..e_n as-is, and row i of B^{-1} holds the Cartan coefficients of
+    d_i, so that alpha_j(d_i) = delta_ij.  [B | I] has rank n whatever B
+    is, so B is invertible exactly when the pivots are the columns
+    0..n-1; then row i of the integer elimination is
     l_i [e_i | row i of B^{-1}] with lead l_i > 0, and with L the lcm of
     the leads, L P is an int matrix.  The pivots prove P invertible: it is
     B^{-1} transposed on the Cartan block and the identity on the root
@@ -342,13 +385,10 @@ def normalize_to_phi(g):
         )
     if not n:
         raise BlockFormError("no root vector: not a two-step algebra")
-    rows = B.row_dicts()
-    for i in range(n):
-        rows[i][n + i] = 1
-    pivots, red = exactla._elim._echelon(rows, reduce_full=True)
-    if pivots[-1] >= n:
+    inverse = _root_inverse(g)
+    if inverse is None:
         raise NotFrobeniusError("root block is singular: not Frobenius")
-    L = math.lcm(*(red[i][i] for i in range(n)))
+    red, L = inverse
     ents = {}
     for i in range(n):
         m = L // red[i][i]

@@ -151,6 +151,28 @@ class LieAlg:
             (k, t - cc): v for t, alpha in roots.items() for k, v in enumerate(alpha) if v
         })
 
+    @cached_property
+    def root_echelon(self):
+        """The integer reduced echelon form ``(pivots, rows)`` of [B | I],
+        B = ``root_block``, from ``exactla._elim._echelon``; None unless B
+        exists and is square.
+
+        The one elimination of a two-step algebra that ``indexfrob`` reads
+        its index (rank B is the number of pivots in B's columns), its
+        principal element and its normal form from.  [B | I] has rank n
+        whatever B is, so B is invertible exactly when the pivots are the
+        columns 0..n-1; then row i is l_i [e_i | row i of B^{-1}] with
+        lead l_i > 0.  The rows are shared: callers must not modify them.
+        """
+        B = self.root_block
+        if B is None or B.n_rows != B.n_cols:
+            return None
+        n = B.n_cols
+        rows = B.row_dicts()
+        for i in range(n):
+            rows[i][n + i] = 1
+        return exactla._elim._echelon(rows, reduce_full=True)
+
 
 def _bracket(g, x, y):
     """[x, y] for sparse coordinate vectors {basis index: coefficient}, as

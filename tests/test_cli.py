@@ -176,21 +176,24 @@ class TestIndex:
             assert (cert.witness == cand) != structured_singular
 
     @pytest.mark.parametrize("poset, variant, calls_in_index, candidate_evaluations", (
-        pytest.param("hexagon", "gl", {"_kirillov_rows": 0, "rank": 1}, 1, id="hexagon-gl-1"),
+        # The id keeps the candidate count of the former Kirillov route.
+        pytest.param("hexagon", "gl", {"_kirillov_rows": 0, "rank": 0}, 0, id="hexagon-gl-1"),
         pytest.param("branch", "sl", {"_kirillov_rows": 1, "rank": 0}, 2, id="branch-sl-2"),
     ))
     def test_one_kirillov_matrix_per_functional(
         self, capsys, request, monkeypatch, poset, variant, calls_in_index,
         candidate_evaluations,
     ):
-        # index ranks the root block of the two-step hexagon once and
-        # evaluates no functional; branch is not two-step, so index evaluates
-        # random trials until one is nonsingular (the first, at seed 0) and
-        # ranks them mod p in the kernel, not through exactla.rank.  The
-        # report then evaluates the structured candidate once (and the
-        # witness once more if the candidate is singular), and never ranks
-        # it: one reduced elimination of [K | f] decides and gives the
-        # principal element.  _kirillov_rows is the one evaluator.
+        # The two-step hexagon evaluates no functional and ranks nothing
+        # through exactla.rank: its square root block's elimination of
+        # [B | I] gives index, principal element and normal form alike.
+        # branch is not two-step, so index evaluates random trials until
+        # one is nonsingular (the first, at seed 0) and ranks them mod p in
+        # the kernel, not through exactla.rank.  The report then evaluates
+        # the structured candidate once (and the witness once more if the
+        # candidate is singular), and never ranks it: one reduced
+        # elimination of [K | f] decides and gives the principal element.
+        # _kirillov_rows is the one evaluator.
         path = request.getfixturevalue(f"{poset}_file")
         P = hexagon_type_c_poset() if poset == "hexagon" else posets.branch_poset()
         g = build(P, variant)
@@ -214,6 +217,47 @@ class TestIndex:
             "_kirillov_rows": calls_in_index["_kirillov_rows"] + candidate_evaluations,
             "rank": calls_in_index["rank"],
         }
+
+    @pytest.mark.parametrize("command", ("index", "classify"))
+    @pytest.mark.parametrize("P, variant", (
+        pytest.param(hexagon_type_c_poset(), "gl", id="hexagon-gl"),
+        pytest.param(posets.make_poset([1, 2, 3, 4], [(1, 3), (2, 3), (2, 4)], "A"), "sl",
+                     id="zigzag4-sl"),
+        pytest.param(posets.make_poset(range(1, 7), [(i, 6) for i in range(1, 6)], "A"), "sl",
+                     id="star6-sl"),
+    ))
+    def test_one_elimination_per_two_step_frobenius_job(
+        self, capsys, monkeypatch, tmp_path, command, P, variant,
+    ):
+        # After build, the job eliminates once, [B | I] for g.root_echelon,
+        # and evaluates no Kirillov matrix: index, principal element and
+        # normal form are all read off that one elimination.
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps(posets.poset_to_json(P)))
+        calls = {"_echelon": 0, "_kirillov_rows": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        real_build = liealg.build
+
+        def build_then_count(P, variant="gl"):
+            g = real_build(P, variant)
+            calls.update(dict.fromkeys(calls, 0))
+            return g
+
+        monkeypatch.setattr(liealg, "build", build_then_count)
+        monkeypatch.setattr(exactla._elim, "_echelon",
+                            counting("_echelon", exactla._elim._echelon))
+        monkeypatch.setattr(indexfrob, "_kirillov_rows",
+                            counting("_kirillov_rows", indexfrob._kirillov_rows))
+        code, rep = run(capsys, [command, str(path), "--variant", variant, "--seed", "0"])
+        assert code == 0 and rep["results"]["certificate"]["certified_frobenius"]
+        assert rep["results"].get("classification", {"verified": True})["verified"]
+        assert calls == {"_echelon": 1, "_kirillov_rows": 0}
 
     @pytest.mark.parametrize("bound", ("0", "-3"))
     def test_bound_below_one_rejected(self, capsys, branch_file, bound):
@@ -428,6 +472,76 @@ class TestDispatch:
         assert seen == [4]
         assert code == cli.EXIT_INPUT
         assert rep == {"schema": cli.SCHEMA, "error": "stub", "kind": "input"}
+
+
+class TestSubcommandParse:
+    """``main`` parses a full command line with the subcommand's parser
+    alone; every other line goes through the top-level parse."""
+
+    ARGVS = (
+        ["build", "{file}"],
+        ["build", "{file}", "--variant", "sl", "--dump-algebra"],
+        ["build", "--pretty", "{file}"],
+        ["index", "{file}", "--seed", "0"],
+        ["index", "--seed=3", "{file}", "--trials", "2", "--bound", "50"],
+        ["classify", "{file}", "--variant", "sl", "--seed", "0"],
+        ["cohomology", "{file}", "--degree", "1", "--max-dim", "12"],
+        ["enumerate", "--size", "3", "--seed", "0", "--filter", "frobenius"],
+        ["index", "{file}", "--seed", "0", "--bogus"],
+        ["index", "{file}", "--seed", "0", "extra"],
+        ["index", "{file}", "--", "--seed", "0"],
+        ["index", "--seed", "0", "--", "{file}"],
+        ["index", "{file}"],
+        ["index", "{file}", "--seed", "x"],
+        ["index", "{file}", "--seed", "0", "--bound", "0"],
+        ["build", "{file}", "--variant", "so"],
+        ["build", "{file}", "--dump"],
+        ["verify", "nonsense", "--seed", "0"],
+        ["nonsense", "{file}"],
+        ["--pretty", "build", "{file}"],
+        [],
+    )
+
+    @staticmethod
+    def _report(capsys, argv):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        rep.pop("wall_time_s", None)
+        return code, rep, err
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_report_matches_the_top_level_parse(self, capsys, monkeypatch, branch_file, argv):
+        argv = [a.format(file=branch_file) for a in argv]
+        direct = self._report(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+        assert direct == self._report(capsys, argv)
+
+    def test_pinned_error_texts(self, capsys, branch_file):
+        _, rep, _ = self._report(capsys, ["index", branch_file, "--seed", "0", "--bogus"])
+        assert rep["error"] == "lieposet: unrecognized arguments: --bogus"
+        _, rep, _ = self._report(capsys, ["index", branch_file])
+        assert rep["error"] == "lieposet index: the following arguments are required: --seed"
+
+    def test_full_command_line_skips_the_top_level_parse(self, capsys, monkeypatch, branch_file):
+        def top_level(argv=None, namespace=None):
+            raise AssertionError("top-level parse")
+
+        monkeypatch.setattr(cli._parser(), "parse_args", top_level)
+        code, rep = run(capsys, ["index", branch_file, "--seed", "0", "--variant", "sl"])
+        assert code == cli.EXIT_OK and rep["params"]["variant"] == "sl"
+
+    @pytest.mark.parametrize("argv", (["--help"], ["-h"], ["index", "--help"],
+                                      ["classify", "-h"], ["verify", "--help"]))
+    def test_help_exits_zero_with_the_top_level_text(self, capsys, monkeypatch, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._parser().parse_args(argv))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out == text
 
 
 class TestInternalError:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     ONE, ZERO, eval_kirillov, identity, is_skew_symmetric, solve, transpose,
 )
 from strategies import algebras, valid_posets
+from test_structure_index import NAMED
 
 HALF = Fraction(1, 2)
 
@@ -744,6 +746,104 @@ class TestNormalize:
     @given(algebras("ABCD"))
     def test_succeeds_exactly_at_index_zero_on_generated(self, g):
         self._check_decides_frobenius(g)
+
+
+def root_block_oracles(g, entry_bound=10**6, seed=0):
+    """The index certificate and normal form of a two-step g as computed
+    before ``g.root_echelon`` was shared: rank(B) by its own elimination,
+    and the inverse of B from a fresh one of [B | I]; None for the normal
+    form where ``normalize_to_phi`` raises."""
+    B = g.root_block
+    n = B.n_cols
+    cert = indexfrob.IndexCertificate(index=g.dim - 2 * exactla.rank(B),
+                                      witness=structured_candidate(g), trials=0,
+                                      entry_bound=entry_bound, seed=seed)
+    if B.n_rows != n or not n:
+        return cert, None
+    rows = B.row_dicts()
+    for i in range(n):
+        rows[i][n + i] = 1
+    pivots, red = exactla._elim._echelon(rows, reduce_full=True)
+    if pivots[-1] >= n:
+        return cert, None
+    L = math.lcm(*(red[i][i] for i in range(n)))
+    ents = {(c - n, i): v * (L // red[i][i]) for i in range(n) for c, v in red[i].items() if c >= n}
+    ents |= {(i, i): L for i in range(n, g.dim)}
+    LP = exactla.SparseMat(g.dim, g.dim, ents)
+    verified = indexfrob._verify_isomorphism(g, LP, L, make_phi(n))
+    return cert, indexfrob.NormalizeResult(n=n, scaled=LP, scale=L, verified=verified)
+
+
+class TestRootEchelon:
+    """Index, principal element and normal form of a two-step algebra, all
+    read off the one elimination ``g.root_echelon``, against independent
+    routes: ``principal_element`` at the structured candidate, and the
+    root block ranked and inverted on its own."""
+
+    @staticmethod
+    def _check(g):
+        """Returns whether g is two-step and Frobenius."""
+        if g.root_block is None:
+            assert g.root_echelon is None
+            return False
+        cert, normal = root_block_oracles(g)
+        assert index(g, seed=0) == cert
+        if normal is None:
+            with pytest.raises((BlockFormError, NotFrobeniusError)):
+                normalize_to_phi(g)
+        else:
+            assert normalize_to_phi(g) == normal
+        if not (g.dim and cert.index == 0):
+            return False
+        f, sp = frobenius_spectrum(g, cert)
+        want = principal_element(g, structured_candidate(g))
+        assert f == structured_candidate(g)
+        assert sp.principal_element == want
+        assert list(map(type, sp.principal_element)) == list(map(type, want))
+        assert sp == spectrum(g, want)
+        return True
+
+    def test_height_one_up_to_8(self):
+        corpus = HEIGHT_ONE + [build(P, variant) for P in posets.enumerate_height_one(8)
+                               for variant in ("gl", "sl")]
+        assert sum(map(self._check, corpus)) == 86
+
+    def test_phi(self):
+        assert all(self._check(make_phi(n)) for n in range(1, 9))
+
+    def test_named_bcd(self):
+        bcd = [build(P, variant) for P, variant in NAMED.values() if P.family in "BCD"]
+        checked = list(map(self._check, bcd))
+        assert len(bcd) == 4 and any(checked)
+
+    @settings(max_examples=100, deadline=None)
+    @given(algebras("BCD"))
+    def test_generated_bcd(self, g):
+        self._check(g)
+
+    def test_fraction_coordinates_keep_their_type(self):
+        # The star's principal element has denominators 2, 3 and 6; Phi_n's
+        # is all ints.
+        star = build(posets.make_poset(range(1, 7), [(i, 6) for i in range(1, 6)], "A"), "sl")
+        assert self._check(star)
+        p = frobenius_spectrum(star, index(star, seed=0))[1].principal_element
+        assert p == [Fraction(k, 6) for k in range(1, 6)] + [0] * 5
+        assert all(type(c) is int for c in frobenius_spectrum(make_phi(3), None)[1].principal_element)
+
+    def test_shared_and_left_unmodified(self):
+        g = build(hexagon_type_c_poset())
+        echelon = g.root_echelon
+        snapshot = (list(echelon[0]), {p: dict(row) for p, row in echelon[1].items()})
+        index(g, seed=0)
+        frobenius_spectrum(g, index(g, seed=0))
+        normalize_to_phi(g)
+        assert g.root_echelon is echelon
+        assert (echelon[0], echelon[1]) == snapshot
+
+    def test_none_for_a_non_square_root_block(self):
+        g = build(chain_poset(2), "gl")
+        assert (g.root_block.n_rows, g.root_block.n_cols) == (2, 1)
+        assert g.root_echelon is None and index(g, seed=0).index == 1
 
 
 class TestCompose:
