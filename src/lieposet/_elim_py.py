@@ -20,7 +20,7 @@ the principal element and the normal form of a two-step algebra off
 those rows.
 With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
-rank, kernel and inverse on ``eliminate`` (``liealg.center`` and the
+rank and kernel on ``eliminate`` (``liealg.center`` and the
 2-cocycles of ``Phi_n`` go through its ``kernel_basis``); ``liealg``
 calls it directly for the derived series' spans and for the rank of the
 Cartan diagonals in ``build``, ``cohomology`` for the ranks of the
@@ -62,8 +62,9 @@ def eliminate(rows, reduce_full=False, modulus=None):
     Rows are consumed in order of increasing sparsity; a row's smallest
     column left after the reduction becomes its pivot.  Every column may
     pivot: a caller with an augmented block reads from where the pivots land
-    whether the block was needed (``exactla.invert``,
-    ``indexfrob.principal_element``).  The input rows are not modified.
+    whether the block was needed (``indexfrob.principal_element``, and
+    ``liealg.LieAlg.root_echelon`` through ``_echelon``).  The input rows
+    are not modified.
     """
     pivots, pivot_rows = _echelon(rows, reduce_full, modulus)
     if modulus is None:

@@ -1,5 +1,4 @@
-"""Exact rational linear algebra: sparse matrices, rank, kernels and
-inverses.
+"""Exact rational linear algebra: sparse matrices, rank and kernels.
 
 A value is an ``int`` unless a division created a ``fractions.Fraction``:
 the kernel's final division by a lead, ``IndexCertificate.error_bound``,
@@ -7,14 +6,14 @@ or ``SparseMat``'s exact conversion of an entry that is neither.  There is
 no floating point anywhere in this package, so every rank and dimension
 below is exact.
 
-Every rank, kernel and inverse runs through one sparse elimination
-kernel, ``_elim_py.eliminate``, reached here as ``_elim.eliminate``.
-``BACKEND`` names it; it is a constant, kept for reports that record it.
+Every rank and kernel runs through one sparse elimination kernel,
+``_elim_py.eliminate``, reached here as ``_elim.eliminate``.  ``BACKEND``
+names it; it is a constant, kept for reports that record it.
 ``kernel_basis``, on plain row dicts as the kernel takes them, is the
 package's one null-space read-off.
 Over Q the kernel eliminates fraction-free on int rows and divides by
-each lead once, on the way out, so a returned entry (of a kernel vector or
-an inverse too) is an ``int`` exactly when it is integral, with results
+each lead once, on the way out, so a returned entry (of a kernel vector
+too) is an ``int`` exactly when it is integral, with results
 ``==`` to the same rows' as Fractions; with a prime ``modulus`` its
 entries are int residues mod p, which is how ``indexfrob.index`` ranks
 its random trials.
@@ -29,10 +28,6 @@ BACKEND = "python"
 
 
 class DimensionError(ValueError):
-    pass
-
-
-class SingularMatrixError(ValueError):
     pass
 
 
@@ -131,26 +126,3 @@ def kernel_basis(rows, width):
         basis.append(tuple(v))
     return basis
 
-
-def invert(M):
-    """Exact inverse of a square matrix; raises SingularMatrixError.
-
-    [M | I] has rank n whatever M is, so M is invertible exactly when all
-    n pivots lie in M's columns; then row p of the reduced echelon form is
-    [e_p | row p of M^{-1}].
-    """
-    if M.n_rows != M.n_cols:
-        raise DimensionError("inverse of non-square matrix")
-    n = M.n_rows
-    rows = M.row_dicts()
-    for i in range(n):
-        rows[i][n + i] = 1
-    pivots, red = _elim.eliminate(rows, reduce_full=True)
-    if pivots and pivots[-1] >= n:
-        raise SingularMatrixError("matrix is singular")
-    ents = {}
-    for p in pivots:
-        for c, v in red[p].items():
-            if c >= n:
-                ents[(p, c - n)] = v
-    return SparseMat(n, n, ents)

@@ -302,16 +302,12 @@ def frobenius_spectrum(g, certificate):
     f = structured_candidate(g)
     inverse = _root_inverse(g)
     if inverse is not None:
-        red, L = inverse
-        n = len(red)
-        sums = [0] * n
-        for i, row in red.items():
-            m = L // row[i]
-            for c, v in row.items():
-                if c >= n:
-                    sums[c - n] += v * m
-        p_elt = [s // L if s % L == 0 else Fraction(s, L) for s in sums] + [0] * (g.dim - n)
-        return f, spectrum(g, p_elt)
+        ents, L = inverse
+        sums = [0] * g.cartan_count
+        for (k, _), v in ents.items():
+            sums[k] += v
+        p_elt = [s // L if s % L == 0 else Fraction(s, L) for s in sums]
+        return f, spectrum(g, p_elt + [0] * (g.dim - g.cartan_count))
     try:
         p_elt = principal_element(g, f)
     except NotFrobeniusError:
@@ -321,9 +317,10 @@ def frobenius_spectrum(g, certificate):
 
 
 def _root_inverse(g):
-    """(rows, L) from ``g.root_echelon`` when the root block B is square
-    and invertible, else None: rows[i] = l_i [e_i | row i of B^{-1}] with
-    lead l_i > 0, and L is the lcm of the leads."""
+    """(ents, L) from ``g.root_echelon`` when the root block B is square
+    and invertible, else None: ents = {(k, i): L (B^{-1})[i][k]}, the Cartan
+    block of L P for ``normalize_to_phi``'s change of basis P, with L the
+    lcm of the leads l_i > 0 of the rows l_i [e_i | row i of B^{-1}]."""
     echelon = g.root_echelon
     if echelon is None:
         return None
@@ -331,7 +328,14 @@ def _root_inverse(g):
     n = len(pivots)  # [B | I] has rank n
     if n and pivots[-1] >= n:
         return None
-    return red, math.lcm(*(red[i][i] for i in range(n)))
+    L = math.lcm(*(red[i][i] for i in range(n)))
+    ents = {}
+    for i in range(n):
+        m = L // red[i][i]
+        for c, v in red[i].items():
+            if c >= n:
+                ents[(c - n, i)] = v * m
+    return ents, L
 
 
 @dataclass(frozen=True)
@@ -388,32 +392,16 @@ def normalize_to_phi(g):
     inverse = _root_inverse(g)
     if inverse is None:
         raise NotFrobeniusError("root block is singular: not Frobenius")
-    red, L = inverse
-    ents = {}
-    for i in range(n):
-        m = L // red[i][i]
-        for c, v in red[i].items():
-            if c >= n:
-                ents[(c - n, i)] = v * m  # P[k, i] = (B^{-1})[i, k]
-    for i in range(n, g.dim):
-        ents[(i, i)] = L
-    LP = SparseMat(g.dim, g.dim, ents)
+    ents, L = inverse
+    LP = SparseMat(g.dim, g.dim, ents | {(i, i): L for i in range(n, g.dim)})
     verified = _verify_isomorphism(g, LP, L, liealg.make_phi(n))
     return NormalizeResult(n=n, scaled=LP, scale=L, verified=verified)
-
-
-def _scaled(M):
-    """(L M, L) with L the lcm of the denominators of M's entries, so that
-    L M is an int matrix."""
-    L = math.lcm(*(v.denominator for v in M.entries.values()))
-    return SparseMat(M.n_rows, M.n_cols, {k: v.numerator * (L // v.denominator)
-                                          for k, v in M.entries.items()}), L
 
 
 def _verify_isomorphism(g, LP, scale, h):
     """Check that P = ``LP`` / ``scale`` maps h's structure onto g's:
     [P u_i, P u_j]_g = P [u_i, u_j]_h, for an int matrix ``LP`` and an int
-    ``scale`` L > 0 (``_scaled`` gives both for a rational P).
+    ``scale`` L > 0.
 
     Checked as [LP u_i, LP u_j]_g = L (LP) [u_i, u_j]_h: the same statement
     times L^2 != 0, in ints when g's and h's structure constants are ints.
@@ -456,16 +444,20 @@ def _verify_isomorphism(g, LP, scale, h):
 def compose_isomorphism(g1, r1, g2, r2):
     """Isomorphism g1 -> g2 through the shared normal form.
 
-    r1, r2 are NormalizeResult records for g1, g2 (same n).  Returns the
-    matrix of the map in basis coordinates together with an exact
-    verification that it is an isomorphism: it intertwines the brackets,
-    and it is invertible, since P1^{-1} exists (``invert`` raises
-    otherwise) and P2 has full rank.
+    r1, r2 are NormalizeResult records for g1, g2 (same n); r1 is read for
+    its n only.  A vector of g1 is P1 w, w in normal-form coordinates, so
+    the map is M = P2 P1^{-1}.  P1 is B1^{-1} transposed on the Cartan
+    block and the identity on the root block, B1 = ``g1.root_block``, so
+    P1^{-1} is the int matrix B1^T (+) I, and L2 M = (L2 P2)(B1^T (+) I) is
+    formed in ints.  Returns M = L2 M / L2 together with an exact
+    verification that it is an isomorphism: L2 M has full rank, and it
+    intertwines the brackets.
     """
     if r1.n != r2.n:
         raise ValueError("normal forms have different n")
-    # Coordinates: v in g1 equals P1 w with w in normal-form coordinates,
-    # so the map is v -> P2 P1^{-1} v.
-    M = r2.change_of_basis.matmul(exactla.invert(r1.change_of_basis))
-    ok = exactla.rank(r2.scaled) == g2.dim and _verify_isomorphism(g2, *_scaled(M), g1)
-    return M, ok
+    n, dim = r1.n, g1.dim
+    P1_inv = SparseMat(dim, dim, {(t, k): v for (k, t), v in g1.root_block.entries.items()}
+                       | {(i, i): 1 for i in range(n, dim)})
+    LM, L = r2.scaled.matmul(P1_inv), r2.scale
+    ok = exactla.rank(LM) == g2.dim and _verify_isomorphism(g2, LM, L, g1)
+    return SparseMat(dim, dim, {k: Fraction(v, L) for k, v in LM.entries.items()}), ok

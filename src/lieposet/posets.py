@@ -342,7 +342,3 @@ def hexagon_type_c_poset():
 
 def chain_poset(N):
     return make_poset(range(1, N + 1), [(i, i + 1) for i in range(1, N)], "A")
-
-
-def antichain_poset(N):
-    return make_poset(range(1, N + 1), [], "A")

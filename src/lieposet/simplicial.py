@@ -7,15 +7,12 @@ from .exactla import SparseMat
 from .posets import nerve
 
 
-def coboundary_matrices(P):
-    """delta^k : C^k -> C^(k+1) for each k below the top dimension.
+def _coboundaries(complex_):
+    """delta^k : C^k -> C^(k+1) of the simplicial complex ``complex_``, for
+    each k below its top dimension.
 
     (delta f)(sigma) = sum_i (-1)^i f(sigma with vertex i removed).
     """
-    return _coboundaries(nerve(P))
-
-
-def _coboundaries(complex_):
     by_dim = complex_.simplices_by_dim
     out = []
     for k in range(len(by_dim) - 1):
@@ -41,11 +38,3 @@ def simplicial_cohomology_dim(P, k):
     rank_k = exactla.rank(deltas[k]) if k < len(deltas) else 0
     rank_km1 = exactla.rank(deltas[k - 1]) if 1 <= k <= len(deltas) else 0
     return n_k - rank_k - rank_km1
-
-
-def euler_characteristic(P):
-    complex_ = nerve(P)
-    return sum(
-        (-1) ** k * complex_.n_simplices(k)
-        for k in range(complex_.dimension + 1)
-    )

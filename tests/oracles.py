@@ -1,7 +1,8 @@
 """Test-side oracles: SparseMat constructors and predicates the package
-does not need, an exact linear solve, the Kirillov matrix as a SparseMat,
-and characteristic polynomials by Faddeev-LeVerrier for
-``indexfrob.spectrum``.
+does not need, an exact linear solve, a dense inverse, the Kirillov matrix
+as a SparseMat, characteristic polynomials by Faddeev-LeVerrier for
+``indexfrob.spectrum``, and the antichain poset, coboundary matrices and
+Euler characteristic of an order complex, which only the tests use.
 
 ``spectrum`` reads det(x - ad p) off the root data; ``char_poly`` computes
 it from the matrix of ad(p) with no structure assumed, and
@@ -9,10 +10,12 @@ it from the matrix of ad(p) with no structure assumed, and
 Polynomials are lists of Fractions, lowest degree first.
 """
 
+import math
 from fractions import Fraction
 
-from lieposet import exactla, indexfrob
+from lieposet import exactla, indexfrob, simplicial
 from lieposet.exactla import DimensionError, SparseMat
+from lieposet.posets import make_poset, nerve
 
 # The dense oracles' Fraction scalars.
 ZERO = Fraction(0)
@@ -66,6 +69,37 @@ def solve(A, b):
     if A.mat_vec(x) != list(b):
         return None
     return x
+
+
+def invert(M):
+    """Inverse of a square SparseMat by dense Gauss-Jordan elimination of
+    [M | I] over Fractions, written apart from the sparse kernel;
+    ValueError when M is singular."""
+    if M.n_rows != M.n_cols:
+        raise DimensionError("inverse of non-square matrix")
+    n = M.n_rows
+    m = [[Fraction(M[(i, j)]) for j in range(n)] + [ONE if k == i else ZERO for k in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return SparseMat(n, n, {(i, j): m[i][n + j] for i in range(n) for j in range(n)})
+
+
+def scaled(M):
+    """(L M, L) with L the lcm of the denominators of M's entries, so that
+    L M is an int matrix: the form ``indexfrob._verify_isomorphism`` takes
+    a rational change of basis in."""
+    L = math.lcm(*(v.denominator for v in M.entries.values()))
+    return SparseMat(M.n_rows, M.n_cols, {k: v.numerator * (L // v.denominator)
+                                          for k, v in M.entries.items()}), L
 
 
 def eval_kirillov(g, f):
@@ -126,3 +160,18 @@ def factor_binary(coeffs):
         p = q
         b += 1
     return a, b, p
+
+
+def antichain_poset(N):
+    return make_poset(range(1, N + 1), [], "A")
+
+
+def coboundary_matrices(P):
+    """delta^k : C^k -> C^(k+1) of the order complex of P, for each k
+    below its top dimension (``simplicial._coboundaries`` of the nerve)."""
+    return simplicial._coboundaries(nerve(P))
+
+
+def euler_characteristic(P):
+    complex_ = nerve(P)
+    return sum((-1) ** k * complex_.n_simplices(k) for k in range(complex_.dimension + 1))

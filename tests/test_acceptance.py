@@ -9,7 +9,7 @@ import itertools
 import math
 
 from lieposet import cohomology, indexfrob, liealg, posets, simplicial, suites
-from oracles import ONE, ZERO, eval_kirillov, is_skew_symmetric
+from oracles import ONE, ZERO, antichain_poset, eval_kirillov, is_skew_symmetric
 
 
 def _gate(name, ok, detail=""):
@@ -29,7 +29,7 @@ def _corpus():
         liealg.build(posets.chain_poset(2), "gl"),
         liealg.build(posets.chain_poset(3), "gl"),
         liealg.build(posets.chain_poset(4), "gl"),
-        liealg.build(posets.antichain_poset(3), "gl"),
+        liealg.build(antichain_poset(3), "gl"),
     ]
     algebras += [liealg.make_phi(n) for n in range(1, 6)]
     for n in range(2, 7):

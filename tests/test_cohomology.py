@@ -20,13 +20,12 @@ from lieposet.cohomology import (
 from lieposet.indexfrob import index
 from lieposet.liealg import build, center, make_phi
 from lieposet.posets import (
-    antichain_poset,
     chain_poset,
     branch_poset,
     enumerate_height_one,
     hexagon_type_c_poset,
 )
-from oracles import ZERO
+from oracles import ZERO, antichain_poset
 from strategies import algebras
 
 SMALL = [

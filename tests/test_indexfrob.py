@@ -21,13 +21,13 @@ from lieposet.indexfrob import (
 )
 from lieposet.liealg import build, check_jacobi, derived_series, make_phi
 from lieposet.posets import (
-    antichain_poset,
     chain_poset,
     branch_poset,
     hexagon_type_c_poset,
 )
 from oracles import (
-    ONE, ZERO, eval_kirillov, identity, is_skew_symmetric, solve, transpose,
+    ONE, ZERO, antichain_poset, eval_kirillov, identity, invert, is_skew_symmetric,
+    scaled as scaled_matrix, solve, transpose,
 )
 from strategies import algebras, valid_posets
 from test_structure_index import NAMED
@@ -41,6 +41,28 @@ HEIGHT_ONE = [
     for P in posets.enumerate_height_one(n)
     for variant in ("gl", "sl")
 ]
+
+
+def small_bcd_algebras():
+    """The algebra of every valid B/C/D poset of rank 1..3 closed from at
+    most three mirror pairs, built as the strategy builds them: random
+    B/C/D algebras are rarely Frobenius, and 39 of these are."""
+    out = []
+    for family in "BCD":
+        for n in (1, 2, 3):
+            elems = [e for e in range(-n, n + 1) if e or family == "B"]
+            reps = sorted({min((a, b), (-b, -a)) for a, b in itertools.combinations(elems, 2)
+                           if family == "C" or a != -b})
+            for k in range(4):
+                for chosen in itertools.combinations(reps, k):
+                    relation = posets.transitive_closure(
+                        elems, {q for a, b in chosen for q in ((a, b), (-b, -a))})
+                    if family in ("B", "D") and any((-e, e) in relation for e in elems if e > 0):
+                        continue
+                    P = posets.make_poset(elems, relation, family)
+                    if posets.validate_family(P).ok:
+                        out.append(build(P))
+    return out
 
 
 @st.composite
@@ -461,7 +483,7 @@ class TestPrincipalElement:
             with pytest.raises(NotFrobeniusError):
                 principal_element(g, f)
         else:
-            assert principal_element(g, f) == [-v for v in exactla.invert(M).mat_vec(f)]
+            assert principal_element(g, f) == [-v for v in invert(M).mat_vec(f)]
         for wrong in (f[:-1], f + (1,)):
             with pytest.raises(exactla.DimensionError):
                 principal_element(g, wrong)
@@ -687,15 +709,15 @@ class TestNormalize:
     @staticmethod
     def _check_against_inverse(g):
         # P is the inverse of the root block B transposed on the Cartan
-        # block and the identity on the root block, as exactla.invert(B)
-        # gives it, and scaled = scale * P entry by entry.  Returns whether
+        # block and the identity on the root block, with B inverted by the
+        # dense oracle, and scaled = scale * P entry by entry.  Returns whether
         # g was normalized.
         try:
             res = normalize_to_phi(g)
         except (BlockFormError, NotFrobeniusError):
             return False
         n = res.n
-        C = exactla.invert(g.root_block)
+        C = invert(g.root_block)
         want = exactla.SparseMat(g.dim, g.dim, {(k, i): v for (i, k), v in C.entries.items()}
                                  | {(n + i, n + i): 1 for i in range(n)})
         assert res.change_of_basis == want
@@ -718,25 +740,7 @@ class TestNormalize:
         self._check_against_inverse(g)
 
     def test_change_of_basis_is_the_inverse_on_small_bcd(self):
-        # Random B/C/D algebras are rarely Frobenius, so this sweeps every
-        # valid B/C/D poset of rank 1..3 closed from at most three mirror
-        # pairs, built as the strategy builds them.
-        normalized = 0
-        for family in "BCD":
-            for n in (1, 2, 3):
-                elems = [e for e in range(-n, n + 1) if e or family == "B"]
-                reps = sorted({min((a, b), (-b, -a)) for a, b in itertools.combinations(elems, 2)
-                               if family == "C" or a != -b})
-                for k in range(4):
-                    for chosen in itertools.combinations(reps, k):
-                        relation = posets.transitive_closure(
-                            elems, {q for a, b in chosen for q in ((a, b), (-b, -a))})
-                        if family in ("B", "D") and any((-e, e) in relation for e in elems if e > 0):
-                            continue
-                        P = posets.make_poset(elems, relation, family)
-                        if posets.validate_family(P).ok:
-                            normalized += self._check_against_inverse(build(P))
-        assert normalized == 39
+        assert sum(map(self._check_against_inverse, small_bcd_algebras())) == 39
 
     def test_succeeds_exactly_at_index_zero_on_height_one(self):
         normalized = [self._check_decides_frobenius(g) for g in HEIGHT_ONE]
@@ -886,7 +890,50 @@ class TestCompose:
         M, ok = compose_isomorphism(g1, r1, g2, zeroed)
         assert ok is False
         assert exactla.rank(M) == 5
-        assert indexfrob._verify_isomorphism(g2, *indexfrob._scaled(M), g1) is True
+        assert indexfrob._verify_isomorphism(g2, *scaled_matrix(M), g1) is True
+
+    @staticmethod
+    def _check_against_inverse(corpus):
+        """compose_isomorphism on every ordered pair of equal-dimension
+        Frobenius algebras of ``corpus``: ok, and M == P2 P1^{-1} with P1
+        inverted by the dense oracle, as the map was formed before it was
+        read off the root block.  Returns the number of pairs."""
+        normalized = []
+        for g in corpus:
+            try:
+                r = normalize_to_phi(g)
+            except (BlockFormError, NotFrobeniusError):
+                continue
+            normalized.append((g, r, invert(r.change_of_basis)))
+        pairs = 0
+        for (g1, r1, P1_inv), (g2, r2, _) in itertools.product(normalized, repeat=2):
+            if g1.dim == g2.dim:
+                M, ok = compose_isomorphism(g1, r1, g2, r2)
+                assert ok is True
+                assert M == r2.change_of_basis.matmul(P1_inv)
+                pairs += 1
+        return pairs
+
+    def test_direct_map_is_the_inverse_route(self):
+        corpus = (HEIGHT_ONE + [make_phi(n) for n in range(1, 7)]
+                  + [build(hexagon_type_c_poset())])
+        # Ordered pairs, each algebra with itself included.
+        assert self._check_against_inverse(corpus) == 737
+
+    def test_direct_map_is_the_inverse_route_on_small_bcd(self):
+        # Across the families too: B, C and D algebras of equal dim, with
+        # Phi_1..Phi_3 beside them.
+        corpus = small_bcd_algebras() + [make_phi(n) for n in (1, 2, 3)]
+        assert self._check_against_inverse(corpus) == 1254
+
+    @settings(max_examples=100, deadline=None)
+    @given(algebras("BCD"))
+    def test_direct_map_is_the_inverse_route_on_generated(self, g):
+        # g with itself, and with Phi_n both ways when g is Frobenius.
+        corpus = [g]
+        if g.dim and g.dim % 2 == 0:
+            corpus.append(make_phi(g.dim // 2))
+        self._check_against_inverse(corpus)
 
     def test_mismatched_n(self):
         r1 = normalize_to_phi(make_phi(1))

@@ -24,13 +24,12 @@ from lieposet.liealg import (
     sparsity_pattern,
 )
 from lieposet.posets import (
-    antichain_poset,
     chain_poset,
     branch_poset,
     hexagon_type_c_poset,
     make_poset,
 )
-from oracles import ONE, ZERO, transpose
+from oracles import ONE, ZERO, antichain_poset, transpose
 from strategies import valid_posets
 
 CORPUS = [

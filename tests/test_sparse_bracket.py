@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from lieposet import exactla, indexfrob, liealg, posets
 from lieposet.exactla import SparseMat
-from oracles import ONE, ZERO, char_poly, factor_binary
+from oracles import ONE, ZERO, char_poly, factor_binary, scaled
 from strategies import algebras
 from test_exactla import dense_rank_oracle
 
@@ -360,7 +360,7 @@ def test_center_against_dense_oracle(g):
 def verify_isomorphism(g, P, h):
     """``indexfrob._verify_isomorphism`` on a rational P, handed over as
     its int multiple L P and L."""
-    return indexfrob._verify_isomorphism(g, *indexfrob._scaled(P), h)
+    return indexfrob._verify_isomorphism(g, *scaled(P), h)
 
 
 class TestVerifyIsomorphism:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from lieposet import cohomology, exactla, indexfrob, liealg, posets
 from lieposet.exactla import SparseMat
-from oracles import ONE, ZERO, char_poly, eval_kirillov, solve, transpose
+from oracles import ONE, ZERO, antichain_poset, char_poly, eval_kirillov, solve, transpose
 from strategies import algebras
 
 
@@ -80,7 +80,7 @@ NAMED = {
     "chain1-sl": (posets.chain_poset(1), "sl"),
     "chain5-gl": (posets.chain_poset(5), "gl"),
     "chain5-sl": (posets.chain_poset(5), "sl"),
-    "antichain3-gl": (posets.antichain_poset(3), "gl"),
+    "antichain3-gl": (antichain_poset(3), "gl"),
     "typeB": (posets.make_poset(range(-2, 3), [(-1, 2), (-2, 1)], "B"), "gl"),
     "typeC-long-root": (posets.make_poset([-2, -1, 1, 2], [(-2, -1), (-1, 1), (1, 2)], "C"), "gl"),
     "typeD": (posets.make_poset([-2, -1, 1, 2], [(-1, 2), (-2, 1)], "D"), "gl"),
