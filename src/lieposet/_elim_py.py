@@ -5,19 +5,19 @@ Rows are dicts mapping column index -> nonzero int or Fraction, never a
 float; root blocks, coboundary blocks, derived-series spans and Kirillov
 trials of integral algebras arrive as ints.  Over Q the elimination is
 fraction-free.  Every pivot row is an int row with a positive lead: a
-row holding a Fraction is multiplied by the lcm of its
-denominators when it pivots, and a column c is cleared against a pivot
-row p of lead l by the one row operation r <- (l/g) r - (r_c/g) p,
-g = gcd(l, r_c), which is the plain r - r_c p when l is 1.  A new pivot
-row whose lead is not +-1, and a row that the operation scaled during
-back-substitution, is divided by its content.  ``eliminate`` divides only
-when it hands the result back, and only the pivot rows whose lead is not
-1, so that every entry it returns is an ``int`` exactly when it is
-integral.  ``_echelon`` is the integer core it wraps, for a caller that
-reads the leads itself: ``liealg.LieAlg.root_echelon`` eliminates the
-root block's [B | I] with it once, and ``indexfrob`` reads the index,
-the principal element and the normal form of a two-step algebra off
-those rows.
+row holding a Fraction is multiplied by the lcm of its denominators as
+it enters, and a column c is cleared against a pivot row p of lead l by
+the one row operation r <- (l/g) r - (r_c/g) p, g = gcd(l, r_c), which
+is the plain r - r_c p when l is 1.  A new pivot row whose lead is not
+1, and a row that the operation scaled during back-substitution, is
+divided by its content, signed to make the lead positive.  ``eliminate``
+divides only when it hands the result back, and only the pivot rows
+whose lead is not 1, so that every entry it returns is an ``int``
+exactly when it is integral.  ``_echelon`` is the integer core it
+wraps, for a caller that reads the leads itself:
+``liealg.LieAlg.root_echelon`` eliminates the root block's [B | I] with
+it once, and ``indexfrob`` reads the index, the principal element and
+the normal form of a two-step algebra off those rows.
 With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
 rank and kernel on ``eliminate`` (``liealg.center`` and the
@@ -80,7 +80,8 @@ def _echelon(rows, reduce_full=False, modulus=None):
     an int row with a positive lead, a positive multiple of the normalized
     row ``eliminate`` returns; mod p the rows are already normalized."""
     if modulus is None:
-        rows = [r.copy() for r in rows if r]
+        rows = [r.copy() if type(sum(r.values())) is int else _int_row(r)
+                for r in rows if r]
     else:
         rows = (r for r in (_residues(r, modulus) for r in rows) if r)
     pivot_rows = {}
@@ -94,18 +95,8 @@ def _echelon(rows, reduce_full=False, modulus=None):
             if modulus is not None:
                 inv = pow(lead, -1, modulus)
                 row = {c: v * inv % modulus for c, v in row.items()}
-            else:
-                # Checked as a row pivots, not as it enters: most rows of
-                # the derived-series and center eliminations cancel to
-                # nothing.  A one-entry row is all lead.
-                if type(lead) is not int or (len(row) > 1
-                                             and type(sum(row.values())) is not int):
-                    row = _int_row(row)
-                    lead = row[piv]
-                if lead == -1:
-                    row = {c: -v for c, v in row.items()}
-                elif lead != 1:
-                    row = _primitive(row, lead)
+            elif lead != 1:
+                row = _primitive(row, lead)
             pivot_rows[piv] = row
     pivots = sorted(pivot_rows)
     if reduce_full:
@@ -147,12 +138,12 @@ def _reduce_row(row, pivot_rows, modulus=None):
     holds none of their pivot columns.
 
     Over Q, clearing column c against a pivot row p of lead l != 1 first
-    scales the row by l/g, g = gcd(l, r_c) (by l when r_c is a Fraction),
-    and then subtracts (r_c/g) p; returns whether any operation scaled the
-    row, whose content the caller then divides out.  With a ``modulus``
-    every lead is 1 and the multiplier is reduced mod p but the updated
-    entries are not: they stay congruent to the true residues, and the
-    caller reduces the row when it is done."""
+    scales the row by l/g, g = gcd(l, r_c), and then subtracts (r_c/g) p;
+    returns whether any operation scaled the row, whose content the caller
+    then divides out.  With a ``modulus`` every lead is 1 and the
+    multiplier is reduced mod p but the updated entries are not: they stay
+    congruent to the true residues, and the caller reduces the row when it
+    is done."""
     scaled = False
     while True:
         hit = -1
@@ -166,10 +157,9 @@ def _reduce_row(row, pivot_rows, modulus=None):
         if modulus is not None:
             f %= modulus
         elif (a := prow[hit]) != 1:
-            if type(f) is int:
-                g = gcd(a, f)
-                a //= g
-                f //= g
+            g = gcd(a, f)
+            a //= g
+            f //= g
             if a != 1:
                 for c in row:
                     row[c] *= a

@@ -76,21 +76,6 @@ def _assemble(g, cells, pos_n1, skip_below):
     """
     dim, adjacency, producers = g.dim, g.adjacency, g.producers
     ents = {}
-
-    def add(row, val, col):
-        if not val:
-            return
-        key = (row, col)
-        old = ents.get(key)
-        if old is None:
-            ents[key] = val
-            return
-        s = old + val
-        if s:
-            ents[key] = s
-        else:
-            del ents[key]
-
     col = 0
     for S, targets in cells:
         # Module term: insert a into S at position p; the cochain eats the
@@ -131,9 +116,17 @@ def _assemble(g, cells, pos_n1, skip_below):
                 # [x_a, x_t] is vec for a < t and -vec for a > t.
                 positive = even == (a < t)
                 for m, c in vec.items():
-                    add(base + m, c if positive else -c, col)
+                    key = (base + m, col)
+                    if s := ents.get(key, 0) + (c if positive else -c):
+                        ents[key] = s
+                    else:
+                        ents.pop(key, None)
             for base, val in replaced:
-                add(base + t, val, col)
+                key = (base + t, col)
+                if s := ents.get(key, 0) + val:
+                    ents[key] = s
+                else:
+                    ents.pop(key, None)
             col += 1
     return ents
 

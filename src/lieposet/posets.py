@@ -52,25 +52,16 @@ class SimplicialComplex:
             return len(self.simplices_by_dim[k])
         return 0
 
-    @property
-    def dimension(self):
-        return len(self.simplices_by_dim) - 1
-
 
 def transitive_closure(elements, pairs):
     succ = {e: set() for e in elements}
     for a, b in pairs:
         succ[a].add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a in elements:
-            extra = set()
-            for b in succ[a]:
-                extra |= succ[b] - succ[a]
-            if extra:
-                succ[a] |= extra
-                changed = True
+    for k, above in succ.items():
+        if above:
+            for s in succ.values():
+                if k in s:
+                    s |= above
     return frozenset((a, b) for a in elements for b in succ[a])
 
 
@@ -183,18 +174,6 @@ def validate_family(P):
             if e > 0 and (-e, e) in P.relation:
                 bad.append((3, f"{-e} below {e}"))
     return FamilyReport(ok=not bad, violations=tuple(bad))
-
-
-def height(P):
-    """Number of edges in a longest chain (0 for antichains)."""
-    memo = {}
-
-    def depth(a):
-        if a not in memo:
-            memo[a] = 1 + max((depth(b) for b in P.successors(a)), default=-1)
-        return memo[a]
-
-    return max(depth(a) for a in P.elements)
 
 
 def hasse(P):

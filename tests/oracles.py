@@ -1,8 +1,9 @@
 """Test-side oracles: SparseMat constructors and predicates the package
 does not need, an exact linear solve, a dense inverse, the Kirillov matrix
 as a SparseMat, characteristic polynomials by Faddeev-LeVerrier for
-``indexfrob.spectrum``, and the antichain poset, coboundary matrices and
-Euler characteristic of an order complex, which only the tests use.
+``indexfrob.spectrum``, and the antichain poset, a poset's height, and
+the dimension, coboundary matrices and Euler characteristic of an order
+complex, which only the tests use.
 
 ``spectrum`` reads det(x - ad p) off the root data; ``char_poly`` computes
 it from the matrix of ad(p) with no structure assumed, and
@@ -166,6 +167,23 @@ def antichain_poset(N):
     return make_poset(range(1, N + 1), [], "A")
 
 
+def height(P):
+    """Number of edges in a longest chain (0 for antichains)."""
+    memo = {}
+
+    def depth(a):
+        if a not in memo:
+            memo[a] = 1 + max((depth(b) for b in P.successors(a)), default=-1)
+        return memo[a]
+
+    return max(depth(a) for a in P.elements)
+
+
+def complex_dimension(complex_):
+    """Top dimension of an order complex: its longest chains' length - 1."""
+    return len(complex_.simplices_by_dim) - 1
+
+
 def coboundary_matrices(P):
     """delta^k : C^k -> C^(k+1) of the order complex of P, for each k
     below its top dimension (``simplicial._coboundaries`` of the nerve)."""
@@ -174,4 +192,4 @@ def coboundary_matrices(P):
 
 def euler_characteristic(P):
     complex_ = nerve(P)
-    return sum((-1) ** k * complex_.n_simplices(k) for k in range(complex_.dimension + 1))
+    return sum((-1) ** k * complex_.n_simplices(k) for k in range(complex_dimension(complex_) + 1))

@@ -5,7 +5,7 @@ import itertools
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from lieposet import liealg, posets
+from lieposet import indexfrob, liealg, posets
 
 
 @st.composite
@@ -56,4 +56,28 @@ def algebras(draw, families="ABCDP", max_dim=9):
     assume(1 <= dim <= max_dim)
     g = liealg.build(P, variant)
     assert g.dim == dim
+    return g
+
+
+@st.composite
+def frobenius_bcd_algebras(draw):
+    """A Frobenius Lie poset algebra of family B, C or D.
+
+    The rank n is 2..4 (2..3 in B), and the relations are n mirror orbits
+    {(a, b), (-b, -a)} with a < 0 < b (and a != -b in B and D), so the
+    closed poset is valid, of height one, and the algebra has dimension
+    2n.  An algebra of index other than 0 is rejected.
+    """
+    family = draw(st.sampled_from("BCD"))
+    n = draw(st.integers(2, 3 if family == "B" else 4))
+    reps = sorted({min((a, b), (-b, -a)) for a in range(-n, 0) for b in range(1, n + 1)
+                   if family == "C" or a != -b})
+    # B and D have a single such orbit at rank 2.
+    assume(len(reps) >= n)
+    chosen = draw(st.lists(st.sampled_from(reps), min_size=n, max_size=n, unique=True))
+    elems = [e for e in range(-n, n + 1) if e or family == "B"]
+    P = posets.make_poset(elems, [p for a, b in chosen for p in ((a, b), (-b, -a))], family)
+    assert posets.validate_family(P).ok
+    g = liealg.build(P)
+    assume(indexfrob.index(g, seed=0).index == 0)
     return g

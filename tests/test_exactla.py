@@ -458,6 +458,41 @@ def test_entries_are_ints_exactly_when_integral(rows):
         assert got == _elim_py.eliminate(fracs, reduce_full=reduce_full)
 
 
+@st.composite
+def mixed_matrices(draw):
+    """Dense rows of ints and non-integral Fractions, some entries zero."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-10, 10),
+        st.fractions(min_value=-10, max_value=10, max_denominator=7).filter(
+            lambda q: q.denominator > 1),
+    )
+    return [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+
+
+def _layout(result):
+    """The pivots, then each pivot row's (column, value, type) in order."""
+    pivots, rows = result
+    return pivots, [(p, [(c, v, type(v)) for c, v in row.items()]) for p, row in rows.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_matrices(),
+       st.lists(st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+                min_size=6, max_size=6))
+def test_rows_scaled_by_positive_rationals_give_the_same_results(rows, scales):
+    # Over Q a row enters as a positive int multiple of itself, so a row
+    # times any positive rational gives the same pivots, the same pivot
+    # rows in the same order, and the same entries of the same types.
+    rows = _sparse(rows)
+    scaled = [{c: s * v for c, v in r.items()} for r, s in zip(rows, scales)]
+    for kernel in (_elim_py.eliminate, _elim_py._echelon):
+        for reduce_full in (False, True):
+            assert _layout(kernel(scaled, reduce_full)) == _layout(kernel(rows, reduce_full))
+
+
 def test_non_unit_leads_match_the_dense_oracle():
     # Rows 0..8 put leads 2, 3, 5 on the columns 0..8 and their other
     # entries, a 1 among them, in the free columns 9..11, so none clears

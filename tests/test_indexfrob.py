@@ -26,10 +26,10 @@ from lieposet.posets import (
     hexagon_type_c_poset,
 )
 from oracles import (
-    ONE, ZERO, antichain_poset, eval_kirillov, identity, invert, is_skew_symmetric,
+    ONE, ZERO, antichain_poset, eval_kirillov, height, identity, invert, is_skew_symmetric,
     scaled as scaled_matrix, solve, transpose,
 )
-from strategies import algebras, valid_posets
+from strategies import algebras, frobenius_bcd_algebras, valid_posets
 from test_structure_index import NAMED
 
 HALF = Fraction(1, 2)
@@ -345,7 +345,7 @@ class TestClosedFormIndex:
     @settings(max_examples=100, deadline=None)
     @given(connected_height_one(), st.sampled_from(("gl", "sl")))
     def test_generated_connected_height_one(self, P, variant):
-        assert posets.height(P) == 1 and posets.hasse_graph_properties(P)["connected"]
+        assert height(P) == 1 and posets.hasse_graph_properties(P)["connected"]
         cert = index(build(P, variant), seed=0)
         assert cert.trials == 0 and cert.index == closed_form_index(P, variant)
 
@@ -739,6 +739,11 @@ class TestNormalize:
     def test_change_of_basis_is_the_inverse_on_generated(self, g):
         self._check_against_inverse(g)
 
+    @settings(max_examples=100, deadline=None)
+    @given(frobenius_bcd_algebras())
+    def test_change_of_basis_is_the_inverse_on_generated_frobenius_bcd(self, g):
+        assert self._check_against_inverse(g)
+
     def test_change_of_basis_is_the_inverse_on_small_bcd(self):
         assert sum(map(self._check_against_inverse, small_bcd_algebras())) == 39
 
@@ -824,6 +829,11 @@ class TestRootEchelon:
     @given(algebras("BCD"))
     def test_generated_bcd(self, g):
         self._check(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(frobenius_bcd_algebras())
+    def test_generated_frobenius_bcd(self, g):
+        assert self._check(g)
 
     def test_fraction_coordinates_keep_their_type(self):
         # The star's principal element has denominators 2, 3 and 6; Phi_n's
@@ -934,6 +944,12 @@ class TestCompose:
         if g.dim and g.dim % 2 == 0:
             corpus.append(make_phi(g.dim // 2))
         self._check_against_inverse(corpus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(frobenius_bcd_algebras())
+    def test_direct_map_is_the_inverse_route_on_generated_frobenius_bcd(self, g):
+        # g and Phi_n, each with itself and with the other.
+        assert self._check_against_inverse([g, make_phi(g.dim // 2)]) == 4
 
     def test_mismatched_n(self):
         r1 = normalize_to_phi(make_phi(1))

@@ -16,7 +16,6 @@ from lieposet.posets import (
     branch_poset,
     hasse,
     hasse_graph_properties,
-    height,
     hexagon_type_c_poset,
     make_poset,
     nerve,
@@ -24,7 +23,7 @@ from lieposet.posets import (
     transitive_closure,
     validate_family,
 )
-from oracles import antichain_poset
+from oracles import antichain_poset, complex_dimension, height
 from strategies import valid_posets
 
 
@@ -119,6 +118,20 @@ class TestClosure:
     def test_hasse_regenerates(self):
         for P in (branch_poset(), chain_poset(4), hexagon_type_c_poset()):
             assert transitive_closure(P.elements, hasse(P)) == P.relation
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=14))))
+    def test_matches_networkx_reachability(self, case):
+        # Any relation, cycles and loops included: (a, b) is in the closure
+        # exactly when a path of length >= 1 leads from a to b.
+        n, pairs = case
+        G = nx.DiGraph(pairs)
+        G.add_nodes_from(range(1, n + 1))
+        reach = {a: nx.descendants(G, a) for a in G}
+        want = {(a, b) for a in G for b in reach[a]} | {
+            (a, a) for a in G if any(s == a or a in reach[s] for s in G.successors(a))}
+        assert transitive_closure(range(1, n + 1), pairs) == want
 
 
 class TestValidateFamily:
@@ -261,7 +274,7 @@ class TestNerve:
         for P in (branch_poset(), chain_poset(4), hexagon_type_c_poset()):
             c = nerve(P)
             assert c.n_simplices(1) == len(P.relation)
-            for k in range(1, c.dimension + 1):
+            for k in range(1, complex_dimension(c) + 1):
                 lower = set(c.simplices_by_dim[k - 1])
                 for s in c.simplices_by_dim[k]:
                     for i in range(len(s)):
