@@ -14,17 +14,19 @@ divided by its content, signed to make the lead positive.  ``eliminate``
 divides only when it hands the result back, and only the pivot rows
 whose lead is not 1, so that every entry it returns is an ``int``
 exactly when it is integral.  ``_echelon`` is the integer core it
-wraps, for a caller that reads the leads itself:
+wraps, for a caller that reads the leads or only counts the pivots:
 ``liealg.LieAlg.root_echelon`` eliminates the root block's [B | I] with
-it once, and ``indexfrob`` reads the index, the principal element and
-the normal form of a two-step algebra off those rows.
+it once, whatever B's shape, and ``indexfrob`` reads the index, the
+principal element and the normal form of a two-step algebra off those
+rows; ``exactla.rank`` counts its pivots.
 With a ``modulus`` p the entries must be ints; they are taken as residues
 mod p and every pivot row holds residues in [0, p).  ``exactla`` builds
-rank and kernel on ``eliminate`` (``liealg.center`` and the
+its kernel on ``eliminate`` (``liealg.center`` and the
 2-cocycles of ``Phi_n`` go through its ``kernel_basis``); ``liealg``
 calls it directly for the derived series' spans and for the rank of the
 Cartan diagonals in ``build``, ``cohomology`` for the ranks of the
-relative blocks d_R^j, and ``indexfrob`` ranks its random Kirillov trials
+relative blocks d_R^j, ``simplicial`` for the ranks of the order
+complex's coboundaries, and ``indexfrob`` ranks its random Kirillov trials
 mod p and solves for principal elements with it (``principal_element``,
 which ``frobenius_spectrum`` calls unless the root block is square and
 invertible).  Every mode runs the same forward elimination; the reduced

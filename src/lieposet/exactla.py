@@ -7,10 +7,11 @@ no floating point anywhere in this package, so every rank and dimension
 below is exact.
 
 Every rank and kernel runs through one sparse elimination kernel,
-``_elim_py.eliminate``, reached here as ``_elim.eliminate``.  ``BACKEND``
-names it; it is a constant, kept for reports that record it.
-``kernel_basis``, on plain row dicts as the kernel takes them, is the
-package's one null-space read-off.
+``_elim_py``, reached here as ``_elim``: ``rank`` counts the pivots of
+its integer core ``_echelon``, ``kernel_basis`` reads ``eliminate``'s
+reduced rows.  ``BACKEND`` names it; it is a constant, kept for reports
+that record it.  ``kernel_basis``, on plain row dicts as the kernel
+takes them, is the package's one null-space read-off.
 Over Q the kernel eliminates fraction-free on int rows and divides by
 each lead once, on the way out, so a returned entry (of a kernel vector
 too) is an ``int`` exactly when it is integral, with results
@@ -99,9 +100,8 @@ class SparseMat:
 
 
 def rank(M):
-    """Exact rank over the rationals."""
-    pivots, _ = _elim.eliminate(M.row_dicts())
-    return len(pivots)
+    """Exact rank over the rationals: the pivots of ``_elim._echelon``."""
+    return len(_elim._echelon(M.row_dicts())[0])
 
 
 def kernel_basis(rows, width):

@@ -148,8 +148,8 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
     dim - 2 rank(B) exactly, with the structured candidate as witness and
     no random trial (``trials`` 0 in the certificate); rank(B) is read off
     ``g.root_echelon``, the elimination of [B | I] that the principal
-    element and the normal form read too, and B is ranked on its own only
-    when it is not square.  Otherwise the commutator tensor is evaluated
+    element and the normal form read too: the number of its pivots in B's
+    columns, whatever B's shape.  Otherwise the commutator tensor is evaluated
     at up to ``trials`` random functionals with entries in
     [-entry_bound, entry_bound], stopping at the first nonsingular one;
     the certificate records the trials run.  Each trial is ranked modulo
@@ -163,9 +163,7 @@ def index(g, trials=3, entry_bound=10**6, seed=0):
             raise ValueError(f"{name} must be >= 1")
     B = g.root_block
     if B is not None:
-        echelon = g.root_echelon
-        # rank B: the pivots of [B | I] in B's columns, when B is square.
-        r = exactla.rank(B) if echelon is None else bisect.bisect_left(echelon[0], B.n_cols)
+        r = bisect.bisect_left(g.root_echelon[0], B.n_cols)
         return IndexCertificate(
             index=g.dim - 2 * r,
             witness=structured_candidate(g),
@@ -322,12 +320,10 @@ def _root_inverse(g):
     block of L P for ``normalize_to_phi``'s change of basis P, with L the
     lcm of the leads l_i > 0 of the rows l_i [e_i | row i of B^{-1}]."""
     echelon = g.root_echelon
-    if echelon is None:
+    if echelon is None or echelon[0] != list(range(g.root_block.n_cols)):
         return None
-    pivots, red = echelon
-    n = len(pivots)  # [B | I] has rank n
-    if n and pivots[-1] >= n:
-        return None
+    red = echelon[1]
+    n = len(red)
     L = math.lcm(*(red[i][i] for i in range(n)))
     ents = {}
     for i in range(n):

@@ -153,25 +153,28 @@ class LieAlg:
 
     @cached_property
     def root_echelon(self):
-        """The integer reduced echelon form ``(pivots, rows)`` of [B | I],
-        B = ``root_block``, from ``exactla._elim._echelon``; None unless B
-        exists and is square.
+        """The integer echelon form ``(pivots, rows)`` of [B | I_c], B =
+        ``root_block`` of shape c x m, from ``exactla._elim._echelon``,
+        reduced when B is square; None when there is no root block.
 
         The one elimination of a two-step algebra that ``indexfrob`` reads
-        its index (rank B is the number of pivots in B's columns), its
-        principal element and its normal form from.  [B | I] has rank n
-        whatever B is, so B is invertible exactly when the pivots are the
-        columns 0..n-1; then row i is l_i [e_i | row i of B^{-1}] with
-        lead l_i > 0.  The rows are shared: callers must not modify them.
+        its index, its principal element and its normal form from.  Each
+        row's smallest column is its pivot, and the leading columns of an
+        echelon basis depend only on the row space, so the pivots below
+        column m count rank B and their rows are an echelon form of B's
+        row space, whatever the shape.  [B | I_c] has rank c, so a square
+        B is invertible exactly when the pivots are the columns 0..m-1;
+        then row i is l_i [e_i | row i of B^{-1}] with lead l_i > 0.  The
+        rows are shared: callers must not modify them.
         """
         B = self.root_block
-        if B is None or B.n_rows != B.n_cols:
+        if B is None:
             return None
-        n = B.n_cols
+        c, m = B.n_rows, B.n_cols
         rows = B.row_dicts()
-        for i in range(n):
-            rows[i][n + i] = 1
-        return exactla._elim._echelon(rows, reduce_full=True)
+        for i in range(c):
+            rows[i][m + i] = 1
+        return exactla._elim._echelon(rows, reduce_full=c == m)
 
 
 def _bracket(g, x, y):

@@ -41,18 +41,6 @@ class Poset:
         return max(abs(e) for e in self.elements)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Order complex: k-simplices are strictly increasing (k+1)-chains."""
-
-    simplices_by_dim: tuple  # tuple of tuples of vertex tuples
-
-    def n_simplices(self, k):
-        if 0 <= k < len(self.simplices_by_dim):
-            return len(self.simplices_by_dim[k])
-        return 0
-
-
 def transitive_closure(elements, pairs):
     succ = {e: set() for e in elements}
     for a, b in pairs:
@@ -243,7 +231,8 @@ def hasse_graph_properties(P):
 
 
 def nerve(P):
-    """Order complex of P (normalized: strictly increasing chains only)."""
+    """Order complex of P as its levels: level k is the sorted tuple of its
+    k-simplices, the strictly increasing (k+1)-chains."""
     by_dim = [[(e,) for e in P.elements]]
     current = by_dim[0]
     while True:
@@ -256,7 +245,7 @@ def nerve(P):
         longer.sort()
         by_dim.append(longer)
         current = longer
-    return SimplicialComplex(simplices_by_dim=tuple(tuple(s) for s in by_dim))
+    return tuple(map(tuple, by_dim))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ Polynomials are lists of Fractions, lowest degree first.
 import math
 from fractions import Fraction
 
-from lieposet import exactla, indexfrob, simplicial
+from lieposet import exactla, indexfrob
 from lieposet.exactla import DimensionError, SparseMat
 from lieposet.posets import make_poset, nerve
 
@@ -179,17 +179,27 @@ def height(P):
     return max(depth(a) for a in P.elements)
 
 
-def complex_dimension(complex_):
-    """Top dimension of an order complex: its longest chains' length - 1."""
-    return len(complex_.simplices_by_dim) - 1
+def complex_dimension(levels):
+    """Top dimension of an order complex given by its levels (``nerve``):
+    its longest chains' length - 1."""
+    return len(levels) - 1
 
 
 def coboundary_matrices(P):
-    """delta^k : C^k -> C^(k+1) of the order complex of P, for each k
-    below its top dimension (``simplicial._coboundaries`` of the nerve)."""
-    return simplicial._coboundaries(nerve(P))
+    """delta^k : C^k -> C^(k+1) of the order complex of P as SparseMats,
+    for each k below its top dimension:
+    (delta f)(sigma) = sum_i (-1)^i f(sigma with vertex i removed)."""
+    levels = nerve(P)
+    out = []
+    for lower, upper in zip(levels, levels[1:]):
+        ents = {}
+        for r, simplex in enumerate(upper):
+            for i in range(len(simplex)):
+                key = (r, lower.index(simplex[:i] + simplex[i + 1 :]))
+                ents[key] = ents.get(key, 0) + (-1) ** i
+        out.append(SparseMat(len(upper), len(lower), ents))
+    return out
 
 
 def euler_characteristic(P):
-    complex_ = nerve(P)
-    return sum((-1) ** k * complex_.n_simplices(k) for k in range(complex_dimension(complex_) + 1))
+    return sum((-1) ** k * len(level) for k, level in enumerate(nerve(P)))

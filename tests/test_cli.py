@@ -219,22 +219,28 @@ class TestIndex:
         }
 
     @pytest.mark.parametrize("command", ("index", "classify"))
-    @pytest.mark.parametrize("P, variant", (
-        pytest.param(hexagon_type_c_poset(), "gl", id="hexagon-gl"),
-        pytest.param(posets.make_poset([1, 2, 3, 4], [(1, 3), (2, 3), (2, 4)], "A"), "sl",
+    @pytest.mark.parametrize("P, variant, frobenius", (
+        pytest.param(hexagon_type_c_poset(), "gl", True, id="hexagon-gl"),
+        pytest.param(posets.make_poset([1, 2, 3, 4], [(1, 3), (2, 3), (2, 4)], "A"), "sl", True,
                      id="zigzag4-sl"),
         pytest.param(posets.make_poset(range(1, 7), [(i, 6) for i in range(1, 6)], "A"), "sl",
-                     id="star6-sl"),
+                     True, id="star6-sl"),
+        pytest.param(posets.make_poset([1, 2, 3, 4], [(a, b) for a in (1, 2) for b in (3, 4)],
+                                       "A"), "sl", False, id="k22-sl"),
+        pytest.param(posets.chain_poset(2), "gl", False, id="chain2-gl"),
     ))
     def test_one_elimination_per_two_step_frobenius_job(
-        self, capsys, monkeypatch, tmp_path, command, P, variant,
+        self, capsys, monkeypatch, tmp_path, command, P, variant, frobenius,
     ):
         # After build, the job eliminates once, [B | I] for g.root_echelon,
-        # and evaluates no Kirillov matrix: index, principal element and
-        # normal form are all read off that one elimination.
+        # ranks nothing through exactla.rank and evaluates no Kirillov
+        # matrix: index, principal element and normal form are all read
+        # off that one elimination.  The root blocks of K_2,2 sl (3 x 4)
+        # and chain 2 gl (2 x 1) are not square, so those algebras are not
+        # Frobenius, and their index is read off the same elimination.
         path = tmp_path / "poset.json"
         path.write_text(json.dumps(posets.poset_to_json(P)))
-        calls = {"_echelon": 0, "_kirillov_rows": 0}
+        calls = {"_echelon": 0, "rank": 0, "_kirillov_rows": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -252,12 +258,16 @@ class TestIndex:
         monkeypatch.setattr(liealg, "build", build_then_count)
         monkeypatch.setattr(exactla._elim, "_echelon",
                             counting("_echelon", exactla._elim._echelon))
+        monkeypatch.setattr(exactla, "rank", counting("rank", exactla.rank))
         monkeypatch.setattr(indexfrob, "_kirillov_rows",
                             counting("_kirillov_rows", indexfrob._kirillov_rows))
         code, rep = run(capsys, [command, str(path), "--variant", variant, "--seed", "0"])
-        assert code == 0 and rep["results"]["certificate"]["certified_frobenius"]
-        assert rep["results"].get("classification", {"verified": True})["verified"]
-        assert calls == {"_echelon": 1, "_kirillov_rows": 0}
+        assert code == 0 and rep["results"]["certificate"]["certified_frobenius"] is frobenius
+        if command == "classify":
+            c = rep["results"]["classification"]
+            assert c["verified"] if frobenius else c == {"applicable": False,
+                                                         "reason": "index 1 != 0"}
+        assert calls == {"_echelon": 1, "rank": 0, "_kirillov_rows": 0}
 
     @pytest.mark.parametrize("bound", ("0", "-3"))
     def test_bound_below_one_rejected(self, capsys, branch_file, bound):

@@ -61,11 +61,18 @@ class TestRank:
         assert exactla.rank(SparseMat(2, 3)) == 0
 
     def test_against_dense_oracle(self):
-        rng = random.Random(20240811)
+        # The same rank on the rows as Fractions, as ints, on a mix of the
+        # two, and on non-integral Fractions, which the kernel scales to
+        # ints as they enter.
+        rng, mix = random.Random(20240811), random.Random(38)
         for _ in range(40):
             rows = random_dense(rng, rng.randint(1, 7), rng.randint(1, 7))
-            M = from_rows(rows)
-            assert exactla.rank(M) == dense_rank_oracle(rows)
+            want = dense_rank_oracle(rows)
+            ints = [[int(v) for v in r] for r in rows]
+            mixed = [[v if mix.random() < 0.5 else int(v) for v in r] for r in rows]
+            divided = [[v / mix.randint(1, 6) for v in r] for r in rows]
+            for variant in (rows, ints, mixed, divided):
+                assert exactla.rank(from_rows(variant)) == want
 
     def test_skew_rank_is_even(self):
         rng = random.Random(99)

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import itertools
 import math
@@ -30,6 +31,7 @@ from oracles import (
     scaled as scaled_matrix, solve, transpose,
 )
 from strategies import algebras, frobenius_bcd_algebras, valid_posets
+from test_exactla import dense_rank_oracle
 from test_structure_index import NAMED
 
 HALF = Fraction(1, 2)
@@ -795,6 +797,7 @@ class TestRootEchelon:
         if g.root_block is None:
             assert g.root_echelon is None
             return False
+        TestRootEchelon._check_echelon(g)
         cert, normal = root_block_oracles(g)
         assert index(g, seed=0) == cert
         if normal is None:
@@ -811,6 +814,27 @@ class TestRootEchelon:
         assert list(map(type, sp.principal_element)) == list(map(type, want))
         assert sp == spectrum(g, want)
         return True
+
+    @staticmethod
+    def _check_echelon(g):
+        """``g.root_echelon`` of a c x m root block B of any shape: its
+        pivots below column m count rank B (against the dense oracle), each
+        row's smallest column is its pivot, and a square B keeps the
+        reduced form of [B | I]: pivots, rows and key order."""
+        B = g.root_block
+        c, m = B.n_rows, B.n_cols
+        pivots, rows = g.root_echelon
+        dense = [[B[i, j] for j in range(m)] for i in range(c)]
+        assert bisect.bisect_left(pivots, m) == dense_rank_oracle(dense)
+        assert sorted(rows) == pivots and all(min(rows[p]) == p for p in pivots)
+        if c == m:
+            aug = B.row_dicts()
+            for i in range(c):
+                aug[i][m + i] = 1
+            want_pivots, want_rows = exactla._elim._echelon(aug, reduce_full=True)
+            assert pivots == want_pivots
+            assert [(p, list(r.items())) for p, r in rows.items()] == \
+                [(p, list(r.items())) for p, r in want_rows.items()]
 
     def test_height_one_up_to_8(self):
         corpus = HEIGHT_ONE + [build(P, variant) for P in posets.enumerate_height_one(8)
@@ -854,10 +878,18 @@ class TestRootEchelon:
         assert g.root_echelon is echelon
         assert (echelon[0], echelon[1]) == snapshot
 
-    def test_none_for_a_non_square_root_block(self):
+    def test_every_root_block_shape(self):
+        # chain 2 gl's B is 2 x 1 of rank 1: [B | I] pivots on B's column
+        # and on one column of I.  The one-element posets have a 1 x 0
+        # (gl) and a 0 x 0 (sl) root block.
         g = build(chain_poset(2), "gl")
         assert (g.root_block.n_rows, g.root_block.n_cols) == (2, 1)
-        assert g.root_echelon is None and index(g, seed=0).index == 1
+        assert g.root_echelon[0] == [0, 1] and index(g, seed=0).index == 1
+        self._check(g)
+        for variant, shape in (("gl", (1, 0)), ("sl", (0, 0))):
+            g = build(chain_poset(1), variant)
+            assert (g.root_block.n_rows, g.root_block.n_cols) == shape
+            self._check(g)
 
 
 class TestCompose:

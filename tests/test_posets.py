@@ -254,29 +254,26 @@ def _nx_properties(P):
 
 class TestNerve:
     def test_branch(self):
-        c = nerve(branch_poset())
-        assert c.n_simplices(0) == 4
-        assert c.n_simplices(1) == 5
-        assert sorted(c.simplices_by_dim[2]) == [(1, 2, 3), (1, 2, 4)]
-        assert c.n_simplices(3) == 0
+        levels = nerve(branch_poset())
+        assert len(levels) == 3
+        assert (len(levels[0]), len(levels[1])) == (4, 5)
+        assert levels[2] == ((1, 2, 3), (1, 2, 4))
 
     def test_hexagon(self):
-        c = nerve(hexagon_type_c_poset())
-        assert c.n_simplices(0) == 6
-        assert c.n_simplices(1) == 6
-        assert c.n_simplices(2) == 0
+        levels = nerve(hexagon_type_c_poset())
+        assert len(levels) == 2
+        assert (len(levels[0]), len(levels[1])) == (6, 6)
 
     def test_singleton(self):
-        c = nerve(make_poset([1], [], "A"))
-        assert c.simplices_by_dim == (((1,),),)
+        assert nerve(make_poset([1], [], "A")) == (((1,),),)
 
     def test_faces_closed_and_edge_count(self):
         for P in (branch_poset(), chain_poset(4), hexagon_type_c_poset()):
-            c = nerve(P)
-            assert c.n_simplices(1) == len(P.relation)
-            for k in range(1, complex_dimension(c) + 1):
-                lower = set(c.simplices_by_dim[k - 1])
-                for s in c.simplices_by_dim[k]:
+            levels = nerve(P)
+            assert len(levels[1]) == len(P.relation)
+            for k in range(1, complex_dimension(levels) + 1):
+                lower = set(levels[k - 1])
+                for s in levels[k]:
                     for i in range(len(s)):
                         assert s[:i] + s[i + 1 :] in lower
 

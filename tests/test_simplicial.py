@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lieposet.posets import (
     chain_poset,
     branch_poset,
@@ -12,6 +15,8 @@ from oracles import (
     complex_dimension,
     euler_characteristic,
 )
+from strategies import valid_posets
+from test_exactla import dense_rank_oracle
 
 
 class TestCoboundaries:
@@ -58,6 +63,23 @@ class TestCohomology:
     def test_degree_above_nerve_is_zero(self):
         # The nerve of a 2-chain is an edge: no 3-simplices, so H^3 = 0.
         assert simplicial_cohomology_dim(chain_poset(2), 3) == 0
+
+
+def dense_rank(M):
+    return dense_rank_oracle([[M[i, j] for j in range(M.n_cols)] for i in range(M.n_rows)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from("ABCD").flatmap(valid_posets))
+def test_dims_match_the_coboundary_oracle(P):
+    # dim H^k = dim C^k - rank delta^k - rank delta^(k-1), with every delta
+    # assembled and ranked by the test oracles, at k = -1..top+1.
+    levels = nerve(P)
+    ranks = [0] + [dense_rank(d) for d in coboundary_matrices(P)] + [0]
+    for k in range(-1, len(levels) + 1):
+        n_k = len(levels[k]) if 0 <= k < len(levels) else 0
+        want = n_k - ranks[k + 1] - ranks[k] if n_k else 0
+        assert simplicial_cohomology_dim(P, k) == want
 
 
 class TestEuler:
